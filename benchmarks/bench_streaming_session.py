@@ -239,7 +239,6 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=5, repeats=3,
                 "state_bytes_shipped": stats.state_bytes_shipped,
                 "forks_avoided": stats.forks_avoided,
                 "segments_live": stats.segments_live,
-                "overlap_windows": stats.overlap_windows,
                 "queue_fallback_units": stats.queue_fallback_units,
                 "bytes_per_frame": [
                     frame.runtime.get("state_bytes_shipped", 0)
@@ -320,8 +319,7 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=5, repeats=3,
             f"shm {row['config']}: shipped={row['state_bytes_shipped']}B "
             f"({row['bytes_per_frame']}), "
             f"forks_avoided={row['forks_avoided']}, "
-            f"segments_live={row['segments_live']}, "
-            f"overlap_windows={row['overlap_windows']}")
+            f"segments_live={row['segments_live']}")
     lines.append(
         f"shm zero-copy: rolling forks avoided "
         f"{payload['shm_forks_avoided_on_rolling']}, partial-drift warm "

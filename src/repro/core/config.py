@@ -115,8 +115,10 @@ class StreamingSessionConfig:
     the drift check every N-th frame *since the last calibration* (a
     re-calibration restarts the cadence).  ``reuse_index`` enables the
     warm :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`
-    path (False rebuilds the index cold every frame — the reference
-    behaviour the equivalence tests compare against).
+    path, which rebuilds only the windows whose coordinates moved,
+    inline, before the frame's queries dispatch (False rebuilds the
+    index cold every frame — the reference behaviour the equivalence
+    tests compare against).
 
     ``result_cache`` enables the cross-frame result cache: per-window
     batch results are keyed by the window's coordinate content version
@@ -124,7 +126,9 @@ class StreamingSessionConfig:
     move and whose query block repeats replays the cached result
     without traversal (bit-exact — see
     :class:`~repro.spatial.neighbors.WindowResultCache`).
-    ``cache_max_entries`` bounds the cache with LRU eviction.
+    ``cache_max_entries`` bounds the cache with LRU eviction; entries
+    are compact (int32 window-local indices plus per-row counters,
+    distances recomputed on a hit).
     ``cache_scope`` selects the cache instance: ``"session"`` gives the
     session a private cache, ``"shared"`` attaches the process-global
     cache (:func:`~repro.spatial.neighbors.shared_result_cache`) so
@@ -149,14 +153,6 @@ class StreamingSessionConfig:
     quarantines the frame into a ``FrameResult`` carrying a structured
     ``error`` and keeps the stream going.
 
-    ``pipeline_repair`` overlaps dirty-window kd-tree rebuilds with the
-    frame's clean-window query dispatch (the scheduler barriers per
-    window only when a unit's serving window is still being repaired —
-    see :meth:`repro.runtime.WindowScheduler.execute_by_window`).
-    Rebuild order, content versions, and results are bit-equal either
-    way; disable it to force the fully synchronous repair of earlier
-    seeds.
-
     ``arena_fusion`` lets the scheduler fuse compatible per-window
     units into single multi-window
     :class:`~repro.spatial.kdtree.TraversalArena` launches (see
@@ -171,7 +167,6 @@ class StreamingSessionConfig:
     result_cache: bool = True
     cache_max_entries: int = 256
     cache_scope: str = "auto"
-    pipeline_repair: bool = True
     arena_fusion: bool = True
     unit_timeout: Optional[float] = None
     max_retries: int = 2

@@ -52,10 +52,16 @@ per traversal iteration is paid once per fused batch instead of once
 per window, which is the paper's parallel traversal-unit dispatch
 amortized in software.  Results are scattered back per member before
 anyone above the scheduler sees them, and are **bit-equal** to
-per-window dispatch on every backend; the result cache, retry/ticket
-supervision and pipelined-repair barriers are untouched.
+per-window dispatch on every backend; the result cache and the
+retry/ticket supervision are untouched.
 :class:`~repro.runtime.executor.RuntimeStats` counts
 ``arena_launches`` / ``arena_units_fused`` / ``arena_bytes_viewed``.
+
+Window trees arrive finished: a streaming
+:class:`~repro.spatial.neighbors.ChunkedIndex` rebuilds its dirty
+windows inline (level-synchronous :class:`~repro.spatial.kdtree.KDTree`
+build) before the frame's units dispatch, so every batch is one
+dispatch and no worker waits on a rebuild.
 
 Five interchangeable backends ship with the runtime:
 

@@ -121,11 +121,11 @@ class FaultStats:
 
 @dataclass
 class RuntimeStats:
-    """Data-movement / overlap counters over an executor's lifetime.
+    """Data-movement counters over an executor's lifetime.
 
     The observability companion of :class:`FaultStats`, fed by the
     shared-memory backend (:class:`repro.runtime.shm.ShmShardPool`),
-    the repair/query pipelining in
+    the arena fusion in
     :class:`~repro.runtime.scheduler.WindowScheduler`, and the bucketed
     grouping path in :mod:`repro.core.cotraining`:
 
@@ -135,8 +135,6 @@ class RuntimeStats:
       ``reset_workers`` / ``invalidate_windows`` because invalidation
       was a registry version bump instead of a teardown.
     - ``segments_live`` — gauge: shared segments currently allocated.
-    - ``overlap_windows`` — dirty windows whose repair overlapped the
-      execution of clean-window units (pipelined plan execution).
     - ``queue_fallback_units`` — units whose results rode the pickle
       queue because no shared output reservation fit (traced units,
       uncapped range queries, fused arena units).
@@ -154,7 +152,6 @@ class RuntimeStats:
     state_bytes_shipped: int = 0
     forks_avoided: int = 0
     segments_live: int = 0
-    overlap_windows: int = 0
     queue_fallback_units: int = 0
     bucket_sizes: Dict[int, int] = field(default_factory=dict)
     arena_launches: int = 0
@@ -188,7 +185,6 @@ class RuntimeStats:
             "state_bytes_shipped": self.state_bytes_shipped,
             "forks_avoided": self.forks_avoided,
             "segments_live": self.segments_live,
-            "overlap_windows": self.overlap_windows,
             "queue_fallback_units": self.queue_fallback_units,
             "bucket_sizes": dict(self.bucket_sizes),
             "arena_launches": self.arena_launches,
@@ -206,8 +202,8 @@ class RuntimeStats:
         """
         out: Dict[str, Any] = {}
         for key in ("state_bytes_shipped", "forks_avoided",
-                    "overlap_windows", "queue_fallback_units",
-                    "arena_launches", "arena_bytes_viewed"):
+                    "queue_fallback_units", "arena_launches",
+                    "arena_bytes_viewed"):
             out[key] = int(new[key]) - int(old[key])
         out["segments_live"] = int(new["segments_live"])
         for key in ("bucket_sizes", "arena_units_fused"):

@@ -75,17 +75,6 @@ class WeakShardState:
                 "shard state does not export window trees")
         return export(window)
 
-    def pending_windows(self):
-        """Windows whose repair is still in flight (pipelined states)."""
-        pending = getattr(self._state(), "pending_windows", None)
-        return pending() if pending is not None else frozenset()
-
-    def finish_windows(self, windows: Sequence[int]) -> None:
-        """Barrier: resolve the in-flight repairs of *windows*."""
-        finish = getattr(self._state(), "finish_windows", None)
-        if finish is not None:
-            finish(windows)
-
     def window_size(self, window: int) -> int:
         """Node count of *window*'s tree (0 when the target does not
         report sizes) — arena-bytes accounting only."""
@@ -215,9 +204,9 @@ class WindowScheduler:
     per-window units that share an executor dispatch slot into single
     multi-window **arena** units (see
     :class:`~repro.spatial.kdtree.TraversalArena`) and scatters the
-    per-member results back, so callers — and the result cache, fault
-    supervision and repair barriers above them — observe exactly the
-    per-window units they submitted.
+    per-member results back, so callers — and the result cache and
+    fault supervision above them — observe exactly the per-window units
+    they submitted.
     """
 
     def __init__(self, state, executor="serial",
@@ -275,47 +264,9 @@ class WindowScheduler:
         window instead of one per op.  The returned list is re-scattered
         to the caller's unit order, so results are identical to
         :meth:`execute` whichever order the backend ran them in.
-
-        **Pipelined repair overlap**: when the state reports windows
-        whose repair is still in flight (``pending_windows``), the
-        clean-window units dispatch immediately — overlapping the
-        background rebuilds — and the dirty-window units run in a
-        second dispatch behind a per-window barrier
-        (``finish_windows``).  Results are scattered back to the
-        caller's unit order either way, so the split is invisible:
-        every unit's result is a deterministic function of its window's
-        (repaired) tree, bit-equal to the unsplit dispatch.
+        Compatible units are fused into arena launches on the way down,
+        invisibly to the caller.
         """
-        pending = self._pending_windows()
-        if pending:
-            ready = [i for i, unit in enumerate(units)
-                     if unit.window not in pending]
-            deferred = [i for i, unit in enumerate(units)
-                        if unit.window in pending]
-            if ready and deferred:
-                self.executor.runtime_stats.overlap_windows += \
-                    len({units[i].window for i in deferred})
-                results: List[Any] = [None] * len(units)
-                for i, result in zip(
-                        ready, self._run_sorted([units[i]
-                                                 for i in ready])):
-                    results[i] = result
-                self._finish_windows(
-                    sorted({units[i].window for i in deferred}))
-                for i, result in zip(
-                        deferred, self._run_sorted([units[i]
-                                                    for i in deferred])):
-                    results[i] = result
-                return results
-            if deferred:
-                self._finish_windows(
-                    sorted({units[i].window for i in deferred}))
-        return self._run_sorted(units)
-
-    def _run_sorted(self, units: Sequence[WorkUnit]) -> List[Any]:
-        """One executor dispatch in ascending-window order, scattered
-        back to the given unit order (fusing compatible units into
-        arena launches on the way down, invisibly to the caller)."""
         order = sorted(range(len(units)),
                        key=lambda i: (units[i].window, i))
         dispatch, plan = self._fuse_units([units[i] for i in order])
@@ -403,15 +354,6 @@ class WindowScheduler:
             except Exception:
                 nodes = 0
         stats.record_fusion(len(members), nodes * _ARENA_NODE_BYTES)
-
-    def _pending_windows(self):
-        pending = getattr(self.state, "pending_windows", None)
-        return pending() if pending is not None else frozenset()
-
-    def _finish_windows(self, windows: Sequence[int]) -> None:
-        finish = getattr(self.state, "finish_windows", None)
-        if finish is not None:
-            finish(windows)
 
     def run(self, queries: np.ndarray, window_ids: np.ndarray, kind: str,
             params: Dict[str, Any]) -> List[Tuple[WorkUnit, Any]]:

@@ -39,6 +39,16 @@ distance arrays.  Two engines back them:
 ``engine="auto"`` (the default) picks ``"scan"`` whenever it is
 eligible, falling back to ``"traverse"`` otherwise — deterministic
 termination always runs a real traversal.
+
+Construction
+------------
+Compulsory splitting rebuilds a window's tree whenever its chunks move,
+so the build is the per-frame cost that no deadline caps.
+:func:`_build_levels` builds a whole tree level at a time with a fixed
+number of numpy calls per level (per-segment spans via ``reduceat``,
+one stable ``argsort`` that orders every segment by its own split
+axis), producing exactly the node arrays of the classic recursive
+median-split build.
 """
 
 from __future__ import annotations
@@ -323,12 +333,78 @@ def _range_traverse(qx, qy, qz, radius, max_steps, trace, found,
     return steps, False
 
 
+# ----------------------------------------------------------------------
+# Level-synchronous construction
+# ----------------------------------------------------------------------
+def _build_levels(points: np.ndarray):
+    """Median-split kd-tree node arrays, built one tree level at a time.
+
+    Returns ``(axis, left, right, point_index)`` for the canonical
+    recursive build: each node splits its subset along the widest axis
+    (first maximum span), orders the subset by that coordinate with a
+    stable sort, takes element ``len // 2`` as the node's point, and
+    numbers nodes in preorder from the root ``0``.
+
+    Every node of a level is handled by the same handful of numpy calls.
+    The still-unplaced points stay grouped by segment (one segment per
+    node of the level, in node order).  Per-segment spans come from
+    ``reduceat``, and a single stable ``argsort`` over
+    ``segment * n + rank`` orders every segment by its own axis at once.
+    The per-axis dense ranks (``np.unique``) map equal coordinates to
+    equal ranks, so the sort keeps ties in their current order exactly
+    as a per-node stable sort would.  Preorder ids follow from the
+    sizes: the left child of node ``i`` with ``m = len // 2`` is
+    ``i + 1`` and the right child is ``i + 1 + m``.
+    """
+    n = len(points)
+    axis = np.zeros(n, dtype=np.int8)
+    left = np.full(n, -1, dtype=np.int64)
+    right = np.full(n, -1, dtype=np.int64)
+    point_index = np.zeros(n, dtype=np.int64)
+    ranks = np.stack([np.unique(points[:, a], return_inverse=True)[1]
+                      for a in range(3)])
+    order = np.arange(n)
+    lengths = np.array([n], dtype=np.int64)
+    nodes = np.zeros(1, dtype=np.int64)
+    while len(order):
+        starts = np.cumsum(lengths) - lengths
+        coords = points[order]
+        spans = (np.maximum.reduceat(coords, starts)
+                 - np.minimum.reduceat(coords, starts))
+        seg_axis = np.argmax(spans, axis=1)
+        segment = np.repeat(np.arange(len(lengths)), lengths)
+        key = segment * n + ranks[seg_axis[segment], order]
+        order = order[np.argsort(key, kind="stable")]
+        half = lengths // 2
+        medians = starts + half
+        axis[nodes] = seg_axis
+        point_index[nodes] = order[medians]
+        right_lengths = lengths - half - 1
+        has_left = half > 0
+        has_right = right_lengths > 0
+        left[nodes[has_left]] = nodes[has_left] + 1
+        right[nodes[has_right]] = nodes[has_right] + 1 + half[has_right]
+        # Next level: each segment's left part then its right part,
+        # medians dropped, empty parts skipped.
+        lengths = np.stack([half, right_lengths], axis=1).ravel()
+        nodes = np.stack([nodes + 1, nodes + 1 + half], axis=1).ravel()
+        keep = lengths > 0
+        lengths, nodes = lengths[keep], nodes[keep]
+        placed = np.zeros(len(order), dtype=bool)
+        placed[medians] = True
+        order = order[~placed]
+    return axis, left, right, point_index
+
+
 class KDTree:
     """Median-split kd-tree over ``(N, 3)`` points.
 
     Nodes are stored in flat arrays; node ``i`` holds one point
     (``self.point_index[i]``), a split axis, and child links.  One traversal
     *step* is one node visit, matching the paper's step-deadline unit.
+    The arrays are built level by level (:func:`_build_levels`) and are a
+    deterministic function of the coordinates, so equal point arrays
+    always give array-identical trees.
     """
 
     def __init__(self, points: np.ndarray) -> None:
@@ -341,12 +417,9 @@ class KDTree:
             raise ValidationError("cannot build a kd-tree over zero points")
         self.points = points
         n = len(points)
-        self.axis = np.zeros(n, dtype=np.int8)
-        self.left = np.full(n, -1, dtype=np.int64)
-        self.right = np.full(n, -1, dtype=np.int64)
-        self.point_index = np.zeros(n, dtype=np.int64)
-        self._next_node = 0
-        self.root = self._build(np.arange(n), depth=0)
+        self.axis, self.left, self.right, self.point_index = \
+            _build_levels(points)
+        self.root = 0
         # Packed per-node records for the scalar traversal kernels (one
         # list index + tuple unpack per visit, no numpy-scalar boxing),
         # built lazily on the first traversal: scan-only trees — the
@@ -370,7 +443,7 @@ class KDTree:
     def from_arrays(cls, points: np.ndarray, axis: np.ndarray,
                     left: np.ndarray, right: np.ndarray,
                     point_index: np.ndarray, root: int) -> "KDTree":
-        """Rebuild a tree from previously packed node arrays (no ``_build``).
+        """Rebuild a tree from previously packed node arrays (no build).
 
         The arrays are adopted as-is — they may be views into a shared
         buffer (``repro.runtime.shm`` attaches them zero-copy from a
@@ -387,7 +460,6 @@ class KDTree:
         tree.left = np.asarray(left, dtype=np.int64)
         tree.right = np.asarray(right, dtype=np.int64)
         tree.point_index = np.asarray(point_index, dtype=np.int64)
-        tree._next_node = n
         tree.root = int(root)
         node_points = points[tree.point_index]
         tree._node_data = None
@@ -409,23 +481,6 @@ class KDTree:
         """
         return (self.points, self.axis, self.left, self.right,
                 self.point_index, self.root)
-
-    def _build(self, indices: np.ndarray, depth: int) -> int:
-        if len(indices) == 0:
-            return -1
-        coords = self.points[indices]
-        # Split along the widest axis of this subset (classic heuristic).
-        spans = coords.max(axis=0) - coords.min(axis=0)
-        axis = int(np.argmax(spans))
-        order = indices[np.argsort(coords[:, axis], kind="stable")]
-        median = len(order) // 2
-        node = self._next_node
-        self._next_node += 1
-        self.axis[node] = axis
-        self.point_index[node] = order[median]
-        self.left[node] = self._build(order[:median], depth + 1)
-        self.right[node] = self._build(order[median + 1:], depth + 1)
-        return node
 
     def __len__(self) -> int:
         return len(self.points)

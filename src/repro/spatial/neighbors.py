@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -139,6 +138,15 @@ def _content_version(points: np.ndarray) -> int:
         return version
 
 
+class _CompactResult(NamedTuple):
+    """A cached window-local batch result without its distances."""
+
+    indices: np.ndarray        # (Q, C) int32 window-local, -1 padded
+    counts: np.ndarray
+    steps: np.ndarray
+    terminated: np.ndarray
+
+
 class WindowResultCache:
     """LRU cache of per-window batch results, keyed by content version.
 
@@ -151,6 +159,14 @@ class WindowResultCache:
     identical to the tree that produced the cached result — replaying it
     is bit-exact, and the caller remaps local indices through the
     *current* member table as usual.
+
+    Untraced results are stored compactly: int32 window-local indices
+    plus ``counts`` / ``steps`` / ``terminated``, no distances.  A hit
+    recomputes the distances from the window's coordinates and the
+    unit's queries with the engines' own arithmetic (per-axis
+    difference, squared, summed x then y then z, square root; ``-1``
+    slots are ``inf``), so the replayed result is bit-equal to the
+    stored one at about a quarter of the memory.
 
     ``hits`` / ``misses`` count lookups over the cache's lifetime;
     ``max_entries`` bounds memory with least-recently-used eviction.
@@ -195,8 +211,15 @@ class WindowResultCache:
         params = tuple(sorted(unit.params.items()))
         return (version, unit.kind, params, queries.shape, digest)
 
-    def lookup(self, key: tuple) -> Optional[BatchQueryResult]:
-        """The cached window-local result for *key*, or ``None``."""
+    def lookup(self, key: tuple, points: Optional[np.ndarray] = None,
+               queries: Optional[np.ndarray] = None
+               ) -> Optional[BatchQueryResult]:
+        """The cached window-local result for *key*, or ``None``.
+
+        *points* (the serving window's coordinates, in the order its
+        local indices refer to) and *queries* (the unit's query block)
+        restore the distances of a compact entry.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -204,10 +227,16 @@ class WindowResultCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry
+        if isinstance(entry, _CompactResult):
+            return self._expand(entry, points, queries)
+        return entry
 
     def store(self, key: tuple, result: BatchQueryResult) -> None:
         """Insert one window-local result, evicting LRU entries."""
+        if isinstance(result, BatchQueryResult) and result.traces is None:
+            result = _CompactResult(result.indices.astype(np.int32),
+                                    result.counts, result.steps,
+                                    result.terminated)
         with self._lock:
             self._entries[key] = result
             self._entries.move_to_end(key)
@@ -217,6 +246,22 @@ class WindowResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+
+    @staticmethod
+    def _expand(entry: _CompactResult, points: np.ndarray,
+                queries: np.ndarray) -> BatchQueryResult:
+        indices = entry.indices.astype(np.int64)
+        padding = indices < 0
+        near = np.where(padding, 0, indices)
+        queries = np.asarray(queries, dtype=np.float64)
+        sqdist = np.zeros(indices.shape)
+        for axis in range(3):      # summed x, then y, then z
+            diff = points[:, axis][near] - queries[:, axis:axis + 1]
+            sqdist += diff * diff
+        distances = np.sqrt(sqdist, out=sqdist)
+        distances[padding] = np.inf
+        return BatchQueryResult(indices, distances, entry.counts,
+                                entry.steps, entry.terminated)
 
 
 #: Capacity of the process-global shared result cache.  Sized for many
@@ -330,7 +375,6 @@ class ChunkedIndex:
                  executor="serial",
                  executor_workers: Optional[int] = None,
                  supervision=None,
-                 pipeline_repair: bool = False,
                  arena_fusion: bool = True) -> None:
         positions = np.asarray(positions, dtype=np.float64)
         chunk_assignment = np.asarray(chunk_assignment, dtype=np.int64)
@@ -348,19 +392,11 @@ class ChunkedIndex:
         #: Optional :class:`repro.runtime.SupervisionConfig` applied to
         #: the executor backend (retries / unit timeout / degradation).
         self.supervision = supervision
-        #: Overlap dirty-window kd-tree rebuilds with clean-window query
-        #: dispatch (:meth:`update_frame` hands builds to a background
-        #: pool; the scheduler barriers per window via
-        #: :meth:`finish_windows`).  Bit-equal either way.
-        self.pipeline_repair = pipeline_repair
         #: Fuse compatible per-window work units into multi-window
         #: arena launches (:class:`repro.spatial.kdtree.TraversalArena`)
         #: inside the scheduler.  Bit-equal either way; disable to
         #: force one lockstep launch per window.
         self.arena_fusion = arena_fusion
-        self._pending_repairs: Dict[int, object] = {}
-        self._repair_pool = None
-        self._repair_pid: Optional[int] = None
         self._window_of_chunk_cache: Optional[Dict[int, tuple]] = None
         self._window_lut_cache: Optional[np.ndarray] = None
         self._members_cache: Optional[List[np.ndarray]] = None
@@ -531,9 +567,10 @@ class ChunkedIndex:
         reused and the per-window kd-trees are repaired *incrementally*:
         a vectorized dirty-window detector (per-point change mask →
         per-chunk rollup → per-window membership test) finds the windows
-        whose member coordinates actually moved, and only those rebuild.
-        Clean windows keep their kd-tree objects, content versions, and
-        — on the process backend — their workers' forked snapshots
+        whose member coordinates actually moved, and only those rebuild,
+        inline, before this call returns.  Clean windows keep their
+        kd-tree objects, content versions, and — on the process
+        backend — their workers' forked snapshots
         (:meth:`~repro.runtime.scheduler.WindowScheduler.invalidate_windows`
         drops only the dirty windows' workers).  A dirty window whose
         new coordinates are *identical* to some previous window's (the
@@ -556,9 +593,6 @@ class ChunkedIndex:
             self.windows
         if not new_windows:
             raise ValidationError("at least one window required")
-        # Any repairs still in flight from the previous frame must land
-        # before their trees are probed for rotation reuse below.
-        self._finish_repairs()
         same_occupancy = (
             self._members_cache is not None
             and len(positions) == len(self.positions)
@@ -576,7 +610,6 @@ class ChunkedIndex:
             old_versions = self._versions_cache
             new_trees: List[Optional[KDTree]] = []
             new_versions: List[int] = []
-            repairs: Dict[int, np.ndarray] = {}
             for widx, members in enumerate(self._members_cache):
                 if not dirty[widx]:
                     new_trees.append(old_trees[widx])
@@ -593,17 +626,9 @@ class ChunkedIndex:
                     new_versions.append(old_versions[source])
                     continue
                 new_versions.append(self._next_version(members))
-                if self.pipeline_repair:
-                    # Placeholder now; the build lands via _tree_for /
-                    # finish_windows, overlapping clean-window queries.
-                    new_trees.append(None)
-                    repairs[widx] = points
-                else:
-                    new_trees.append(KDTree(points))
+                new_trees.append(KDTree(points))
             self._trees_cache = new_trees
             self._versions_cache = new_versions
-            if repairs:
-                self._launch_repairs(repairs)
             dirty_ids = [int(w) for w in np.nonzero(dirty)[0]]
             self.last_dirty_windows = len(dirty_ids)
             self.last_clean_windows = \
@@ -674,63 +699,14 @@ class ChunkedIndex:
                 return old_window
         return None
 
-    # ------------------------------------------------------------------
-    # Pipelined window repair (probe-sync / build-async)
-    # ------------------------------------------------------------------
-    def _launch_repairs(self, repairs: Dict[int, np.ndarray]) -> None:
-        """Hand the dirty windows' kd-tree builds to a background pool.
-
-        Only the *builds* go async — rotation-reuse probing and content
-        version assignment already happened synchronously in
-        :meth:`update_frame`, so version draw order, reuse counters, and
-        cache keys are identical to the serial path.  ``KDTree`` build
-        is a deterministic function of the coordinates, so resolving a
-        pending build later (or rebuilding in a forked worker) is
-        bit-equal to building inline.
-        """
-        if self._repair_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._repair_pool = ThreadPoolExecutor(
-                max_workers=2, thread_name_prefix="repro-repair")
-        self._repair_pid = os.getpid()
-        for window, points in repairs.items():
-            self._pending_repairs[window] = \
-                self._repair_pool.submit(KDTree, points)
-
     def _tree_for(self, window: int) -> Optional[KDTree]:
-        """The window's tree, resolving a pending repair on demand.
+        """The window's kd-tree (``None`` for an empty window).
 
-        In a *forked* executor worker the builder threads (and their
-        futures) did not survive the fork, so waiting would deadlock;
-        the worker instead rebuilds deterministically from its own copy
-        of the coordinates — bit-equal to the parent's build.
+        The one place unit runs, shared-memory exports and per-query
+        paths resolve a window's tree; dirty windows were rebuilt inline
+        by :meth:`update_frame`, so this is a plain lookup.
         """
-        future = self._pending_repairs.get(window)
-        if future is None:
-            return self._trees[window]
-        if self._repair_pid != os.getpid():
-            tree = KDTree(self.positions[self._members[window]])
-        else:
-            tree = future.result()
-        self._pending_repairs.pop(window, None)
-        self._trees_cache[window] = tree
-        return tree
-
-    def pending_windows(self) -> frozenset:
-        """Windows whose kd-tree rebuild is still in flight (the
-        scheduler's pipelining probe)."""
-        return frozenset(self._pending_repairs)
-
-    def finish_windows(self, windows: Sequence[int]) -> None:
-        """Barrier: resolve the in-flight repairs of *windows* only."""
-        for window in windows:
-            if int(window) in self._pending_repairs:
-                self._tree_for(int(window))
-
-    def _finish_repairs(self) -> None:
-        """Barrier: resolve every in-flight window repair."""
-        while self._pending_repairs:
-            self._tree_for(next(iter(self._pending_repairs)))
+        return self._trees[window]
 
     def max_tree_depth(self) -> int:
         """Deepest node depth over the non-empty window trees.
@@ -740,7 +716,6 @@ class ChunkedIndex:
         a capped windowed search must at least finish one root-to-leaf
         descent of its serving tree.
         """
-        self._finish_repairs()
         depths = [tree.depth() for tree in self._trees if tree is not None]
         if not depths:
             raise ValidationError("all windows are empty")
@@ -780,10 +755,10 @@ class ChunkedIndex:
 
     @property
     def runtime_stats(self):
-        """The runtime's data-movement / overlap counters
+        """The runtime's data-movement counters
         (:class:`repro.runtime.RuntimeStats`) — shared-memory bytes
-        shipped, forks avoided, live segments, repair/query overlap
-        windows, and grouping bucket histogram."""
+        shipped, forks avoided, live segments, arena launches, and the
+        grouping bucket histogram."""
         return self._runtime().executor.runtime_stats
 
     # ------------------------------------------------------------------
@@ -808,16 +783,12 @@ class ChunkedIndex:
         inserted by a later-failed frame are simply unreachable, never
         wrong.
         """
-        self._finish_repairs()
         return {name: getattr(self, name) for name in self._SNAPSHOT_ATTRS}
 
     def restore_state(self, snapshot: dict) -> None:
         """Reinstate a :meth:`snapshot_state` capture after a failed
         frame, dropping any worker-held state shipped in between (the
         scheduler itself — and its fault counters — stay warm)."""
-        # Builds launched by the failed frame resolve against discarded
-        # state — drop them (the pool finishes them harmlessly).
-        self._pending_repairs.clear()
         for name in self._SNAPSHOT_ATTRS:
             setattr(self, name, snapshot[name])
         if self._scheduler is not None:
@@ -825,21 +796,12 @@ class ChunkedIndex:
 
     def close(self) -> None:
         """Shut down any live executor workers (idempotent)."""
-        if self._pending_repairs:
-            self._finish_repairs()
-        if self._repair_pool is not None:
-            self._repair_pool.shutdown(wait=False)
-            self._repair_pool = None
         if self._scheduler is not None:
             self._scheduler.close()
             self._scheduler = None
 
     def window_is_empty(self, window: int) -> bool:
-        """Shard-state protocol: True when the window holds no points.
-
-        Membership-based, so an empty probe never forces a pending
-        repair to resolve.
-        """
+        """Shard-state protocol: True when the window holds no points."""
         return not len(self._members[window])
 
     def run_unit(self, unit: WorkUnit):
@@ -864,9 +826,7 @@ class ChunkedIndex:
 
     def shm_export_window(self, window: int):
         """Shard-state protocol: packed tree arrays for the
-        shared-memory backend (:class:`repro.runtime.ShmShardPool`).
-        Resolves a pending repair first — workers must attach the
-        repaired tree, not a placeholder."""
+        shared-memory backend (:class:`repro.runtime.ShmShardPool`)."""
         tree = self._tree_for(window)
         if tree is None:
             raise ValidationError(f"window {window} is empty")
@@ -908,7 +868,9 @@ class ChunkedIndex:
                 key = None
                 if cacheable:
                     key = cache.key(self._versions[unit.window], unit)
-                    local = cache.lookup(key)
+                    local = cache.lookup(
+                        key, self._tree_for(unit.window).points,
+                        unit.queries)
                     if local is not None:
                         self.cache_hits += 1
                         outcomes[op_idx][unit_idx] = (unit, local)

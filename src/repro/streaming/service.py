@@ -20,7 +20,9 @@ number of asyncio tasks:
 * **per-tenant frame ordering** — each tenant's frames execute strictly
   in submission order (an ``asyncio.Lock`` per tenant; the blocking
   execute runs in a worker thread via ``asyncio.to_thread`` so the
-  event loop never stalls);
+  event loop never stalls).  A cancelled ``submit`` holds the lock
+  until its worker thread returns, so no two frames of one tenant ever
+  run at once;
 * **bounded pending work** — at most ``max_pending`` frames per tenant
   may be queued or executing; further submits *wait* (backpressure,
   counted in :attr:`ServiceStats.backpressure_waits`) instead of
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -179,7 +182,10 @@ class StreamService:
         :meth:`~repro.streaming.StreamSession.execute`; otherwise the
         default kNN plan runs with ``queries``
         (:meth:`~repro.streaming.StreamSession.process`).  Blocks until
-        the tenant has a free pending slot (backpressure).
+        the tenant has a free pending slot (backpressure).  Cancelling
+        the awaiting task raises ``CancelledError`` only once the frame
+        already executing has finished, so a tenant's frames never
+        overlap.
         """
         if plan is None and blocks is not None:
             raise ValidationError("blocks require an explicit plan")
@@ -191,16 +197,29 @@ class StreamService:
                     lambda: tenant.pending < tenant.max_pending)
             tenant.pending += 1
         self.stats.submitted += 1
+        if plan is not None:
+            call = functools.partial(tenant.session.execute, frame, plan,
+                                     blocks, on_error=on_error)
+        else:
+            call = functools.partial(tenant.session.process, frame,
+                                     queries, on_error=on_error)
         try:
             async with tenant.order:
-                if plan is not None:
-                    result = await asyncio.to_thread(
-                        tenant.session.execute, frame, plan, blocks,
-                        on_error=on_error)
-                else:
-                    result = await asyncio.to_thread(
-                        tenant.session.process, frame, queries,
-                        on_error=on_error)
+                running = asyncio.ensure_future(asyncio.to_thread(call))
+                try:
+                    result = await asyncio.shield(running)
+                except asyncio.CancelledError:
+                    # The worker thread cannot be interrupted: keep the
+                    # order lock until the call returns, so the tenant's
+                    # next frame never runs on the session beside it.
+                    while not running.done():
+                        try:
+                            await asyncio.wait([running])
+                        except asyncio.CancelledError:
+                            pass
+                    if not running.cancelled():
+                        running.exception()   # retrieved; we re-raise
+                    raise
         finally:
             async with tenant.slots:
                 tenant.pending -= 1

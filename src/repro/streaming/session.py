@@ -26,7 +26,9 @@ frame over frame:
   streams of constant size) keep the chunk→window LUT and per-window
   membership, and rebuild *only the windows whose member coordinates
   actually moved* (a vectorized per-window change detector in
-  :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`); clean
+  :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`, which
+  rebuilds the dirty trees inline with the level-synchronous
+  :class:`~repro.spatial.kdtree.KDTree` build); clean
   windows keep their kd-tree objects — and, on the process backend,
   their workers' forked snapshots — while a dirty window whose
   coordinates are *identical* to some previous window's (a rolling
@@ -127,11 +129,11 @@ class FrameResult:
     respawns: int = 0
     timeouts: int = 0
     degradations: int = 0
-    #: This frame's data-movement / overlap delta (see
+    #: This frame's data-movement delta (see
     #: :meth:`repro.runtime.RuntimeStats.delta`): shared-memory bytes
     #: shipped, forks avoided by registry version bumps, live segments
-    #: (a gauge), repair/query overlap windows, queue-fallback units,
-    #: and the grouping bucket histogram.  Empty until a runtime
+    #: (a gauge), queue-fallback units, arena launches, and the
+    #: grouping bucket histogram.  Empty until a runtime
     #: exists; all-zero counters on a frame that shipped nothing (the
     #: warm-ingest steady state under ``executor="shm"``).
     runtime: Dict[str, Any] = field(default_factory=dict)
@@ -181,7 +183,7 @@ class SessionStats:
     Data-movement accounting (see :class:`repro.runtime.RuntimeStats`,
     absorbed frame by frame like the fault counters):
     ``state_bytes_shipped`` / ``forks_avoided`` /
-    ``overlap_windows`` / ``queue_fallback_units`` total the runtime's
+    ``queue_fallback_units`` total the runtime's
     lifetime counters; ``segments_live`` is the gauge as of the last
     frame.  All zero on backends without shared-memory state.
 
@@ -211,7 +213,6 @@ class SessionStats:
     rollbacks: int = 0
     state_bytes_shipped: int = 0
     forks_avoided: int = 0
-    overlap_windows: int = 0
     queue_fallback_units: int = 0
     segments_live: int = 0
     arena_launches: int = 0
@@ -638,7 +639,6 @@ class StreamSession:
         delta = RuntimeStats.delta(now, before_snap)
         self.stats.state_bytes_shipped += delta["state_bytes_shipped"]
         self.stats.forks_avoided += delta["forks_avoided"]
-        self.stats.overlap_windows += delta["overlap_windows"]
         self.stats.queue_fallback_units += delta["queue_fallback_units"]
         self.stats.segments_live = delta["segments_live"]
         self.stats.arena_launches += delta["arena_launches"]
@@ -861,7 +861,6 @@ class StreamSession:
                 executor=self.config.executor,
                 executor_workers=self.config.executor_workers,
                 supervision=self.session_config.supervision(),
-                pipeline_repair=self.session_config.pipeline_repair,
                 arena_fusion=self.session_config.arena_fusion)
             reused = False
         if self.session_config.reuse_index:

@@ -484,3 +484,43 @@ def test_service_admission_error_reaches_the_submitter():
             assert result.ok
 
     asyncio.run(main())
+
+
+def test_cancelled_submit_never_overlaps_the_next_frame():
+    """Cancelling a submit must not release the tenant while its frame
+    still runs in the worker thread: the next frame waits for it."""
+    frames = _frames(seed=91, n_frames=3)
+    calls = {"active": 0, "peak": 0}
+    guard = threading.Lock()
+
+    async def main():
+        async with StreamService(
+                _config("serial"), k=4,
+                fleet_config=FleetConfig(backend="serial")) as service:
+            await service.submit("a", frames[0])
+            session = service.session("a")
+            process = session.process
+
+            def slow_process(*args, **kwargs):
+                with guard:
+                    calls["active"] += 1
+                    calls["peak"] = max(calls["peak"], calls["active"])
+                try:
+                    time.sleep(0.3)
+                    return process(*args, **kwargs)
+                finally:
+                    with guard:
+                        calls["active"] -= 1
+
+            session.process = slow_process
+            first = asyncio.create_task(service.submit("a", frames[1]))
+            await asyncio.sleep(0.1)      # frame 1 is in its thread now
+            first.cancel()
+            second = await service.submit("a", frames[2])
+            with pytest.raises(asyncio.CancelledError):
+                await first
+            assert second.ok and second.frame_id == 2
+            assert service._tenants["a"].pending == 0
+
+    asyncio.run(main())
+    assert calls["peak"] == 1

@@ -8,8 +8,8 @@ including degenerate empty windows and single-window inputs.  The
 process/shm tests pin ``executor_workers=2`` so real forked workers
 run even on single-core CI machines (where auto-resolution falls back
 to serial by design).  Shared-memory specifics — segment hygiene on
-close, warm frames avoiding re-forks, pipelined repair equivalence —
-are covered at the bottom.
+close, warm frames avoiding re-forks, warm repair equivalence — are
+covered at the bottom.
 """
 
 import numpy as np
@@ -466,11 +466,12 @@ def test_shm_traced_units_ride_queue_fallback(rng):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_pipelined_repair_equivalence(rng, backend):
-    """pipeline_repair=True must be bit-equal to synchronous repair on
-    every backend, across a drifting frame sequence."""
+def test_warm_repair_equivalence(rng, backend):
+    """Warm frames rebuild only their dirty windows, inline; every
+    backend must stay bit-equal to a serial warm index and to a cold
+    index built on the same frame, across a drifting frame sequence."""
     pts = rng.uniform(0, 1, size=(180, 3))
-    index, grid = _windowed_index(pts, backend, pipeline_repair=True)
+    index, grid = _windowed_index(pts, backend)
     reference, _ = _windowed_index(pts, "serial")
     frame = pts.copy()
     queries = frame[::4]
@@ -481,22 +482,22 @@ def test_pipelined_repair_equivalence(rng, backend):
         frame = frame.copy()
         # Partial drift: only the leftmost chunk column's points move
         # (chunk width is 1/3), so the right-hand windows stay clean
-        # and their dispatch genuinely overlaps pending rebuilds.
+        # while the left-hand ones rebuild.
         mask = frame[:, 0] < 0.3
         frame[mask] += 0.002 * (step + 1)
         index.update_frame(frame, index.assignment)
         reference.update_frame(frame, reference.assignment)
+        assert 0 < index.last_dirty_windows < len(index.windows)
         assert index.last_dirty_windows == reference.last_dirty_windows
         assert index.last_reused_trees == reference.last_reused_trees
-        got = index.query_knn_batch(queries, qc, 4)
-        want = reference.query_knn_batch(queries, qc, 4)
-        _assert_batches_equal(got, want)
-        rgot = index.query_range_batch(queries, qc, 0.25, max_results=5)
-        rwant = reference.query_range_batch(queries, qc, 0.25,
-                                            max_results=5)
-        _assert_batches_equal(rgot, rwant)
-    assert index.runtime_stats.overlap_windows > 0
+        cold = ChunkedIndex(frame, index.assignment, index.windows)
+        for other in (reference, cold):
+            _assert_batches_equal(index.query_knn_batch(queries, qc, 4),
+                                  other.query_knn_batch(queries, qc, 4))
+            _assert_batches_equal(
+                index.query_range_batch(queries, qc, 0.25, max_results=5),
+                other.query_range_batch(queries, qc, 0.25, max_results=5))
+        cold.close()
     assert index.max_tree_depth() == reference.max_tree_depth()
-    assert not index.pending_windows()       # depth call was a barrier
     index.close()
     reference.close()

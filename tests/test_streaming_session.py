@@ -499,6 +499,60 @@ def test_window_result_cache_validation_and_lru():
     assert (cache.hits, cache.misses) == (1, 1)
 
 
+#: Windowed batches whose cached entries carry the awkward cases:
+#: -1 / inf padding (k above the window size), deadline-terminated
+#: rows, and range units cut at max_results.
+_REPLAY_OPS = {
+    "knn_k_over_window": lambda index, q, qc: index.query_knn_batch(
+        q, qc, 40),
+    "knn_k_over_window_capped": lambda index, q, qc: index.query_knn_batch(
+        q, qc, 40, max_steps=10),
+    "knn_terminated": lambda index, q, qc: index.query_knn_batch(
+        q, qc, 4, max_steps=5),
+    "range_max_results": lambda index, q, qc: index.query_range_batch(
+        q, qc, 0.3, max_steps=20, max_results=3),
+    "range_max_results_uncapped": lambda index, q, qc:
+        index.query_range_batch(q, qc, 0.3, max_results=3),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_REPLAY_OPS))
+def test_compact_cache_entries_replay_bit_equal(op):
+    """Entries keep int32 indices and no distances; a hit rebuilds the
+    distances and must match an uncached index bit for bit."""
+    positions = np.random.default_rng(7).uniform(0, 1, size=(60, 3))
+    grid = ChunkGrid.fit(positions, (3, 3, 1))
+    windows = chunk_windows((3, 3, 1), (2, 2, 1))
+    assignment = grid.assign(positions)
+    queries = positions[::2]
+    qc = grid.assign(queries)
+    plain = ChunkedIndex(positions, assignment, windows)
+    want = _REPLAY_OPS[op](plain, queries, qc)
+    cache = WindowResultCache(64)
+    index = ChunkedIndex(positions, assignment, windows)
+    index.result_cache = cache
+    first = _REPLAY_OPS[op](index, queries, qc)
+    units = index.cache_misses
+    assert units > 0 and index.cache_hits == 0
+    replay = _REPLAY_OPS[op](index, queries, qc)
+    assert (index.cache_hits, index.cache_misses) == (units, units)
+    _assert_batches_equal(first, want)
+    _assert_batches_equal(replay, want)
+    for entry in cache._entries.values():
+        assert entry.indices.dtype == np.int32
+        assert not hasattr(entry, "distances")
+    if op.startswith("knn_k_over_window"):
+        assert max(len(m) for m in index._members) < 40
+        assert (want.indices == -1).any()
+        assert np.isinf(want.distances).any()
+    if op in ("knn_k_over_window_capped", "knn_terminated"):
+        assert want.terminated.any()
+    if op.startswith("range"):
+        assert (want.counts == 3).any()
+    plain.close()
+    index.close()
+
+
 # ----------------------------------------------------------------------
 # Frame query plans: mixed kNN/range ops in one dispatch
 # ----------------------------------------------------------------------
