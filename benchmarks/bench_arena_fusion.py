@@ -2,6 +2,8 @@
 
 Times a rolling query stream over a many-window serial-mode split (32
 windows by default) with the scheduler's arena fusion on versus off.
+Fusion has no switch: the per-window side runs on bench-local
+subclasses of the same backends whose ``fusion_slot`` opts out.
 Per-window dispatch pays the lockstep engine's fixed interpreter cost
 once per window per frame; the fused
 :class:`~repro.spatial.kdtree.TraversalArena` path concatenates every
@@ -32,7 +34,7 @@ import numpy as np
 
 from repro.core.config import SplittingConfig
 from repro.core.splitting import CompulsorySplitter
-from repro.runtime import resolve_worker_count
+from repro.runtime import EXECUTOR_BACKENDS, resolve_worker_count
 
 from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
 
@@ -40,6 +42,14 @@ _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_arena.json")
 
 #: Serial first — it carries the headline ratio.
 BACKENDS = ("serial", "thread", "process")
+
+
+def _per_window(backend):
+    """The *backend* class with arena fusion opted out (its
+    ``fusion_slot`` answers ``None``): one unit per window."""
+    cls = EXECUTOR_BACKENDS[backend]
+    return type(f"PerWindow{cls.__name__}", (cls,),
+                {"fusion_slot": lambda self, window: None})
 
 
 def _splitting(n_windows):
@@ -75,13 +85,11 @@ def run(n_points=40000, n_queries=2048, n_frames=6, n_windows=32, k=8,
         else max(2, resolve_worker_count(None))
     results = []
     for backend in BACKENDS:
-        sides = {}
-        for fusion in (True, False):
-            sides[fusion] = CompulsorySplitter(
-                positions, splitting, executor=backend,
-                executor_workers=None if backend == "serial"
-                else pool_workers, arena_fusion=fusion)
-        fused, plain = sides[True], sides[False]
+        fused, plain = (
+            CompulsorySplitter(positions, splitting, executor=executor,
+                               executor_workers=None if backend == "serial"
+                               else pool_workers)
+            for executor in (backend, _per_window(backend)))
         chunks = [fused.chunk_of_queries(q) for q in frames]
         ops = (
             ("knn_capped", lambda side: [

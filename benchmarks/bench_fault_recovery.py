@@ -100,12 +100,7 @@ def _run_stream(frames, queries, k, backend, pool_workers, schedule,
     config = StreamGridConfig(
         splitting=_SPLITTING, executor=executor,
         executor_workers=None if backend == "serial" else pool_workers)
-    # Per-window dispatch: the fault schedule addresses individual
-    # windows (a fused unit carries only its lowest member's id, so
-    # window-targeted specs would stop matching).  Fused-unit fault
-    # recovery is covered by tests/test_arena_fusion.py.
-    session_cfg = StreamingSessionConfig(unit_timeout=unit_timeout,
-                                         arena_fusion=False)
+    session_cfg = StreamingSessionConfig(unit_timeout=unit_timeout)
     with StreamSession(config, k=k, session=session_cfg) as session:
         outcomes = session.run(frames, queries=queries)
         return (outcomes, session.stats, session.effective_executor,

@@ -153,11 +153,11 @@ class StreamingSessionConfig:
     quarantines the frame into a ``FrameResult`` carrying a structured
     ``error`` and keeps the stream going.
 
-    ``arena_fusion`` lets the scheduler fuse compatible per-window
-    units into single multi-window
-    :class:`~repro.spatial.kdtree.TraversalArena` launches (see
-    :mod:`repro.runtime`).  Results are bit-equal either way; disable
-    it to force strict one-launch-per-window dispatch.
+    Arena fusion has no knob: the scheduler always fuses compatible
+    per-window units into multi-window
+    :class:`~repro.spatial.kdtree.TraversalArena` launches wherever the
+    backend's ``fusion_slot`` allows (see :mod:`repro.runtime`), and
+    results are bit-equal to per-window dispatch.
     """
 
     drift_tolerance: float = 0.2
@@ -167,7 +167,6 @@ class StreamingSessionConfig:
     result_cache: bool = True
     cache_max_entries: int = 256
     cache_scope: str = "auto"
-    arena_fusion: bool = True
     unit_timeout: Optional[float] = None
     max_retries: int = 2
     degradation: bool = True
@@ -241,16 +240,10 @@ class StreamGridConfig:
     ``executor_workers`` pins the worker count; ``None`` auto-sizes
     from the CPU count.  Results are backend-independent.
 
-    ``scan_max_points`` / ``scan_block_elems`` tune the kd-tree engine
-    (:func:`repro.spatial.kdtree.set_engine_tuning`): the largest tree
-    the vectorized brute-force scan engine will take over from the
-    traversal engine, and the element budget one blocked scan /
-    lockstep slab may allocate.  ``None`` (default) keeps the current
-    process-wide tuning — the module defaults unless the
-    ``REPRO_SCAN_MAX_POINTS`` / ``REPRO_SCAN_BLOCK_ELEMS`` environment
-    overrides are set.  Call :meth:`apply_engine_tuning` to put the
-    knobs into effect; both only shape blocking/engine choice, never
-    results.
+    The kd-tree engine crossovers are fixed constants of
+    :mod:`repro.spatial.kdtree` (the largest tree the brute-force scan
+    serves, and the element budget of one blocked scan or lockstep
+    slab); neither ever changes a result.
     """
 
     splitting: SplittingConfig = field(default_factory=SplittingConfig)
@@ -259,8 +252,6 @@ class StreamGridConfig:
     use_termination: bool = True
     executor: object = "serial"
     executor_workers: Optional[int] = None
-    scan_max_points: Optional[int] = None
-    scan_block_elems: Optional[int] = None
 
     def __post_init__(self) -> None:
         choices = _executor_choices()
@@ -271,25 +262,6 @@ class StreamGridConfig:
             )
         if self.executor_workers is not None and self.executor_workers <= 0:
             raise ValidationError("executor_workers must be positive")
-        for name in ("scan_max_points", "scan_block_elems"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value <= 0:
-                raise ValidationError(
-                    f"{name} must be a positive integer, got {value!r}")
-
-    def apply_engine_tuning(self) -> None:
-        """Install the engine-tuning knobs process-wide (no-op when
-        both are ``None``); see
-        :func:`repro.spatial.kdtree.set_engine_tuning`."""
-        if self.scan_max_points is None and self.scan_block_elems is None:
-            return
-        from repro.spatial.kdtree import set_engine_tuning
-
-        set_engine_tuning(scan_max_points=self.scan_max_points,
-                          scan_block_elems=self.scan_block_elems)
 
     @property
     def variant_name(self) -> str:

@@ -94,23 +94,22 @@ class CompulsorySplitter:
     ``executor`` / ``executor_workers`` select the window-shard runtime
     backend (:mod:`repro.runtime`) the underlying
     :class:`~repro.spatial.neighbors.ChunkedIndex` dispatches batches
-    on; results are identical across backends.  ``arena_fusion``
-    toggles the scheduler's fused multi-window traversal launches
-    (bit-equal either way; see :mod:`repro.runtime`).
+    on; results are identical across backends.  The scheduler fuses
+    compatible windows into multi-window traversal launches wherever
+    the backend allows (bit-equal to per-window dispatch; see
+    :mod:`repro.runtime`).
     """
 
     def __init__(self, positions: np.ndarray,
                  config: SplittingConfig,
                  executor="serial",
-                 executor_workers: Optional[int] = None,
-                 arena_fusion: bool = True) -> None:
+                 executor_workers: Optional[int] = None) -> None:
         (self.positions, self.grid, self.assignment,
          self.windows) = partition_cloud(positions, config)
         self.config = config
         self.index = ChunkedIndex(self.positions, self.assignment,
                                   self.windows, executor=executor,
-                                  executor_workers=executor_workers,
-                                  arena_fusion=arena_fusion)
+                                  executor_workers=executor_workers)
 
     # ------------------------------------------------------------------
     @property

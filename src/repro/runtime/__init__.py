@@ -39,18 +39,22 @@ that implements:
   :class:`~repro.spatial.kdtree.TraversalArena` launch only when their
   windows share a slot, so fused units respect worker affinity and
   per-slot invalidation exactly like per-window ones.  ``None`` (the
-  base default) opts a backend out of fusion.
+  base default) opts a backend out of fusion, and so does a backend
+  that does not define ``fusion_slot`` at all.
 
 Arena fusion (one lockstep launch per batch)
 --------------------------------------------
-The scheduler's window-grouped dispatch fuses compatible per-window
+Fusion is always on; only a backend's ``fusion_slot`` can opt out.  The
+scheduler's window-grouped dispatch fuses compatible per-window
 units — same kind and parameters, untraced, resolving to the traverse
 engine — into single ``fused_knn`` / ``fused_range`` units whose
 queries run as *lanes* of one lockstep traversal over the concatenated
 node arrays of all member windows.  The interpreter's fixed numpy cost
 per traversal iteration is paid once per fused batch instead of once
 per window, which is the paper's parallel traversal-unit dispatch
-amortized in software.  Results are scattered back per member before
+amortized in software.  A unit that does not fuse (a singleton group)
+runs its window's own batch engine, whose lockstep path is a
+one-member arena launch.  Results are scattered back per member before
 anyone above the scheduler sees them, and are **bit-equal** to
 per-window dispatch on every backend; the result cache and the
 retry/ticket supervision are untouched.

@@ -377,9 +377,6 @@ class ThreadExecutor(Executor):
     Degrades to an inline serial loop — reported through
     :attr:`effective` and a logged warning, mirroring
     :class:`ProcessShardPool` — when the worker count resolves to ≤ 1.
-    (Single-unit batches also run inline, but that is a per-call
-    shortcut with identical semantics, not a backend fallback, so it
-    does not change ``effective``.)
 
     Supervision: an in-unit exception is retried on a fresh pool slot;
     with ``unit_timeout`` set, a future that never resolves in time is
@@ -423,7 +420,7 @@ class ThreadExecutor(Executor):
     def run(self, units: Sequence[WorkUnit]) -> List[Any]:
         if self._degraded is not None:
             return self._degraded.run(units)
-        if self._n_workers <= 1 or len(units) <= 1:
+        if self._n_workers <= 1:
             return [run_unit_supervised(self._state, unit,
                                         self.supervision, self.fault_stats)
                     for unit in units]

@@ -199,21 +199,20 @@ class WindowScheduler:
     order, so scattering by ``unit.rows`` reassembles the batch in input
     order regardless of backend.
 
-    With ``fusion`` on (the default), the window-grouped dispatch path
-    (:meth:`execute_by_window` / :meth:`run_ops`) fuses compatible
-    per-window units that share an executor dispatch slot into single
-    multi-window **arena** units (see
-    :class:`~repro.spatial.kdtree.TraversalArena`) and scatters the
+    The window-grouped dispatch path (:meth:`execute_by_window` /
+    :meth:`run_ops`) fuses compatible per-window units that share an
+    executor dispatch slot into single multi-window **arena** units
+    (see :class:`~repro.spatial.kdtree.TraversalArena`) and scatters the
     per-member results back, so callers — and the result cache and
     fault supervision above them — observe exactly the per-window units
-    they submitted.
+    they submitted.  A backend opts out through its ``fusion_slot``
+    (returning ``None``, or not defining it at all).
     """
 
     def __init__(self, state, executor="serial",
                  n_workers: Optional[int] = None,
-                 supervision=None, fusion: bool = True) -> None:
+                 supervision=None) -> None:
         self.state = state
-        self.fusion = bool(fusion)
         self.executor: Executor = resolve_executor(executor, state,
                                                    n_workers, supervision)
 
@@ -297,7 +296,10 @@ class WindowScheduler:
         keeping slot affinity, fault targeting and the ticket protocol
         byte-compatible with per-window dispatch.
         """
-        if not self.fusion or len(units) < 2:
+        # Backends that predate fusion have no fusion_slot: they opt
+        # out, like the protocol's default of None.
+        slot_of = getattr(self.executor, "fusion_slot", None)
+        if slot_of is None or len(units) < 2:
             return list(units), None
         keys: List[Any] = []
         groups: Dict[Any, List[int]] = {}
@@ -305,7 +307,7 @@ class WindowScheduler:
             key = None
             signature = fusion_signature(unit)
             if signature is not None:
-                slot = self.executor.fusion_slot(int(unit.window))
+                slot = slot_of(int(unit.window))
                 if slot is not None:
                     key = (slot, signature)
             keys.append(key)

@@ -1,4 +1,4 @@
-"""Spatial data structures: kd-tree, chunk grids, octree, sorting."""
+"""Spatial data structures: kd-tree, chunk grids, sorting."""
 
 from repro.spatial.grid import (
     ChunkGrid,
@@ -27,7 +27,6 @@ from repro.spatial.neighbors import (
     reset_shared_result_cache,
     shared_result_cache,
 )
-from repro.spatial.octree import Octree
 from repro.spatial.sorting import (
     SortStats,
     bitonic_network_comparators,
@@ -59,7 +58,6 @@ __all__ = [
     "range_search",
     "reset_shared_result_cache",
     "shared_result_cache",
-    "Octree",
     "SortStats",
     "bitonic_network_comparators",
     "bitonic_sort",

@@ -19,11 +19,13 @@ Batched engine (the grouping hot path)
 ``(Q, 3)`` query block at once, filling preallocated ``(Q, k)`` index /
 distance arrays.  Two engines back them:
 
-* ``"traverse"`` — the canonical node-by-node search.  Capped untraced
-  batches run on a *lockstep* implementation that advances every
-  query's explicit traversal stack together with numpy array operations
-  per iteration; everything else runs a scalar inner loop over packed
-  Python tuples (no per-node numpy boxing).  Either way, ``indices``,
+* ``"traverse"`` — the canonical node-by-node search.  Untraced
+  batches of at least ``_LOCKSTEP_MIN_QUERIES`` queries run as a
+  one-member :class:`TraversalArena` launch, whose *lockstep* kernel
+  advances every query's explicit traversal stack together with numpy
+  array operations per iteration (uncapped kNN through the arena's cap
+  doubling); smaller or traced batches run a scalar inner loop over
+  packed Python tuples (no per-node numpy boxing).  Either way, ``indices``,
   ``distances``, ``steps``, ``trace`` and ``terminated`` are
   *identical* to the per-query :meth:`knn` / :meth:`range_search` path:
   step accounting is the paper's core contribution and must not drift
@@ -54,9 +56,8 @@ median-split build.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -67,83 +68,13 @@ _INF = float("inf")
 # A full scan beats the Python traversal loop comfortably until the
 # O(N log N) per-query sort dominates; beyond this point count the
 # traversal engine takes over.
-_DEFAULT_SCAN_MAX_POINTS = 262_144
-# Pairwise-distance blocks are capped at ~4M float64 entries (~32 MB).
-_DEFAULT_SCAN_BLOCK_ELEMS = 1 << 22
-
-
-def _positive_int(name: str, value) -> int:
-    if isinstance(value, (bool, float)):
-        raise ValidationError(
-            f"{name} must be a positive integer, got {value!r}")
-    try:
-        parsed = int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{name} must be a positive integer, got {value!r}") from None
-    if parsed <= 0:
-        raise ValidationError(
-            f"{name} must be a positive integer, got {value!r}")
-    return parsed
-
-
-def _env_tuning(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
-    return _positive_int(env, raw)
-
-
-# Live engine crossovers.  Initialised from the environment
-# (REPRO_SCAN_MAX_POINTS / REPRO_SCAN_BLOCK_ELEMS) and adjustable per
-# process through :func:`set_engine_tuning` — e.g. from
-# ``StreamGridConfig(scan_max_points=..., scan_block_elems=...)``.
-_SCAN_MAX_POINTS = _env_tuning("REPRO_SCAN_MAX_POINTS",
-                               _DEFAULT_SCAN_MAX_POINTS)
-_SCAN_BLOCK_ELEMS = _env_tuning("REPRO_SCAN_BLOCK_ELEMS",
-                                _DEFAULT_SCAN_BLOCK_ELEMS)
+_SCAN_MAX_POINTS = 262_144
+# Working sets of the blocked engines (scan distance matrices and
+# lockstep stacks alike) are capped at ~4M entries (~32 MB of float64).
+_SCAN_BLOCK_ELEMS = 1 << 22
 # The lockstep engine pays a fixed numpy cost per traversal iteration;
 # below this many queries the scalar kernel amortizes better.
 _LOCKSTEP_MIN_QUERIES = 32
-
-
-def engine_tuning() -> Dict[str, int]:
-    """The live scan/traverse crossover knobs.
-
-    ``scan_max_points`` is the tree size up to which ``engine="auto"``
-    prefers the brute-force scan for uncapped, untraced batches;
-    ``scan_block_elems`` bounds the working-set element count of every
-    blocked engine (scan distance matrices and lockstep stacks alike).
-    Both knobs only affect engine *selection and blocking* — results
-    are bit-identical at any setting.
-    """
-    return {"scan_max_points": _SCAN_MAX_POINTS,
-            "scan_block_elems": _SCAN_BLOCK_ELEMS}
-
-
-def set_engine_tuning(scan_max_points: Optional[int] = None,
-                      scan_block_elems: Optional[int] = None) -> None:
-    """Override the engine crossovers process-wide (validated).
-
-    ``None`` leaves a knob untouched; :func:`reset_engine_tuning`
-    restores the environment/default values.
-    """
-    global _SCAN_MAX_POINTS, _SCAN_BLOCK_ELEMS
-    if scan_max_points is not None:
-        _SCAN_MAX_POINTS = _positive_int("scan_max_points",
-                                         scan_max_points)
-    if scan_block_elems is not None:
-        _SCAN_BLOCK_ELEMS = _positive_int("scan_block_elems",
-                                          scan_block_elems)
-
-
-def reset_engine_tuning() -> None:
-    """Restore the engine crossovers to their env/default values."""
-    global _SCAN_MAX_POINTS, _SCAN_BLOCK_ELEMS
-    _SCAN_MAX_POINTS = _env_tuning("REPRO_SCAN_MAX_POINTS",
-                                   _DEFAULT_SCAN_MAX_POINTS)
-    _SCAN_BLOCK_ELEMS = _env_tuning("REPRO_SCAN_BLOCK_ELEMS",
-                                    _DEFAULT_SCAN_BLOCK_ELEMS)
 
 
 @dataclass(frozen=True)
@@ -430,8 +361,8 @@ class KDTree:
         self._col_x = points[:, 0]
         self._col_y = points[:, 1]
         self._col_z = points[:, 2]
-        # Per-node numpy mirrors for the lockstep (vectorized capped
-        # traversal) engine.
+        # Per-node numpy mirrors gathered by TraversalArena for the
+        # lockstep kernels.
         self._node_xyz = node_points
         self._node_split = node_points[np.arange(n), self.axis]
         self._depth_cache: Optional[int] = None
@@ -610,8 +541,10 @@ class KDTree:
 
         With the traversal engine the per-row results (including ``steps``
         and ``terminated``) are identical to calling :meth:`knn` per
-        query; the scan engine returns the same neighbours as the
-        uncapped traversal with ``steps = len(tree)``.
+        query, whether the batch runs on the scalar kernel or — untraced
+        and at least ``_LOCKSTEP_MIN_QUERIES`` rows — as a one-member
+        :class:`TraversalArena` launch; the scan engine returns the same
+        neighbours as the uncapped traversal with ``steps = len(tree)``.
         """
         queries = self._check_queries(queries)
         if k <= 0:
@@ -640,15 +573,11 @@ class KDTree:
             return BatchQueryResult(indices, distances, counts, steps,
                                     terminated)
         if not record_traces and n_queries >= _LOCKSTEP_MIN_QUERIES:
-            if max_steps is not None:
-                # Capped, untraced traversal: the lockstep engine
-                # advances every query's stack together with identical
-                # semantics.
-                return self._knn_lockstep(queries, k_eff, max_steps)
-            # Uncapped, untraced traversal (the calibration profile
-            # path): lockstep with cap doubling — bit-equal to the
-            # scalar uncapped kernel, including step counts.
-            return self._knn_lockstep_uncapped(queries, k_eff)
+            # Untraced traversal, capped or not (the uncapped one is
+            # the calibration profile path): a one-member arena launch,
+            # bit-equal to the scalar kernel including step counts.
+            return TraversalArena((self,)).knn_fused(
+                queries, (n_queries,), k_eff, max_steps)[0]
         traces: Optional[List[List[int]]] = [] if record_traces else None
         kernel_args = self._kernel_args()
         for qi in range(n_queries):
@@ -745,8 +674,8 @@ class KDTree:
                                     terminated)
         if (max_steps is not None and not record_traces
                 and n_queries >= _LOCKSTEP_MIN_QUERIES):
-            return self._range_lockstep(queries, radius, max_steps,
-                                        max_results)
+            return TraversalArena((self,)).range_fused(
+                queries, (n_queries,), radius, max_steps, max_results)[0]
         per_query: List[List[tuple]] = []
         steps = np.zeros(n_queries, dtype=np.int64)
         terminated = np.zeros(n_queries, dtype=bool)
@@ -782,129 +711,6 @@ class KDTree:
             counts[qi] = count
         return BatchQueryResult(indices, distances, counts, steps,
                                 terminated, traces)
-
-    # ------------------------------------------------------------------
-    # Lockstep engine: vectorized capped traversal
-    # ------------------------------------------------------------------
-    # Every query advances its own explicit traversal stack, but all
-    # queries advance together — one stack pop per query per iteration,
-    # with numpy array operations across the whole batch.  The per-query
-    # visit sequence (pop order, pruning decisions, heap-eviction
-    # tie-breaking, push-time far-child filter) replicates the scalar
-    # kernels exactly, so steps / terminated / results are identical to
-    # the per-query path.  Designed for the deterministic-termination
-    # deadline, whose small step caps keep the iteration count low; the
-    # scalar kernels remain the engine for uncapped or traced traversals.
-
-    def _knn_lockstep(self, queries: np.ndarray, k: int, cap: int):
-        n = len(self.points)
-        n_queries = len(queries)
-        # A DFS visits each node at most once, so stacks never hold more
-        # than 2 * min(cap, n) pending entries.
-        stack_cap = 2 * min(cap, n) + 2
-        indices = np.full((n_queries, k), -1, dtype=np.int64)
-        distances = np.full((n_queries, k), np.inf, dtype=np.float64)
-        counts = np.zeros(n_queries, dtype=np.int64)
-        steps = np.zeros(n_queries, dtype=np.int64)
-        terminated = np.zeros(n_queries, dtype=bool)
-        block = max(1, _SCAN_BLOCK_ELEMS // (3 * stack_cap + 2 * k + 8))
-        for start in range(0, n_queries, block):
-            stop = min(start + block, n_queries)
-            out = self._knn_lockstep_block(queries[start:stop], k,
-                                           cap, stack_cap)
-            (indices[start:stop], distances[start:stop],
-             counts[start:stop], steps[start:stop],
-             terminated[start:stop]) = out
-        return BatchQueryResult(indices, distances, counts, steps,
-                                terminated)
-
-    def _knn_lockstep_uncapped(self, queries: np.ndarray,
-                               k: int) -> BatchQueryResult:
-        """Uncapped kNN on the lockstep engine, via cap doubling.
-
-        A DFS pushes each node at most once, so any traversal takes at
-        most ``len(tree)`` steps — a cap of ``n`` can never expire,
-        making the capped lockstep kernel bit-equal to the uncapped
-        scalar search.  Start from a cheap optimistic cap, then rerun
-        only the rows that hit it at double the cap (clamped to ``n``):
-        every surviving row's results and step counts come from a run
-        whose cap never fired, so the final batch is exactly the
-        canonical uncapped traversal.
-        """
-        n = len(self.points)
-        cap = min(n, max(64, 2 * (self.depth() + k)))
-        result = self._knn_lockstep(queries, k, cap)
-        while result.terminated.any() and cap < n:
-            cap = min(n, 2 * cap)
-            redo = np.nonzero(result.terminated)[0]
-            sub = self._knn_lockstep(queries[redo], k, cap)
-            result.indices[redo] = sub.indices
-            result.distances[redo] = sub.distances
-            result.counts[redo] = sub.counts
-            result.steps[redo] = sub.steps
-            result.terminated[redo] = sub.terminated
-        return result
-
-    def _lane_arrays(self):
-        """The packed node arrays in per-lane kernel order."""
-        return (self.axis, self.left, self.right, self.point_index,
-                self._node_xyz, self._node_split)
-
-    def _knn_lockstep_block(self, q: np.ndarray, k: int, cap: int,
-                            stack_cap: int):
-        n_q = len(q)
-        return _knn_lanes_block(
-            self._lane_arrays(), q,
-            np.full(n_q, self.root, dtype=np.int64),
-            np.full(n_q, k, dtype=np.int64), k, cap, stack_cap)
-
-    def _range_lockstep(self, queries: np.ndarray, radius: float,
-                        cap: int, max_results: Optional[int]):
-        n = len(self.points)
-        n_queries = len(queries)
-        stack_cap = 2 * min(cap, n) + 2
-        hit_cap = min(cap, n)
-        block = max(1, _SCAN_BLOCK_ELEMS // (3 * stack_cap
-                                             + 2 * hit_cap + 8))
-        parts = []
-        for start in range(0, n_queries, block):
-            stop = min(start + block, n_queries)
-            parts.append(self._range_lockstep_block(
-                queries[start:stop], radius, cap, stack_cap, hit_cap))
-        hcount = np.concatenate([p[2] for p in parts]) if parts else \
-            np.zeros(0, dtype=np.int64)
-        if max_results is not None:
-            counts = np.minimum(hcount, max_results)
-            cap_out = min(max_results, n)
-        else:
-            counts = hcount
-            cap_out = int(counts.max()) if n_queries else 0
-        indices = np.full((n_queries, cap_out), -1, dtype=np.int64)
-        distances = np.full((n_queries, cap_out), np.inf, dtype=np.float64)
-        steps = np.zeros(n_queries, dtype=np.int64)
-        terminated = np.zeros(n_queries, dtype=bool)
-        row = 0
-        for idx, dst, _, stp, term in parts:
-            stop = row + len(idx)
-            width = min(idx.shape[1], cap_out)
-            indices[row:stop, :width] = idx[:, :width]
-            distances[row:stop, :width] = dst[:, :width]
-            steps[row:stop] = stp
-            terminated[row:stop] = term
-            row = stop
-        valid = np.arange(cap_out)[None, :] < counts[:, None]
-        indices[~valid] = -1
-        distances[~valid] = np.inf
-        return BatchQueryResult(indices, distances, counts, steps,
-                                terminated)
-
-    def _range_lockstep_block(self, q: np.ndarray, radius: float,
-                              cap: int, stack_cap: int, hit_cap: int):
-        n_q = len(q)
-        return _range_lanes_block(
-            self._lane_arrays(), q,
-            np.full(n_q, self.root, dtype=np.int64),
-            radius, cap, stack_cap, hit_cap)
 
     # ------------------------------------------------------------------
     # Profiling helpers
@@ -954,13 +760,16 @@ class KDTree:
 # ----------------------------------------------------------------------
 # Per-lane lockstep kernels
 # ----------------------------------------------------------------------
-# The lockstep traversal generalised to independent *lanes*: every lane
-# carries its own root node (and, for kNN, its own effective k), so one
-# kernel launch can serve queries against a single tree (all lanes share
-# one root) or against a whole arena of concatenated trees (each lane's
-# root points into its window's node range).  Lanes never interact — the
-# per-lane visit sequence, step counts and termination points replicate
-# the scalar kernels exactly, whatever the roots are.
+# Every query (*lane*) advances its own explicit traversal stack, but all
+# lanes advance together — one stack pop per lane per iteration, with
+# numpy array operations across the whole block.  Every lane carries its
+# own root node (and, for kNN, its own effective k) into the arena's
+# concatenated node arrays, so one launch serves a single tree or many.
+# Lanes never interact: the per-lane visit sequence (pop order, pruning
+# decisions, heap-eviction tie-breaking, push-time far-child filter),
+# step counts and termination points replicate the scalar kernels
+# exactly, whatever the roots are.  The fixed numpy cost per iteration
+# is why small and traced batches stay on the scalar kernels.
 
 def _knn_lanes_block(arrays, q: np.ndarray, roots: np.ndarray,
                      k_lane: np.ndarray, width: int, cap: int,
@@ -1150,8 +959,10 @@ class TraversalArena:
     :class:`BatchQueryResult` per member, **bit-equal** to running that
     member's queries through its own tree's batch engine with the same
     parameters — indices, distances, counts, steps and terminated flags
-    alike.  The concatenated layout is exactly what an opt-in compiled
-    kernel (numba / Cython) would consume unchanged.
+    alike.  The arena is the only lockstep driver: a single tree's
+    untraced batches of ``_LOCKSTEP_MIN_QUERIES`` or more queries run
+    as one-member launches.  The concatenated layout is exactly what
+    an opt-in compiled kernel (numba / Cython) would consume unchanged.
 
     Construction gathers the member arrays once (the sources may be
     zero-copy views over attached shared-memory segments; the gather is
@@ -1228,8 +1039,12 @@ class TraversalArena:
             out = self._knn_lanes(queries, member_of, k_lane, width,
                                   int(max_steps))
         else:
-            # Cap doubling, as in KDTree._knn_lockstep_uncapped: a cap
-            # of max_size can never expire on any lane.
+            # Cap doubling.  A DFS pushes each node at most once, so a
+            # cap of max_size can never expire on any lane.  Start from
+            # a cheap optimistic cap and rerun only the lanes that hit
+            # it at double the cap: every lane's final results and step
+            # counts come from a run whose cap never fired, which is
+            # exactly the canonical uncapped traversal.
             cap = min(self.max_size,
                       max(64, 2 * (self.max_depth() + int(k))))
             out = self._knn_lanes(queries, member_of, k_lane, width, cap)
@@ -1330,8 +1145,8 @@ class TraversalArena:
             stop = start + int(n_rows)
             n_w = int(self.sizes[m])
             hc = hcount[start:stop]
-            # Per-member output assembly, replicating
-            # KDTree._range_lockstep's sizing exactly.
+            # Per-member output assembly, sized exactly like the scalar
+            # kernel's output in KDTree.range_batch.
             if max_results is not None:
                 counts = np.minimum(hc, max_results)
                 cap_out = min(int(max_results), n_w)
@@ -1374,18 +1189,13 @@ def _smallest_k(dist: np.ndarray, k: int):
     return order, np.take_along_axis(dist, order, axis=1)
 
 
-def nearest_point_indices(points: np.ndarray, queries: np.ndarray,
-                          block_elems: Optional[int] = None
-                          ) -> np.ndarray:
+def nearest_point_indices(points: np.ndarray,
+                          queries: np.ndarray) -> np.ndarray:
     """Index of the closest point for every query, in one blocked pass.
 
     Vectorized replacement for per-query ``argmin(norm(points - q))``
     loops; ties resolve to the lowest point index (argmin semantics).
-    ``block_elems`` defaults to the live ``scan_block_elems`` knob
-    (see :func:`engine_tuning`).
     """
-    if block_elems is None:
-        block_elems = _SCAN_BLOCK_ELEMS
     points = np.asarray(points, dtype=np.float64)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if points.ndim != 2 or points.shape[1] != 3:
@@ -1396,7 +1206,7 @@ def nearest_point_indices(points: np.ndarray, queries: np.ndarray,
         raise ValidationError("cannot find neighbours in zero points")
     out = np.empty(len(queries), dtype=np.int64)
     px, py, pz = points[:, 0], points[:, 1], points[:, 2]
-    block = max(1, block_elems // len(points))
+    block = max(1, _SCAN_BLOCK_ELEMS // len(points))
     for start in range(0, len(queries), block):
         stop = min(start + block, len(queries))
         q = queries[start:stop]

@@ -374,8 +374,7 @@ class ChunkedIndex:
                  windows: Sequence[ChunkWindow],
                  executor="serial",
                  executor_workers: Optional[int] = None,
-                 supervision=None,
-                 arena_fusion: bool = True) -> None:
+                 supervision=None) -> None:
         positions = np.asarray(positions, dtype=np.float64)
         chunk_assignment = np.asarray(chunk_assignment, dtype=np.int64)
         if positions.ndim != 2 or positions.shape[1] != 3:
@@ -392,11 +391,6 @@ class ChunkedIndex:
         #: Optional :class:`repro.runtime.SupervisionConfig` applied to
         #: the executor backend (retries / unit timeout / degradation).
         self.supervision = supervision
-        #: Fuse compatible per-window work units into multi-window
-        #: arena launches (:class:`repro.spatial.kdtree.TraversalArena`)
-        #: inside the scheduler.  Bit-equal either way; disable to
-        #: force one lockstep launch per window.
-        self.arena_fusion = arena_fusion
         self._window_of_chunk_cache: Optional[Dict[int, tuple]] = None
         self._window_lut_cache: Optional[np.ndarray] = None
         self._members_cache: Optional[List[np.ndarray]] = None
@@ -736,8 +730,7 @@ class ChunkedIndex:
             self._scheduler = WindowScheduler(WeakShardState(self),
                                               self.executor,
                                               self.executor_workers,
-                                              self.supervision,
-                                              fusion=self.arena_fusion)
+                                              self.supervision)
         return self._scheduler
 
     @property

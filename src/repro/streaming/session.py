@@ -191,8 +191,9 @@ class SessionStats:
     ``arena_launches`` / ``arena_bytes_viewed`` total the scheduler's
     fused multi-window traversal launches and the packed node bytes
     those launches viewed; ``arena_units_fused`` histograms fused group
-    sizes (``{group_size: launches}``).  All zero with
-    ``arena_fusion=False`` or when no batch ever fused.
+    sizes (``{group_size: launches}``).  All zero when no batch ever
+    fused: single-window batches, traced or uncapped-auto units, and
+    backends whose ``fusion_slot`` opts out.
     """
 
     frames: int = 0
@@ -251,7 +252,6 @@ class StreamSession:
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         self.k = int(k)
-        self.config.apply_engine_tuning()
         self.policy = TerminationPolicy(self.config.termination)
         self.stats = SessionStats()
         self._index: Optional[ChunkedIndex] = None
@@ -860,8 +860,7 @@ class StreamSession:
                 positions, assignment, windows,
                 executor=self.config.executor,
                 executor_workers=self.config.executor_workers,
-                supervision=self.session_config.supervision(),
-                arena_fusion=self.session_config.arena_fusion)
+                supervision=self.session_config.supervision())
             reused = False
         if self.session_config.reuse_index:
             self._index.result_cache = self._result_cache

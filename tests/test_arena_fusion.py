@@ -9,9 +9,15 @@ and the result-cache counters — while
 :class:`repro.runtime.RuntimeStats` accounts each fused launch exactly.
 Fault injection targeting a fused unit's primary window must recover
 bit-safe with the same counters as the per-window path.
+
+Fusion has no switch: the per-window references below run on
+test-local backend subclasses whose ``fusion_slot`` opts out.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -19,24 +25,30 @@ import pytest
 from repro.core.config import (
     SplittingConfig,
     StreamGridConfig,
-    StreamingSessionConfig,
     TerminationConfig,
 )
 from repro.errors import ValidationError
 from repro.runtime import (
+    EXECUTOR_BACKENDS,
     FaultInjector,
     FaultSpec,
+    FleetConfig,
+    SerialExecutor,
+    ShardFleet,
+    ShmShardPool,
     SupervisionConfig,
     WorkUnit,
     fusion_signature,
 )
-from repro.spatial import ChunkGrid, ChunkedIndex, KDTree, chunk_windows
-from repro.spatial.kdtree import (
-    TraversalArena,
-    engine_tuning,
-    reset_engine_tuning,
-    set_engine_tuning,
+from repro.spatial import (
+    ChunkGrid,
+    ChunkedIndex,
+    KDTree,
+    chunk_windows,
+    nearest_point_indices,
 )
+from repro.spatial import kdtree
+from repro.spatial.kdtree import TraversalArena
 from repro.spatial.neighbors import WindowResultCache
 from repro.streaming import StreamSession
 
@@ -44,10 +56,28 @@ WORKERS = 2
 BACKENDS = ["serial", "thread", "process", "shm", "fleet"]
 
 
-@pytest.fixture(autouse=True)
-def _restore_engine_tuning():
-    yield
-    reset_engine_tuning()
+def _per_window(backend_cls):
+    """A test-local subclass of *backend_cls* that opts out of arena
+    fusion, so the scheduler dispatches one unit per window."""
+    return type(f"PerWindow{backend_cls.__name__}", (backend_cls,),
+                {"fusion_slot": lambda self, window: None})
+
+
+def _per_window_executor(backend, stack):
+    """The per-window counterpart of the *backend* name: its backend
+    class with fusion opted out, or — for ``"fleet"`` — a lease on a
+    private fleet over such a shared-memory pool (a lease asks its inner
+    backend for the fusion slot)."""
+    if backend != "fleet":
+        return _per_window(EXECUTOR_BACKENDS[backend])
+    fleet = ShardFleet(FleetConfig(backend=_per_window(ShmShardPool),
+                                   n_workers=WORKERS))
+    stack.callback(fleet.shutdown)
+    return lambda state, n_workers: fleet.acquire(state,
+                                                  n_workers=n_workers)
+
+
+PER_WINDOW_SERIAL = _per_window(SerialExecutor)
 
 
 def _splitting(mode):
@@ -82,8 +112,10 @@ def _assert_batches_equal(got, want):
 def test_fused_bit_equal(rng, backend, mode, kind):
     pts = rng.uniform(0, 1, size=(420, 3))
     queries = rng.uniform(0, 1, size=(150, 3))
+    stack = ExitStack()
     fused, grid = _windowed_index(pts, backend, mode)
-    plain, _ = _windowed_index(pts, backend, mode, arena_fusion=False)
+    plain, _ = _windowed_index(pts, _per_window_executor(backend, stack),
+                               mode)
     chunks = grid.assign(queries)
     try:
         if kind == "knn":
@@ -103,6 +135,7 @@ def test_fused_bit_equal(rng, backend, mode, kind):
     finally:
         fused.close()
         plain.close()
+        stack.close()
 
 
 def test_fused_uncapped_knn_traverse_engine(rng):
@@ -111,7 +144,7 @@ def test_fused_uncapped_knn_traverse_engine(rng):
     pts = rng.uniform(0, 1, size=(400, 3))
     queries = rng.uniform(0, 1, size=(140, 3))
     fused, grid = _windowed_index(pts, "serial")
-    plain, _ = _windowed_index(pts, "serial", arena_fusion=False)
+    plain, _ = _windowed_index(pts, PER_WINDOW_SERIAL)
     chunks = grid.assign(queries)
     try:
         got = fused.query_knn_batch(queries, chunks, 4, engine="traverse")
@@ -222,8 +255,8 @@ def test_cache_counters_identical_under_fusion(rng):
     queries = rng.uniform(0, 1, size=(130, 3))
     lookups = {}
     for fusion in (True, False):
-        index, grid = _windowed_index(pts, "serial",
-                                      arena_fusion=fusion)
+        index, grid = _windowed_index(
+            pts, "serial" if fusion else PER_WINDOW_SERIAL)
         index.result_cache = WindowResultCache(64)
         chunks = grid.assign(queries)
         try:
@@ -276,7 +309,7 @@ def test_fused_unit_raise_retries_bit_safe(rng):
     whole arena launch bit-safe with exact counters."""
     pts = np.random.default_rng(5).uniform(0, 1, size=(400, 3))
     queries = np.random.default_rng(6).uniform(0, 1, size=(120, 3))
-    plain, grid = _windowed_index(pts, "serial", arena_fusion=False)
+    plain, grid = _windowed_index(pts, PER_WINDOW_SERIAL)
     chunks = grid.assign(queries)
     want = plain.query_knn_batch(queries, chunks, 4, max_steps=18)
     plain.close()
@@ -300,7 +333,7 @@ def test_fused_unit_crash_respawns_bit_safe(rng):
     and re-dispatches the fused unit bit-safe."""
     pts = np.random.default_rng(7).uniform(0, 1, size=(400, 3))
     queries = np.random.default_rng(8).uniform(0, 1, size=(120, 3))
-    plain, grid = _windowed_index(pts, "serial", arena_fusion=False)
+    plain, grid = _windowed_index(pts, PER_WINDOW_SERIAL)
     chunks = grid.assign(queries)
     want = plain.query_knn_batch(queries, chunks, 4, max_steps=18)
     plain.close()
@@ -337,59 +370,92 @@ def test_profile_steps_lockstep_matches_scalar(rng):
 
 
 # ----------------------------------------------------------------------
-# Engine tuning knobs
+# Blocking: one block or many, the same results
 # ----------------------------------------------------------------------
-def test_engine_tuning_set_and_reset():
-    base = engine_tuning()
-    set_engine_tuning(scan_max_points=1024)
-    assert engine_tuning()["scan_max_points"] == 1024
-    assert engine_tuning()["scan_block_elems"] == base["scan_block_elems"]
-    set_engine_tuning(scan_block_elems=2048)
-    assert engine_tuning()["scan_block_elems"] == 2048
-    reset_engine_tuning()
-    assert engine_tuning() == base
-    for bad in (0, -4, "nope", 2.5):
-        with pytest.raises(ValidationError):
-            set_engine_tuning(scan_max_points=bad)
+def test_blocking_never_changes_results(rng, monkeypatch):
+    """Every blocked engine — scan kNN / range, one- and multi-member
+    arena launches, ``nearest_point_indices`` — is bit-equal whether its
+    working set fits one block or is split across many."""
+    trees = [KDTree(rng.uniform(0, 1, size=(n, 3))) for n in (300, 180, 90)]
+    queries = rng.uniform(0, 1, size=(96, 3))
+    splits = (40, 32, 24)
+    tree = trees[0]
+
+    def run_all():
+        arena = TraversalArena(trees)
+        batches = [
+            tree.knn_batch(queries, 5),                         # scan
+            tree.range_batch(queries, 0.2),                     # scan
+            tree.range_batch(queries, 0.2, max_results=6),      # scan
+            tree.knn_batch(queries, 5, max_steps=24),     # one-member
+            tree.knn_batch(queries, 5, engine="traverse"),  # doubling
+            tree.range_batch(queries, 0.2, max_steps=30, max_results=6),
+            *arena.knn_fused(queries, splits, 5, max_steps=24),
+            *arena.knn_fused(queries, splits, 5),
+            *arena.range_fused(queries, splits, 0.2, 30),
+            *arena.range_fused(queries, splits, 0.2, 30, max_results=6),
+        ]
+        return batches, nearest_point_indices(tree.points, queries)
+
+    calls = Counter()
+    for name in ("_smallest_k", "_knn_lanes_block", "_range_lanes_block"):
+        def counted(*args, _kernel=getattr(kdtree, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(kdtree, name, counted)
+    want, want_nearest = run_all()
+    one_block = Counter(calls)
+    calls.clear()
+    # 2048 elements: 6 scan rows per block over 300 points, a handful
+    # of lanes per lockstep block — every call above splits.
+    monkeypatch.setattr(kdtree, "_SCAN_BLOCK_ELEMS", 2048)
+    got, got_nearest = run_all()
+    for name, n_calls in one_block.items():
+        assert calls[name] >= 4 * n_calls, name
+    for g, w in zip(got, want):
+        _assert_batches_equal(g, w)
+    np.testing.assert_array_equal(got_nearest, want_nearest)
 
 
-def test_engine_tuning_env_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_SCAN_MAX_POINTS", "4096")
-    monkeypatch.setenv("REPRO_SCAN_BLOCK_ELEMS", "8192")
-    reset_engine_tuning()
-    assert engine_tuning() == {"scan_max_points": 4096,
-                               "scan_block_elems": 8192}
-    monkeypatch.setenv("REPRO_SCAN_MAX_POINTS", "zero")
-    with pytest.raises(ValidationError):
-        reset_engine_tuning()
+# ----------------------------------------------------------------------
+# Backends without fusion_slot opt out
+# ----------------------------------------------------------------------
+class _DuckBackend:
+    """A third-party backend predating supervision and fusion: no
+    :class:`~repro.runtime.Executor` base, no stats blocks, no
+    ``fusion_slot``."""
+
+    def __init__(self, state, n_workers=None):
+        self._state = state
+
+    def run(self, units):
+        return [self._state.run_unit(unit) for unit in units]
+
+    def close(self):
+        pass
+
+    def reset_workers(self):
+        pass
+
+    def invalidate_windows(self, windows):
+        pass
 
 
-def test_config_engine_tuning_knobs():
-    config = StreamGridConfig(scan_max_points=512, scan_block_elems=4096)
-    config.apply_engine_tuning()
-    assert engine_tuning() == {"scan_max_points": 512,
-                               "scan_block_elems": 4096}
-    reset_engine_tuning()
-    # None/None is a pure no-op, not a reset to defaults.
-    set_engine_tuning(scan_max_points=777)
-    StreamGridConfig().apply_engine_tuning()
-    assert engine_tuning()["scan_max_points"] == 777
-    for bad in ({"scan_max_points": 0}, {"scan_block_elems": -1},
-                {"scan_max_points": True}, {"scan_block_elems": "x"}):
-        with pytest.raises(ValidationError):
-            StreamGridConfig(**bad)
-
-
-def test_tuning_never_changes_results(rng):
-    pts = rng.uniform(0, 1, size=(300, 3))
-    queries = rng.uniform(0, 1, size=(64, 3))
-    tree = KDTree(pts)
-    want = tree.knn_batch(queries, 5)
-    set_engine_tuning(scan_max_points=1, scan_block_elems=4096)
-    got = tree.knn_batch(queries, 5)
-    reset_engine_tuning()
-    np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_array_equal(got.distances, want.distances)
+def test_backend_without_fusion_slot_dispatches_per_window(rng):
+    pts = rng.uniform(0, 1, size=(400, 3))
+    queries = rng.uniform(0, 1, size=(100, 3))
+    serial, grid = _windowed_index(pts, "serial")
+    duck, _ = _windowed_index(pts, _DuckBackend)
+    chunks = grid.assign(queries)
+    try:
+        want = serial.query_knn_batch(queries, chunks, 4, max_steps=18)
+        got = duck.query_knn_batch(queries, chunks, 4, max_steps=18)
+        _assert_batches_equal(got, want)
+        assert duck._runtime().executor.runtime_stats.arena_launches == 0
+        assert serial._runtime().executor.runtime_stats.arena_launches == 1
+    finally:
+        serial.close()
+        duck.close()
 
 
 # ----------------------------------------------------------------------
@@ -403,10 +469,10 @@ def test_session_surfaces_arena_stats(rng):
     with StreamSession(config, k=4) as fused_session:
         fused_frames = [fused_session.process(f) for f in frames]
         fused_stats = fused_session.stats
-    with StreamSession(
-            config, k=4,
-            session=StreamingSessionConfig(arena_fusion=False)
-    ) as plain_session:
+    plain_config = StreamGridConfig(
+        splitting=config.splitting, termination=config.termination,
+        executor=PER_WINDOW_SERIAL)
+    with StreamSession(plain_config, k=4) as plain_session:
         plain_frames = [plain_session.process(f) for f in frames]
         plain_stats = plain_session.stats
     for a, b in zip(fused_frames, plain_frames):

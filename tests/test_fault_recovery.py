@@ -24,12 +24,13 @@ from repro.runtime import (
     FaultyState,
     InjectedFaultError,
     ProcessShardPool,
+    SingleWindowState,
     SupervisionConfig,
     WorkUnit,
     resolve_executor,
 )
 from repro.runtime.executor import _LIVE_POOLS, _terminate_orphaned_pools
-from repro.spatial import ChunkGrid, ChunkedIndex, chunk_windows
+from repro.spatial import ChunkGrid, ChunkedIndex, KDTree, chunk_windows
 from repro.streaming import StreamSession
 
 WORKERS = 2
@@ -107,20 +108,18 @@ def test_fault_matrix_bit_equal(rng, backend, kind):
 def test_exact_counter_accounting_process(rng):
     """One crash + one hang + one in-unit raise → exactly accounted."""
     want = _reference(np.random.default_rng(42))
+    # The pool fuses each affinity stripe (window % 2) into one arena
+    # unit, and a spec matches a fused unit through any member window:
+    # the crash hits slot 1's unit, the hang slot 0's, and the raise
+    # (nth=2) slot 0's retry after the hang.
     injector = FaultInjector([
-        FaultSpec(kind="crash", window=2),
-        FaultSpec(kind="hang", window=4, duration=30.0),
-        FaultSpec(kind="raise", window=6),
+        FaultSpec(kind="crash", window=1),
+        FaultSpec(kind="hang", window=2, duration=30.0),
+        FaultSpec(kind="raise", window=4, nth=2),
     ])
-    # Per-window dispatch: the three specs address three distinct
-    # windows, which arena fusion would collapse onto one unit (a spec
-    # targeting any member matches the whole launch, so the schedule
-    # could no longer fire one fault per spec).  Fused-unit fault
-    # recovery is covered by tests/test_arena_fusion.py.
     index, pts, assignment = _index(
         np.random.default_rng(42), executor=injector.executor("process"),
-        supervision=SupervisionConfig(unit_timeout=1.5),
-        arena_fusion=False)
+        supervision=SupervisionConfig(unit_timeout=1.5))
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
@@ -134,6 +133,7 @@ def test_exact_counter_accounting_process(rng):
     assert stats.respawns == 2          # the crash and the hang
     assert stats.degradations == []
     assert index.effective_executor == "process"
+    assert index.runtime_stats.arena_launches >= 2
     index.close()
 
 
@@ -166,6 +166,27 @@ def test_degradation_ladder_exhausts_to_serial(rng):
                                 max_steps=20)
     _assert_batches_equal(got, want)
     index.close()
+
+
+def test_thread_rung_degrades_a_lone_unit(rng):
+    """The thread rung walks on to serial even for a one-unit batch —
+    what the process rung hands over when the other slots' units had
+    already finished."""
+    tree = KDTree(rng.uniform(0, 1, size=(120, 3)))
+    queries = rng.uniform(0, 1, size=(40, 3))
+    injector = FaultInjector([FaultSpec(kind="raise", window=0)])
+    executor = resolve_executor(injector.executor("thread"),
+                                SingleWindowState(tree), WORKERS,
+                                SupervisionConfig(max_retries=0))
+    unit = WorkUnit(0, np.arange(len(queries)), "knn", queries,
+                    {"k": 4, "max_steps": 20})
+    try:
+        [got] = executor.run([unit])
+    finally:
+        executor.close()
+    _assert_batches_equal(got, tree.knn_batch(queries, 4, max_steps=20))
+    assert injector.fire_counts == [1]
+    assert executor.fault_stats.degradations == ["thread->serial"]
 
 
 def test_exhausted_serial_rung_raises_execution_error(rng):
