@@ -111,7 +111,7 @@ def run(n_points=40000, n_queries=2048, n_frames=6, n_windows=32, k=8,
                     _check_equal(f"{backend}/{op}/frame{i}", got, want)
             fused_s, _ = time_best(lambda: stream(fused), repeats)
             plain_s, _ = time_best(lambda: stream(plain), repeats)
-            stats = fused.index.runtime_stats.snapshot()
+            stats = fused.index.stats.snapshot()
             results.append({
                 "backend": backend,
                 "effective": fused.effective_executor,

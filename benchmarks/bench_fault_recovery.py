@@ -148,7 +148,7 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
                 assert got.ok
                 _check_equal(f"{backend}/{schedule}/frame{i}",
                              got.result, want.result)
-            assert stats.degradations == 0, (
+            assert len(stats.degradations) == 0, (
                 f"{backend}/{schedule}: ladder stepped down — recovery "
                 "should respawn, not permanently degrade")
         elapsed, (outcomes, stats, effective, fired) = time_best(
@@ -173,7 +173,7 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
             "retries": stats.retries,
             "respawns": stats.respawns,
             "timeouts": stats.timeouts,
-            "degradations": stats.degradations,
+            "degradations": len(stats.degradations),
             "frames_quarantined": stats.frames_quarantined,
         })
     faulty = [row for row in rows if row["schedule"] != "none"]

@@ -317,14 +317,10 @@ class GroupingContext:
         :class:`~repro.runtime.RuntimeStats`."""
         buckets = bucket_group_batch(indices, counts, size, queries,
                                      self.positions)
-        self._runtime_stats.record_buckets(buckets.histogram)
+        runtime = self._splitter.index if self._splitter is not None \
+            else self._scheduler
+        runtime.stats.absorb({"bucket_sizes": buckets.histogram})
         return buckets
-
-    @property
-    def _runtime_stats(self):
-        if self._splitter is not None:
-            return self._splitter.index.runtime_stats
-        return self._scheduler.executor.runtime_stats
 
 
 def baseline_config() -> StreamGridConfig:

@@ -33,6 +33,9 @@ that implements:
   warm across frames;
 * ``name`` / ``effective`` — the requested backend name and the backend
   actually in force (they differ when a backend had to fall back);
+* ``stats`` — the backend's :class:`~repro.runtime.executor.RuntimeStats`
+  counter block (recovery, cache lookups, data movement), the one block
+  the scheduler, the index, fleet leases and sessions read and fold;
 * ``fusion_slot(window) -> Optional[int]`` — arena-fusion eligibility:
   the dispatch slot *window*'s units run on.  The scheduler fuses
   compatible per-window units into one multi-window
@@ -104,7 +107,7 @@ Five interchangeable backends ship with the runtime:
   calibrated step budget, with admission control
   (:class:`~repro.runtime.fleet.FleetConfig`: ``max_sessions``,
   per-tenant in-flight caps, shed-or-queue) and exact per-tenant
-  ``FaultStats`` / ``RuntimeStats`` attribution.
+  ``RuntimeStats`` attribution.
 
 The window-affinity sharding rule
 ---------------------------------
@@ -127,9 +130,9 @@ detects worker *death* and, when ``unit_timeout`` is set, worker
 and re-dispatching that slot's unfinished units (per-dispatch tickets
 discard anything the killed worker still emitted).  Only after a unit
 exhausts its retries does the backend walk the degradation ladder —
-process → thread → serial, each rung logged and recorded in
-:class:`~repro.runtime.executor.FaultStats` — and only a failure on
-the serial rung raises :class:`~repro.errors.ExecutionError`.
+process → thread → serial, each rung logged and recorded in the
+:class:`~repro.runtime.executor.RuntimeStats` block — and only a
+failure on the serial rung raises :class:`~repro.errors.ExecutionError`.
 Deterministic input errors (:class:`~repro.errors.ValidationError`)
 are never retried.  :mod:`repro.runtime.faults` provides a seeded
 deterministic fault injector for exercising all of these paths.
@@ -137,7 +140,7 @@ deterministic fault injector for exercising all of these paths.
 Adding a backend
 ----------------
 Subclass :class:`~repro.runtime.executor.Executor`, accept
-``(state, n_workers=None, supervision=None, fault_stats=None)`` in the
+``(state, n_workers=None, supervision=None, stats=None)`` in the
 constructor, implement ``run`` / ``close``, and either register the
 class in :data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new
 name or pass the class (or a ready instance) directly as the
@@ -149,7 +152,6 @@ instance.
 from repro.runtime.executor import (
     EXECUTOR_BACKENDS,
     Executor,
-    FaultStats,
     ProcessShardPool,
     RuntimeStats,
     SerialExecutor,
@@ -189,7 +191,6 @@ from repro.runtime.scheduler import (
 __all__ = [
     "EXECUTOR_BACKENDS",
     "Executor",
-    "FaultStats",
     "ProcessShardPool",
     "RuntimeStats",
     "SerialExecutor",

@@ -8,7 +8,7 @@ the window-affinity sharding rule.
 
 Execution is **supervised**: every backend carries a
 :class:`SupervisionConfig` (unit retries, an optional wall-clock unit
-timeout, and a degradation ladder) and a :class:`FaultStats` counter
+timeout, and a degradation ladder) and a :class:`RuntimeStats` counter
 block.  Failures are handled where they happen — the forked pool
 respawns a crashed or hung worker slot and re-dispatches only that
 slot's unfinished units; the thread and serial backends retry the
@@ -24,6 +24,7 @@ to emit.  Only when the serial rung itself fails does
 from __future__ import annotations
 
 import atexit
+import copy
 import itertools
 import logging
 import multiprocessing
@@ -31,8 +32,8 @@ import os
 import queue as queue_mod
 import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -96,38 +97,31 @@ class SupervisionConfig:
 
 
 @dataclass
-class FaultStats:
-    """Recovery counters over an executor's lifetime.
-
-    ``retries`` counts unit re-dispatches after any failure,
-    ``respawns`` counts worker slots re-forked after a crash or hang,
-    ``timeouts`` counts unit-timeout expiries, and ``degradations``
-    records each ladder step taken (e.g. ``"process->thread"``), in
-    order.  A degraded backend shares this object with its replacement,
-    so the counters always describe the whole ladder.
-    """
-
-    retries: int = 0
-    respawns: int = 0
-    timeouts: int = 0
-    degradations: List[str] = field(default_factory=list)
-
-    def snapshot(self) -> tuple:
-        """A comparable value snapshot: (retries, respawns, timeouts,
-        ladder steps taken)."""
-        return (self.retries, self.respawns, self.timeouts,
-                len(self.degradations))
-
-
-@dataclass
 class RuntimeStats:
-    """Data-movement counters over an executor's lifetime.
+    """The runtime's one counter block.
 
-    The observability companion of :class:`FaultStats`, fed by the
-    shared-memory backend (:class:`repro.runtime.shm.ShmShardPool`),
-    the arena fusion in
-    :class:`~repro.runtime.scheduler.WindowScheduler`, and the bucketed
-    grouping path in :mod:`repro.core.cotraining`:
+    Every executor (a fleet lease included) carries one as ``stats``;
+    the :class:`~repro.runtime.scheduler.WindowScheduler` and the
+    :class:`~repro.spatial.neighbors.ChunkedIndex` expose their
+    executor's.  A degraded backend shares the block with its
+    replacement, so the counters always describe the whole ladder.
+
+    Recovery (every backend):
+
+    - ``retries`` — unit re-dispatches after any failure.
+    - ``respawns`` — worker slots re-forked after a crash or hang.
+    - ``timeouts`` — unit-timeout expiries.
+    - ``degradations`` — each ladder step taken (e.g.
+      ``"process->thread"``), in order.
+
+    Result cache (fed by the index that consults the cache):
+
+    - ``cache_hits`` / ``cache_misses`` — per-window units replayed
+      from / executed past the attached result cache.  A shared cache's
+      own counters aggregate every tenant; these count one index only.
+
+    Data movement (the shared-memory backend, the scheduler's arena
+    fusion and the bucketed grouping path in :mod:`repro.core.cotraining`):
 
     - ``state_bytes_shipped`` — bytes written into shared-memory
       segments (the only state that ever moves; a clean window ships 0).
@@ -143,78 +137,93 @@ class RuntimeStats:
     - ``arena_launches`` — fused arena traversals launched by the
       scheduler (each replaces ``group size`` per-window launches).
     - ``arena_units_fused`` — histogram ``{group size: launches}`` of
-      arena fusion (the companion of ``bucket_sizes`` for the
-      multi-window traversal arena).
+      arena fusion.
     - ``arena_bytes_viewed`` — packed node bytes the fused launches
       viewed (window tree bytes, counted once per launch per member).
+
+    The field kinds drive :meth:`snapshot` / :meth:`delta` /
+    :meth:`absorb`: int fields are counters, ``segments_live`` is the
+    one gauge (marked in its field metadata), dict fields are
+    histograms, and ``degradations`` is an append-only log.
     """
 
+    retries: int = 0
+    respawns: int = 0
+    timeouts: int = 0
+    degradations: List[str] = field(default_factory=list)
+    cache_hits: int = 0
+    cache_misses: int = 0
     state_bytes_shipped: int = 0
     forks_avoided: int = 0
-    segments_live: int = 0
+    segments_live: int = field(default=0, metadata={"gauge": True})
     queue_fallback_units: int = 0
     bucket_sizes: Dict[int, int] = field(default_factory=dict)
     arena_launches: int = 0
     arena_units_fused: Dict[int, int] = field(default_factory=dict)
     arena_bytes_viewed: int = 0
 
-    def record_buckets(self, histogram: Dict[int, int]) -> None:
-        """Merge one batch's ``{group size: rows}`` histogram."""
-        for size, rows in histogram.items():
-            key = int(size)
-            self.bucket_sizes[key] = self.bucket_sizes.get(key, 0) \
-                + int(rows)
-
-    def record_fusion(self, group_size: int, bytes_viewed: int = 0) -> None:
-        """Account one arena launch fusing *group_size* units."""
-        self.arena_launches += 1
-        key = int(group_size)
-        self.arena_units_fused[key] = self.arena_units_fused.get(key, 0) + 1
-        self.arena_bytes_viewed += int(bytes_viewed)
-
-    def record_fused_sizes(self, histogram: Dict[int, int]) -> None:
-        """Merge an ``{group size: launches}`` fusion histogram."""
-        for size, launches in histogram.items():
-            key = int(size)
-            self.arena_units_fused[key] = \
-                self.arena_units_fused.get(key, 0) + int(launches)
-
     def snapshot(self) -> Dict[str, Any]:
-        """A value snapshot for per-frame delta accounting."""
-        return {
-            "state_bytes_shipped": self.state_bytes_shipped,
-            "forks_avoided": self.forks_avoided,
-            "segments_live": self.segments_live,
-            "queue_fallback_units": self.queue_fallback_units,
-            "bucket_sizes": dict(self.bucket_sizes),
-            "arena_launches": self.arena_launches,
-            "arena_units_fused": dict(self.arena_units_fused),
-            "arena_bytes_viewed": self.arena_bytes_viewed,
-        }
+        """A value copy of every block field: the ``before`` of
+        :meth:`delta`."""
+        return {name: copy.copy(getattr(self, name)) for name in _KINDS}
 
-    @staticmethod
-    def delta(new: Dict[str, Any], old: Dict[str, Any]) -> Dict[str, Any]:
-        """Per-frame view between two :meth:`snapshot` values.
+    def delta(self, before: Optional[Mapping[str, Any]] = None
+              ) -> Dict[str, Any]:
+        """What moved since *before* (a :meth:`snapshot` of this block;
+        ``None`` means since the block was born).
 
-        Counters are differenced; ``segments_live`` is a gauge and
-        reports the current level; the two histograms are differenced
-        per group size (sizes whose count did not grow are omitted).
+        Counters are differenced, the gauge reports its current level,
+        histograms keep only the sizes whose count moved, and the log
+        holds the entries appended since.
         """
+        if before is None:
+            before = RuntimeStats().snapshot()
         out: Dict[str, Any] = {}
-        for key in ("state_bytes_shipped", "forks_avoided",
-                    "queue_fallback_units", "arena_launches",
-                    "arena_bytes_viewed"):
-            out[key] = int(new[key]) - int(old[key])
-        out["segments_live"] = int(new["segments_live"])
-        for key in ("bucket_sizes", "arena_units_fused"):
-            old_hist = old.get(key, {})
-            hist = {}
-            for size, value in new.get(key, {}).items():
-                grown = int(value) - int(old_hist.get(size, 0))
-                if grown > 0:
-                    hist[int(size)] = grown
-            out[key] = hist
+        for name, kind in _KINDS.items():
+            now, old = getattr(self, name), before[name]
+            if kind == "counter":
+                out[name] = now - old
+            elif kind == "gauge":
+                out[name] = now
+            elif kind == "histogram":
+                out[name] = {size: count - old.get(size, 0)
+                             for size, count in now.items()
+                             if count != old.get(size, 0)}
+            else:
+                out[name] = now[len(old):]
         return out
+
+    def absorb(self, delta: Mapping[str, Any]) -> None:
+        """Add *delta* — a :meth:`delta` value, or any subset of its
+        keys — to this block: counters add, the gauge takes the new
+        level, histograms merge per size, and the log extends."""
+        for name, moved in delta.items():
+            kind = _KINDS[name]
+            if kind == "counter":
+                setattr(self, name, getattr(self, name) + int(moved))
+            elif kind == "gauge":
+                setattr(self, name, int(moved))
+            elif kind == "histogram":
+                hist = getattr(self, name)
+                for size, count in moved.items():
+                    hist[int(size)] = hist.get(int(size), 0) + int(count)
+            else:
+                getattr(self, name).extend(moved)
+
+
+def _field_kind(spec) -> str:
+    if spec.metadata.get("gauge"):
+        return "gauge"
+    if spec.default_factory is dict:
+        return "histogram"
+    if spec.default_factory is list:
+        return "log"
+    return "counter"
+
+
+#: ``{field name: kind}`` of the :class:`RuntimeStats` block.
+_KINDS: Dict[str, str] = {spec.name: _field_kind(spec)
+                          for spec in fields(RuntimeStats)}
 
 
 def resolve_worker_count(n_workers: Optional[int]) -> int:
@@ -235,7 +244,7 @@ def _non_retryable(exc: BaseException) -> bool:
 
 def run_unit_supervised(state, unit: WorkUnit,
                         supervision: SupervisionConfig,
-                        fault_stats: FaultStats):
+                        stats: RuntimeStats):
     """Run one unit inline with bounded retries (the serial rung).
 
     Retries transient failures up to ``max_retries`` times and raises
@@ -253,7 +262,7 @@ def run_unit_supervised(state, unit: WorkUnit,
                 raise
             last = exc
             if attempt + 1 < attempts:
-                fault_stats.retries += 1
+                stats.retries += 1
                 logger.warning(
                     "unit (window %d, %s) failed inline (%s: %s); "
                     "retry %d/%d", unit.window, unit.kind,
@@ -269,11 +278,9 @@ class Executor:
     name = "base"
 
     def __init__(self, supervision: Optional[SupervisionConfig] = None,
-                 fault_stats: Optional[FaultStats] = None) -> None:
+                 stats: Optional[RuntimeStats] = None) -> None:
         self.supervision = supervision or SupervisionConfig()
-        self.fault_stats = fault_stats if fault_stats is not None \
-            else FaultStats()
-        self.runtime_stats = RuntimeStats()
+        self.stats = stats if stats is not None else RuntimeStats()
 
     def run(self, units: Sequence[WorkUnit]) -> List[Any]:
         """Execute *units*, returning their results in unit order."""
@@ -357,13 +364,13 @@ class SerialExecutor(Executor):
 
     def __init__(self, state, n_workers: Optional[int] = None,
                  supervision: Optional[SupervisionConfig] = None,
-                 fault_stats: Optional[FaultStats] = None) -> None:
-        super().__init__(supervision, fault_stats)
+                 stats: Optional[RuntimeStats] = None) -> None:
+        super().__init__(supervision, stats)
         self._state = state
 
     def run(self, units: Sequence[WorkUnit]) -> List[Any]:
         return [run_unit_supervised(self._state, unit, self.supervision,
-                                    self.fault_stats)
+                                    self.stats)
                 for unit in units]
 
     def fusion_slot(self, window: int) -> Optional[int]:
@@ -390,8 +397,8 @@ class ThreadExecutor(Executor):
 
     def __init__(self, state, n_workers: Optional[int] = None,
                  supervision: Optional[SupervisionConfig] = None,
-                 fault_stats: Optional[FaultStats] = None) -> None:
-        super().__init__(supervision, fault_stats)
+                 stats: Optional[RuntimeStats] = None) -> None:
+        super().__init__(supervision, stats)
         self._state = state
         self._n_workers = resolve_worker_count(n_workers)
         self._pool = None
@@ -411,10 +418,10 @@ class ThreadExecutor(Executor):
         step = "thread->serial"
         logger.warning(
             "ThreadExecutor: degrading to serial execution (%s)", detail)
-        self.fault_stats.degradations.append(step)
+        self.stats.degradations.append(step)
         self._degraded = SerialExecutor(
             self._state, supervision=self.supervision,
-            fault_stats=self.fault_stats)
+            stats=self.stats)
         return self._degraded
 
     def run(self, units: Sequence[WorkUnit]) -> List[Any]:
@@ -422,7 +429,7 @@ class ThreadExecutor(Executor):
             return self._degraded.run(units)
         if self._n_workers <= 1:
             return [run_unit_supervised(self._state, unit,
-                                        self.supervision, self.fault_stats)
+                                        self.supervision, self.stats)
                     for unit in units]
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
@@ -445,7 +452,7 @@ class ThreadExecutor(Executor):
                     del pending[i]
                     continue
                 except (FuturesTimeout, TimeoutError):
-                    self.fault_stats.timeouts += 1
+                    self.stats.timeouts += 1
                     future.cancel()
                     failure: BaseException = WorkerTimeoutError(
                         f"unit for window {units[i].window} exceeded the "
@@ -457,7 +464,7 @@ class ThreadExecutor(Executor):
                     failure = exc
                 if attempts[i] <= sup.max_retries:
                     attempts[i] += 1
-                    self.fault_stats.retries += 1
+                    self.stats.retries += 1
                     logger.warning(
                         "ThreadExecutor: unit (window %d) failed "
                         "(%s: %s); retry %d/%d", units[i].window,
@@ -598,8 +605,8 @@ class ProcessShardPool(Executor):
 
     def __init__(self, state, n_workers: Optional[int] = None,
                  supervision: Optional[SupervisionConfig] = None,
-                 fault_stats: Optional[FaultStats] = None) -> None:
-        super().__init__(supervision, fault_stats)
+                 stats: Optional[RuntimeStats] = None) -> None:
+        super().__init__(supervision, stats)
         self._state = state
         self._n_workers = resolve_worker_count(n_workers)
         self._procs: Optional[List] = None
@@ -627,7 +634,7 @@ class ProcessShardPool(Executor):
             "ProcessShardPool: %s; falling back to SerialExecutor", reason)
         self._fallback = SerialExecutor(
             self._state, supervision=self.supervision,
-            fault_stats=self.fault_stats)
+            stats=self.stats)
 
     # -- subclass hooks -------------------------------------------------
     # The shared-memory backend (repro.runtime.shm.ShmShardPool) reuses
@@ -748,9 +755,14 @@ class ProcessShardPool(Executor):
                 and len(units) <= 1:
             # A single unit (e.g. the unsplit Base path) gains nothing
             # from sharding: skip the fork + pickle round-trip entirely.
-            return [run_unit_supervised(self._state, unit,
-                                        self.supervision, self.fault_stats)
-                    for unit in units]
+            # It stays on this rung's ladder: once its retries are spent
+            # the pool degrades like a forked batch would.
+            try:
+                return [run_unit_supervised(self._state, units[0],
+                                            self.supervision, self.stats)]
+            except ExecutionError as exc:
+                return self._exhaust(units, [_PENDING], str(exc),
+                                     ExecutionError)
         if self._fallback is None:
             slots = sorted({unit.window % self._n_workers
                             for unit in units})
@@ -832,7 +844,7 @@ class ProcessShardPool(Executor):
             failure = f"{type_name}: {message}"
             if attempts[seq] <= sup.max_retries:
                 attempts[seq] += 1
-                self.fault_stats.retries += 1
+                self.stats.retries += 1
                 logger.warning(
                     "ProcessShardPool: unit %d (window %d) failed in "
                     "worker (%s); retry %d/%d", seq, units[seq].window,
@@ -867,7 +879,7 @@ class ProcessShardPool(Executor):
                 continue
             head = fifo[0]
             if hung:
-                self.fault_stats.timeouts += 1
+                self.stats.timeouts += 1
                 kind, error = "exceeded the unit timeout", \
                     WorkerTimeoutError
                 logger.warning(
@@ -886,8 +898,8 @@ class ProcessShardPool(Executor):
                 return (f"worker serving window {units[head].window} "
                         f"{kind} {attempts[head]} time(s)", error)
             attempts[head] += 1
-            self.fault_stats.retries += 1
-            self.fault_stats.respawns += 1
+            self.stats.retries += 1
+            self.stats.respawns += 1
             self._spawn_worker(slot)
             redispatch = list(fifo)
             fifo.clear()
@@ -906,11 +918,11 @@ class ProcessShardPool(Executor):
         logger.warning(
             "ProcessShardPool: %s; degrading to the thread backend",
             detail)
-        self.fault_stats.degradations.append(step)
+        self.stats.degradations.append(step)
         self.close()
         self._degraded = ThreadExecutor(
             self._state, self._n_workers, supervision=self.supervision,
-            fault_stats=self.fault_stats)
+            stats=self.stats)
         todo = [seq for seq, value in enumerate(results)
                 if value is _PENDING]
         finished = self._degraded.run([units[seq] for seq in todo])
@@ -1075,8 +1087,6 @@ def _supervise(executor, supervision: Optional[SupervisionConfig]):
             pass
     if getattr(executor, "supervision", None) is None:
         executor.supervision = SupervisionConfig()
-    if getattr(executor, "fault_stats", None) is None:
-        executor.fault_stats = FaultStats()
-    if getattr(executor, "runtime_stats", None) is None:
-        executor.runtime_stats = RuntimeStats()
+    if getattr(executor, "stats", None) is None:
+        executor.stats = RuntimeStats()
     return executor

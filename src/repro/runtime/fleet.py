@@ -29,12 +29,12 @@ sharing safe and fair:
   caps one tenant's queued-plus-running batches.
 - **Per-tenant attribution.**  Batches run one at a time on the inner
   backend, so the fleet snapshots the inner
-  :class:`~repro.runtime.executor.FaultStats` /
-  :class:`~repro.runtime.executor.RuntimeStats` around each batch and
-  adds the delta to the owning lease's own counter blocks — the ones
-  :class:`~repro.streaming.StreamSession` reads for its per-frame /
-  per-session accounting.  A retry, respawn, or degradation triggered
-  by tenant A's units lands on tenant A's counters only.
+  :class:`~repro.runtime.executor.RuntimeStats` block around each
+  batch (and each invalidation) and absorbs the delta into the owning
+  lease's own block — the one :class:`~repro.streaming.StreamSession`
+  folds into its per-frame / per-session accounting.  A retry, respawn,
+  or degradation triggered by tenant A's units lands on tenant A's
+  counters only.
 
 Failure handling is **not** reinvented: the inner backend is an
 ordinary supervised executor (tickets, slot respawn, retries, the
@@ -76,8 +76,6 @@ from repro.errors import AdmissionError, ValidationError
 from repro.runtime.executor import (
     EXECUTOR_BACKENDS,
     Executor,
-    FaultStats,
-    RuntimeStats,
     SupervisionConfig,
     WorkUnit,
     resolve_executor,
@@ -223,8 +221,8 @@ class FleetLease(Executor):
     tenant's namespace and submits through the fleet's EDF queue;
     ``invalidate_windows`` / ``reset_workers`` translate the same way,
     quiesced against other tenants' running batches so counters stay
-    attributable.  ``fault_stats`` / ``runtime_stats`` hold **this
-    tenant's share** of the inner backend's counters.  ``close`` (and
+    attributable.  ``stats`` holds **this tenant's share** of the inner
+    backend's counter block.  ``close`` (and
     garbage collection of an abandoned lease) releases the lease
     exactly once.
     """
@@ -500,9 +498,9 @@ class ShardFleet:
         The submitting thread enqueues ``[deadline, seq, lease]`` and
         blocks until its entry tops the heap with no batch running;
         ties break by arrival order.  The batch itself runs outside the
-        lock (other submitters keep queueing), with the inner stats
-        snapshot/delta bracketing that pins every recovery and
-        data-movement counter on the owning lease.
+        lock (other submitters keep queueing), bracketed by one inner
+        block snapshot whose delta the owning lease absorbs — every
+        recovery and data-movement counter lands on that tenant.
         """
         config = self.config
         session_id = lease.session_id
@@ -533,14 +531,11 @@ class ShardFleet:
             self.dispatch_count += 1
             self.dispatch_log.append((session_id, deadline))
         try:
-            fault_before = inner.fault_stats.snapshot()
-            ladder_before = len(inner.fault_stats.degradations)
-            runtime_before = inner.runtime_stats.snapshot()
+            before = inner.stats.snapshot()
             try:
                 return inner.run(units)
             finally:
-                self._attribute(lease, inner, fault_before,
-                                ladder_before, runtime_before)
+                lease.stats.absorb(inner.stats.delta(before))
         finally:
             with self._cond:
                 self._busy = False
@@ -579,30 +574,6 @@ class ShardFleet:
                 getattr(self._inner, "name", "?"), self._inner.effective)
         return self._inner
 
-    def _attribute(self, lease: FleetLease, inner: Executor,
-                   fault_before: tuple, ladder_before: int,
-                   runtime_before: Dict[str, Any]) -> None:
-        """Add the inner stats deltas of one quiesced operation to the
-        owning lease's counter blocks."""
-        fault_after = inner.fault_stats.snapshot()
-        stats = lease.fault_stats
-        stats.retries += fault_after[0] - fault_before[0]
-        stats.respawns += fault_after[1] - fault_before[1]
-        stats.timeouts += fault_after[2] - fault_before[2]
-        stats.degradations.extend(
-            inner.fault_stats.degradations[ladder_before:])
-        delta = RuntimeStats.delta(inner.runtime_stats.snapshot(),
-                                   runtime_before)
-        runtime = lease.runtime_stats
-        runtime.state_bytes_shipped += delta["state_bytes_shipped"]
-        runtime.forks_avoided += delta["forks_avoided"]
-        runtime.queue_fallback_units += delta["queue_fallback_units"]
-        runtime.segments_live = delta["segments_live"]
-        runtime.record_buckets(delta["bucket_sizes"])
-        runtime.arena_launches += delta["arena_launches"]
-        runtime.arena_bytes_viewed += delta["arena_bytes_viewed"]
-        runtime.record_fused_sizes(delta["arena_units_fused"])
-
     def _invalidate(self, lease: FleetLease,
                     windows: Sequence[int]) -> None:
         ns_windows = [lease.namespaced(w) for w in windows]
@@ -610,14 +581,11 @@ class ShardFleet:
             inner = self._inner
             if inner is None:
                 return
-            fault_before = inner.fault_stats.snapshot()
-            ladder_before = len(inner.fault_stats.degradations)
-            runtime_before = inner.runtime_stats.snapshot()
+            before = inner.stats.snapshot()
             try:
                 inner.invalidate_windows(ns_windows)
             finally:
-                self._attribute(lease, inner, fault_before,
-                                ladder_before, runtime_before)
+                lease.stats.absorb(inner.stats.delta(before))
 
     def _release_windows(self, lease: FleetLease,
                          windows: Sequence[int]) -> None:
@@ -639,7 +607,7 @@ class ShardFleet:
         return "fleet" if inner is None else f"fleet:{inner.effective}"
 
     def stats(self) -> Dict[str, Any]:
-        """Fleet-level summary plus per-tenant counter snapshots."""
+        """Fleet-level summary plus per-tenant counter-block snapshots."""
         with self._cond:
             leases = dict(self._leases)
             summary: Dict[str, Any] = {
@@ -648,17 +616,9 @@ class ShardFleet:
                 "shed": self.shed_count,
                 "effective": self.effective,
             }
-        tenants = {}
-        for session_id, lease in sorted(leases.items()):
-            fault = lease.fault_stats
-            tenants[session_id] = {
-                "retries": fault.retries,
-                "respawns": fault.respawns,
-                "timeouts": fault.timeouts,
-                "degradations": list(fault.degradations),
-                "runtime": lease.runtime_stats.snapshot(),
-            }
-        summary["tenants"] = tenants
+        summary["tenants"] = {session_id: lease.stats.snapshot()
+                              for session_id, lease
+                              in sorted(leases.items())}
         return summary
 
     # -- teardown -------------------------------------------------------
@@ -728,12 +688,10 @@ def reset_shared_fleet() -> None:
 
 
 def _fleet_backend(state, n_workers: Optional[int] = None,
-                   supervision: Optional[SupervisionConfig] = None,
-                   fault_stats: Optional[FaultStats] = None
+                   supervision: Optional[SupervisionConfig] = None
                    ) -> FleetLease:
     """The ``executor="fleet"`` registry entry: lease on the shared
-    fleet.  *fault_stats* is ignored — the lease owns its per-tenant
-    counter block."""
+    fleet (the lease owns its per-tenant counter block)."""
     return shared_fleet().acquire(state, n_workers=n_workers,
                                   supervision=supervision)
 

@@ -217,21 +217,14 @@ class WindowScheduler:
                                                    n_workers, supervision)
 
     @property
-    def fault_stats(self):
-        """The executor's recovery counters (see
-        :class:`repro.runtime.executor.FaultStats`).
+    def stats(self):
+        """The executor's counter block (see
+        :class:`repro.runtime.executor.RuntimeStats`).
 
-        Under ``executor="fleet"`` these are the session's *lease*
-        counters — per-tenant attribution, not the fleet-wide totals.
+        Under ``executor="fleet"`` this is the session's *lease* block —
+        per-tenant attribution, not the fleet-wide totals.
         """
-        return self.executor.fault_stats
-
-    @property
-    def runtime_stats(self):
-        """The executor's data-movement counters (see
-        :class:`repro.runtime.executor.RuntimeStats`); per-tenant under
-        ``executor="fleet"``, like :attr:`fault_stats`."""
-        return self.executor.runtime_stats
+        return self.executor.stats
 
     def schedule(self, queries: np.ndarray, window_ids: np.ndarray,
                  kind: str, params: Dict[str, Any]) -> List[WorkUnit]:
@@ -346,7 +339,6 @@ class WindowScheduler:
                         queries, params)
 
     def _account_fusion(self, members: Sequence[WorkUnit]) -> None:
-        stats = self.executor.runtime_stats
         nodes = 0
         size_of = getattr(self.state, "window_size", None)
         if size_of is not None:
@@ -355,7 +347,10 @@ class WindowScheduler:
                             for unit in members)
             except Exception:
                 nodes = 0
-        stats.record_fusion(len(members), nodes * _ARENA_NODE_BYTES)
+        self.executor.stats.absorb({
+            "arena_launches": 1,
+            "arena_units_fused": {len(members): 1},
+            "arena_bytes_viewed": nodes * _ARENA_NODE_BYTES})
 
     def run(self, queries: np.ndarray, window_ids: np.ndarray, kind: str,
             params: Dict[str, Any]) -> List[Tuple[WorkUnit, Any]]:

@@ -58,8 +58,8 @@ from multiprocessing import shared_memory
 from repro.errors import ValidationError
 from repro.runtime.executor import (
     EXECUTOR_BACKENDS,
-    FaultStats,
     ProcessShardPool,
+    RuntimeStats,
     SupervisionConfig,
     WorkUnit,
     _non_retryable,
@@ -390,9 +390,9 @@ class ShmShardPool(ProcessShardPool):
 
     def __init__(self, state, n_workers: Optional[int] = None,
                  supervision: Optional[SupervisionConfig] = None,
-                 fault_stats: Optional[FaultStats] = None) -> None:
+                 stats: Optional[RuntimeStats] = None) -> None:
         super().__init__(state, n_workers, supervision=supervision,
-                         fault_stats=fault_stats)
+                         stats=stats)
         #: window id -> live segment record (the versioned registry).
         self._segments: Dict[int, _WindowSegment] = {}
         #: windows whose segment content no longer matches the state.
@@ -471,7 +471,7 @@ class ShmShardPool(ProcessShardPool):
         fits), the batch's query blocks and row maps are packed into
         one input segment, and eligible units get output reservations.
         """
-        stats = self.runtime_stats
+        stats = self.stats
         segments: Dict[int, _WindowSegment] = {}
         for unit in units:
             members = _fused_windows(unit.kind, unit.params)
@@ -569,8 +569,8 @@ class ShmShardPool(ProcessShardPool):
                                 n_points=n, root=int(root))
         self._segments[window] = record
         self._stale.discard(window)
-        self.runtime_stats.state_bytes_shipped += size
-        self.runtime_stats.segments_live = len(self._segments)
+        self.stats.state_bytes_shipped += size
+        self.stats.segments_live = len(self._segments)
         return record
 
     # -- ProcessShardPool hooks ----------------------------------------
@@ -621,7 +621,7 @@ class ShmShardPool(ProcessShardPool):
             super().reset_workers()
             return
         self._stale.update(self._segments.keys())
-        self.runtime_stats.forks_avoided += sum(
+        self.stats.forks_avoided += sum(
             1 for proc in self._procs if proc is not None)
 
     def invalidate_windows(self, windows: Sequence[int]) -> None:
@@ -632,7 +632,7 @@ class ShmShardPool(ProcessShardPool):
         touched = {int(w) for w in windows}
         self._stale.update(touched & set(self._segments))
         slots = {w % self._n_workers for w in touched}
-        self.runtime_stats.forks_avoided += sum(
+        self.stats.forks_avoided += sum(
             1 for slot in slots if self._procs[slot] is not None)
 
     def release_windows(self, windows: Sequence[int]) -> None:
@@ -654,7 +654,7 @@ class ShmShardPool(ProcessShardPool):
             if record is not None:
                 self._unlink_one(record)
             self._stale.discard(window)
-        self.runtime_stats.segments_live = len(self._segments)
+        self.stats.segments_live = len(self._segments)
 
     def holds_forked_state(self) -> bool:
         """Export-mode workers never consult their forked snapshot for
@@ -679,7 +679,7 @@ class ShmShardPool(ProcessShardPool):
             self._unlink_one(record)
         self._segments.clear()
         self._stale.clear()
-        self.runtime_stats.segments_live = 0
+        self.stats.segments_live = 0
 
     def close(self) -> None:
         super().close()

@@ -400,12 +400,6 @@ class ChunkedIndex:
         #: Optional :class:`WindowResultCache` consulted per work unit
         #: before dispatch (attached by streaming sessions).
         self.result_cache: Optional[WindowResultCache] = None
-        #: Cache lookups *this index* performed, split hit/miss.  The
-        #: attached cache may be shared across sessions (fleet mode), so
-        #: its own ``hits`` / ``misses`` aggregate every tenant — these
-        #: counters are the per-tenant attribution.
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: Trees carried over by the last :meth:`update_frame` call.
         self.last_reused_trees = 0
         #: Windows left untouched / rebuilt by the last frame ingest.
@@ -739,20 +733,13 @@ class ChunkedIndex:
         return self._runtime().executor.effective
 
     @property
-    def fault_stats(self):
-        """The runtime's recovery counters
-        (:class:`repro.runtime.FaultStats`) — retries, worker respawns,
-        unit timeouts, and degradation-ladder steps over this index's
-        executor lifetime."""
-        return self._runtime().fault_stats
-
-    @property
-    def runtime_stats(self):
-        """The runtime's data-movement counters
-        (:class:`repro.runtime.RuntimeStats`) — shared-memory bytes
-        shipped, forks avoided, live segments, arena launches, and the
-        grouping bucket histogram."""
-        return self._runtime().executor.runtime_stats
+    def stats(self):
+        """The runtime's counter block (:class:`repro.runtime.RuntimeStats`)
+        over this index's executor lifetime: recovery work, this
+        index's result-cache lookups (the attached cache may be shared
+        across sessions, so its own counters aggregate every tenant),
+        and data movement."""
+        return self._runtime().stats
 
     # ------------------------------------------------------------------
     # Frame-failure rollback support
@@ -781,7 +768,7 @@ class ChunkedIndex:
     def restore_state(self, snapshot: dict) -> None:
         """Reinstate a :meth:`snapshot_state` capture after a failed
         frame, dropping any worker-held state shipped in between (the
-        scheduler itself — and its fault counters — stay warm)."""
+        scheduler itself — and its counter block — stay warm)."""
         for name in self._SNAPSHOT_ATTRS:
             setattr(self, name, snapshot[name])
         if self._scheduler is not None:
@@ -865,10 +852,10 @@ class ChunkedIndex:
                         key, self._tree_for(unit.window).points,
                         unit.queries)
                     if local is not None:
-                        self.cache_hits += 1
+                        runtime.stats.cache_hits += 1
                         outcomes[op_idx][unit_idx] = (unit, local)
                         continue
-                    self.cache_misses += 1
+                    runtime.stats.cache_misses += 1
                 to_run.append(unit)
                 slots.append((op_idx, unit_idx, key))
         if to_run:

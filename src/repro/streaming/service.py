@@ -59,7 +59,7 @@ from repro.streaming.session import FrameResult, StreamSession
 class ServiceStats:
     """Service-level counters (per-tenant details live in each
     session's :class:`~repro.streaming.SessionStats` — see
-    :meth:`StreamService.stats`)."""
+    :meth:`StreamService.tenant_stats`)."""
 
     submitted: int = 0
     completed: int = 0
@@ -230,9 +230,9 @@ class StreamService:
     def tenant_stats(self) -> Dict[Any, "object"]:
         """Per-tenant :class:`~repro.streaming.SessionStats`, by id.
 
-        Cache hit/miss counters are per-tenant attributions even under
-        the shared result cache; fault/runtime counters come from each
-        tenant's own fleet lease.  Pair with
+        Every runtime counter — cache lookups included, even under the
+        shared result cache — is the tenant's own, folded from its
+        fleet lease's block.  Pair with
         :meth:`repro.runtime.fleet.ShardFleet.stats` for the fleet-side
         view.
         """

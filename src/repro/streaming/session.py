@@ -71,6 +71,7 @@ from repro.core.config import StreamGridConfig, StreamingSessionConfig
 from repro.core.splitting import partition_cloud, queries_to_chunks
 from repro.core.termination import TerminationPolicy
 from repro.errors import ValidationError
+from repro.runtime.executor import RuntimeStats
 from repro.spatial.kdtree import BatchQueryResult
 from repro.spatial.neighbors import (
     ChunkedIndex,
@@ -121,21 +122,11 @@ class FrameResult:
     #: Domain-operator annotations riding with the frame (e.g. the
     #: estimated pose a streaming odometry operator attaches).
     payload: Dict[str, Any] = field(default_factory=dict)
-    #: Recovery work this frame's execution required (see
-    #: :class:`repro.runtime.FaultStats`): unit re-dispatches, worker
-    #: respawns, unit-timeout expiries, and degradation-ladder steps.
-    #: All zero on a fault-free frame.
-    retries: int = 0
-    respawns: int = 0
-    timeouts: int = 0
-    degradations: int = 0
-    #: This frame's data-movement delta (see
-    #: :meth:`repro.runtime.RuntimeStats.delta`): shared-memory bytes
-    #: shipped, forks avoided by registry version bumps, live segments
-    #: (a gauge), queue-fallback units, arena launches, and the
-    #: grouping bucket histogram.  Empty until a runtime
-    #: exists; all-zero counters on a frame that shipped nothing (the
-    #: warm-ingest steady state under ``executor="shm"``).
+    #: This frame's counter-block delta
+    #: (:meth:`repro.runtime.RuntimeStats.delta`) — recovery work, cache
+    #: lookups and data movement; the session's totals are the sum of
+    #: its frames' deltas.  Empty until a runtime exists; all-zero
+    #: counters on a frame that did no such work.
     runtime: Dict[str, Any] = field(default_factory=dict)
     #: ``None`` on success; on a quarantined frame
     #: (``on_error="skip"``), a ``{"type", "message", "stage"}`` dict
@@ -149,6 +140,26 @@ class FrameResult:
         """True unless this frame was quarantined by ``on_error="skip"``."""
         return self.error is None
 
+    @property
+    def retries(self) -> int:
+        """Unit re-dispatches this frame's execution required."""
+        return self.runtime.get("retries", 0)
+
+    @property
+    def respawns(self) -> int:
+        """Worker slots re-forked during this frame."""
+        return self.runtime.get("respawns", 0)
+
+    @property
+    def timeouts(self) -> int:
+        """Unit-timeout expiries during this frame."""
+        return self.runtime.get("timeouts", 0)
+
+    @property
+    def degradations(self) -> int:
+        """Degradation-ladder steps taken during this frame."""
+        return len(self.runtime.get("degradations", ()))
+
     def __getitem__(self, name: str) -> BatchQueryResult:
         try:
             return self.op_results[name]
@@ -159,41 +170,27 @@ class FrameResult:
 
 
 @dataclass
-class SessionStats:
-    """Aggregate reuse counters over a session's lifetime.
+class SessionStats(RuntimeStats):
+    """A session's lifetime counters: the runtime block plus session-only
+    fields.
 
-    ``windows_clean`` / ``windows_rebuilt`` total the per-frame
-    dirty-window split (clean windows kept their kd-trees;
+    The inherited :class:`repro.runtime.RuntimeStats` fields — recovery
+    work, cache lookups, data movement and arena fusion — are the sum of
+    the session's frame deltas (:attr:`FrameResult.runtime`) and of its
+    :meth:`StreamSession.query` calls; ``segments_live`` is the gauge as
+    of the last fold.  ``cache_hits`` / ``cache_misses`` are per-session
+    attribution even when the attached result cache is the
+    process-global shared one (fleet sessions by default), whose own
+    lifetime counters aggregate every tenant.
+
+    Session-only fields: ``windows_clean`` / ``windows_rebuilt`` total
+    the per-frame dirty-window split (clean windows kept their kd-trees;
     ``trees_reused`` counts the dirty windows that rotation-reuse
-    covered instead of a rebuild).  ``cache_hits`` / ``cache_misses``
-    count every per-window work unit *this session* replayed versus
-    executed — per-session attribution even when the attached result
-    cache is the process-global shared one (fleet sessions by
-    default), whose own lifetime counters aggregate every tenant.
-
-    Fault accounting: ``retries`` / ``respawns`` / ``timeouts`` /
-    ``degradations`` total the runtime's recovery work
-    (:class:`repro.runtime.FaultStats`) absorbed frame by frame;
-    ``validation_failures`` counts frames rejected before touching warm
-    state, ``rollbacks`` counts failed frames whose warm state was
-    rolled back to the last good frame, and ``frames_quarantined``
-    counts the failures ``on_error="skip"`` turned into error-carrying
-    :class:`FrameResult`\\ s instead of exceptions.
-
-    Data-movement accounting (see :class:`repro.runtime.RuntimeStats`,
-    absorbed frame by frame like the fault counters):
-    ``state_bytes_shipped`` / ``forks_avoided`` /
-    ``queue_fallback_units`` total the runtime's
-    lifetime counters; ``segments_live`` is the gauge as of the last
-    frame.  All zero on backends without shared-memory state.
-
-    Arena-fusion accounting (same absorption path):
-    ``arena_launches`` / ``arena_bytes_viewed`` total the scheduler's
-    fused multi-window traversal launches and the packed node bytes
-    those launches viewed; ``arena_units_fused`` histograms fused group
-    sizes (``{group_size: launches}``).  All zero when no batch ever
-    fused: single-window batches, traced or uncapped-auto units, and
-    backends whose ``fusion_slot`` opts out.
+    covered instead of a rebuild).  ``validation_failures`` counts frames
+    rejected before touching warm state, ``rollbacks`` counts failed
+    frames whose warm state was rolled back to the last good frame, and
+    ``frames_quarantined`` counts the failures ``on_error="skip"`` turned
+    into error-carrying :class:`FrameResult`\\ s instead of exceptions.
     """
 
     frames: int = 0
@@ -203,22 +200,9 @@ class SessionStats:
     trees_reused: int = 0
     windows_clean: int = 0
     windows_rebuilt: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    retries: int = 0
-    respawns: int = 0
-    timeouts: int = 0
-    degradations: int = 0
     validation_failures: int = 0
     frames_quarantined: int = 0
     rollbacks: int = 0
-    state_bytes_shipped: int = 0
-    forks_avoided: int = 0
-    queue_fallback_units: int = 0
-    segments_live: int = 0
-    arena_launches: int = 0
-    arena_bytes_viewed: int = 0
-    arena_units_fused: Dict[int, int] = field(default_factory=dict)
 
 
 class StreamSession:
@@ -411,9 +395,8 @@ class StreamSession:
             # A well-formed (0, 3) frame (sensor dropout) short-circuits.
             return self._empty_frame(plan, blocks)
         checkpoint = self._checkpoint()
-        fault_obj, fault_before = self._fault_state()
-        rt_obj, rt_before = self._runtime_state()
-        cache_obj, cache_before = self._cache_state()
+        block = self._block()
+        before = block.snapshot() if block is not None else None
         try:
             positions, grid, assignment, windows = partition_cloud(
                 positions, self.config.splitting)
@@ -430,23 +413,16 @@ class StreamSession:
             op_results = self._run_plan(plan, blocks, deadline)
         except Exception as exc:
             # Recovery work done before the failure still counts.
-            retries, respawns, timeouts, degradations = \
-                self._absorb_faults(fault_obj, fault_before)
-            self._absorb_runtime(rt_obj, rt_before)
-            self._absorb_cache(cache_obj, cache_before)
+            runtime = self._fold(block, before)
             self._rollback(checkpoint)
             self.stats.rollbacks += 1
             if isinstance(exc, ValidationError):
                 self.stats.validation_failures += 1
             if on_error == "skip":
-                return self._quarantined_frame(
-                    plan, blocks, exc, "execute", retries=retries,
-                    respawns=respawns, timeouts=timeouts,
-                    degradations=degradations)
+                return self._quarantined_frame(plan, blocks, exc,
+                                               "execute", runtime)
             raise
-        retries, respawns, timeouts, degradations = \
-            self._absorb_faults(fault_obj, fault_before)
-        runtime_delta = self._absorb_runtime(rt_obj, rt_before)
+        runtime = self._fold(block, before)
         n_chunks = grid.n_chunks if grid is not None else \
             int(assignment.max()) + 1
         index = self._index
@@ -460,9 +436,7 @@ class StreamSession:
             clean_windows=index.last_clean_windows,
             rebuilt_windows=(index.last_dirty_windows
                              - index.last_reused_trees),
-            op_results=op_results,
-            retries=retries, respawns=respawns, timeouts=timeouts,
-            degradations=degradations, runtime=runtime_delta)
+            op_results=op_results, runtime=runtime)
         self._frame_id += 1
         self.stats.frames += 1
         if reused:
@@ -470,7 +444,6 @@ class StreamSession:
         self.stats.trees_reused += index.last_reused_trees
         self.stats.windows_clean += index.last_clean_windows
         self.stats.windows_rebuilt += frame.rebuilt_windows
-        self._absorb_cache(cache_obj, cache_before)
         return frame
 
     def query(self, plan: Optional[FramePlan] = None,
@@ -496,16 +469,16 @@ class StreamSession:
         deadline: Optional[int] = None
         if self.config.use_termination:
             deadline = self.policy.deadline
-        cache_obj, cache_before = self._cache_state()
-        fault_obj, fault_before = self._fault_state()
+        block = self._block()
+        before = block.snapshot() if block is not None else None
         op_results = self._run_plan(plan, blocks, deadline)
-        self._absorb_faults(fault_obj, fault_before)
-        # Per-call attribution reads the *index's* lookup counters, not
-        # the cache's own — a shared cache aggregates every tenant.
-        hits, misses = self._absorb_cache(cache_obj, cache_before)
+        # Per-call attribution reads the runtime block's lookups, not
+        # the cache's own counters — a shared cache aggregates tenants.
+        runtime = self._fold(block, before)
         return PlanResult(frame_id=self._frame_id - 1, deadline=deadline,
-                          op_results=op_results, cache_hits=hits,
-                          cache_misses=misses)
+                          op_results=op_results,
+                          cache_hits=runtime.get("cache_hits", 0),
+                          cache_misses=runtime.get("cache_misses", 0))
 
     # ------------------------------------------------------------------
     # Frame validation, checkpoint / rollback, quarantine
@@ -579,114 +552,42 @@ class StreamSession:
         self._since_calibration = checkpoint["since_calibration"]
         self.policy.restore_state(checkpoint["policy"])
 
-    def _fault_state(self):
-        """The live runtime's fault counters and their current snapshot.
-
-        Peeks without forcing a runtime into existence (a session that
-        has not run a batch yet has none).  Per-frame deltas compare by
-        *object identity*: a cold-mode frame builds a fresh index (and
-        fresh counters), so its delta is the new object's absolute
-        values.
-        """
+    def _block(self) -> Optional[RuntimeStats]:
+        """The live runtime's counter block, or ``None`` — peeks without
+        forcing a runtime into existence (a session that has not run a
+        batch yet has none)."""
         index = self._index
         if index is None or index._scheduler is None:
-            return None, (0, 0, 0, 0)
-        stats = index._scheduler.fault_stats
-        return stats, stats.snapshot()
+            return None
+        return index._scheduler.stats
 
-    def _absorb_faults(self, before_obj, before_snap) -> tuple:
-        """Fold the runtime's recovery work since *before_snap* into
-        :attr:`stats`; returns the per-frame delta tuple."""
-        stats_obj, now = self._fault_state()
-        if stats_obj is None:
-            return (0, 0, 0, 0)
-        if stats_obj is not before_obj:
-            delta = now
-        else:
-            delta = tuple(a - b for a, b in zip(now, before_snap))
-        retries, respawns, timeouts, degradations = delta
-        self.stats.retries += retries
-        self.stats.respawns += respawns
-        self.stats.timeouts += timeouts
-        self.stats.degradations += degradations
-        return delta
+    def _fold(self, block: Optional[RuntimeStats],
+              before: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """Absorb what the live block moved since *before* (a snapshot
+        of *block*) into :attr:`stats`; returns that delta.
 
-    def _runtime_state(self):
-        """The live runtime's data-movement counters + their snapshot.
-
-        The :class:`repro.runtime.RuntimeStats` sibling of
-        :meth:`_fault_state`, with the same identity-compare contract
-        for cold-mode frames that rebuild the runtime (and its
-        counters) mid-frame.
+        Identity-safe: when the live block is not *block* — a cold-mode
+        frame built a fresh index, runtime and block — the delta is the
+        new block's since birth.
         """
-        index = self._index
-        if index is None or index._scheduler is None:
-            return None, None
-        stats = index._scheduler.runtime_stats
-        return stats, stats.snapshot()
-
-    def _absorb_runtime(self, before_obj, before_snap) -> Dict[str, Any]:
-        """Fold the runtime's data movement since *before_snap* into
-        :attr:`stats`; returns the per-frame delta dict
-        (:meth:`repro.runtime.RuntimeStats.delta`)."""
-        from repro.runtime import RuntimeStats
-
-        stats_obj, now = self._runtime_state()
-        if stats_obj is None:
+        live = self._block()
+        if live is None:
             return {}
-        if stats_obj is not before_obj or before_snap is None:
-            before_snap = RuntimeStats().snapshot()
-        delta = RuntimeStats.delta(now, before_snap)
-        self.stats.state_bytes_shipped += delta["state_bytes_shipped"]
-        self.stats.forks_avoided += delta["forks_avoided"]
-        self.stats.queue_fallback_units += delta["queue_fallback_units"]
-        self.stats.segments_live = delta["segments_live"]
-        self.stats.arena_launches += delta["arena_launches"]
-        self.stats.arena_bytes_viewed += delta["arena_bytes_viewed"]
-        for size, count in delta["arena_units_fused"].items():
-            self.stats.arena_units_fused[size] = \
-                self.stats.arena_units_fused.get(size, 0) + count
-        return delta
-
-    def _cache_state(self):
-        """The live index's cache-lookup counters + their snapshot.
-
-        The result-cache sibling of :meth:`_fault_state`, with the same
-        identity-compare contract.  Counters live on the *index*
-        (:attr:`~repro.spatial.neighbors.ChunkedIndex.cache_hits`), not
-        the cache — a shared cache's own counters aggregate every
-        tenant, while the index's count only this session's lookups.
-        """
-        index = self._index
-        if index is None:
-            return None, (0, 0)
-        return index, (index.cache_hits, index.cache_misses)
-
-    def _absorb_cache(self, before_obj, before_snap) -> tuple:
-        """Fold this session's cache lookups since *before_snap* into
-        :attr:`stats`; returns the ``(hits, misses)`` delta."""
-        index = self._index
-        if index is None:
-            return (0, 0)
-        now = (index.cache_hits, index.cache_misses)
-        if index is not before_obj:
-            delta = now
-        else:
-            delta = (now[0] - before_snap[0], now[1] - before_snap[1])
-        self.stats.cache_hits += delta[0]
-        self.stats.cache_misses += delta[1]
+        delta = live.delta(before if live is block else None)
+        self.stats.absorb(delta)
         return delta
 
     def _quarantined_frame(self, plan: FramePlan,
                            blocks: Mapping[str, Optional[np.ndarray]],
                            exc: BaseException, stage: str,
-                           retries: int = 0, respawns: int = 0,
-                           timeouts: int = 0, degradations: int = 0
+                           runtime: Optional[Dict[str, Any]] = None
                            ) -> FrameResult:
         """Turn a failed frame into an error-carrying result
         (``on_error="skip"``): empty op results, the structured failure
-        in :attr:`FrameResult.error`, and the frame id consumed — the
-        stream's frame numbering stays aligned with its input."""
+        in :attr:`FrameResult.error`, the counter-block delta the
+        failed attempt already folded into :attr:`stats`, and the frame
+        id consumed — the stream's frame numbering stays aligned with
+        its input."""
         op_results: "OrderedDict[str, BatchQueryResult]" = OrderedDict()
         for op in plan.ops:
             width = op.k if op.kind == "knn" else 0
@@ -696,9 +597,7 @@ class StreamSession:
             result=next(iter(op_results.values())),
             deadline=None, recalibrated=False, index_reused=False,
             drift=None, n_points=0, n_chunks=0, n_windows=0,
-            op_results=op_results,
-            retries=retries, respawns=respawns, timeouts=timeouts,
-            degradations=degradations,
+            op_results=op_results, runtime=runtime or {},
             error={"type": type(exc).__name__, "message": str(exc),
                    "stage": stage})
         self._frame_id += 1

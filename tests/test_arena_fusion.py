@@ -127,11 +127,11 @@ def test_fused_bit_equal(rng, backend, mode, kind):
             want = plain.query_range_batch(queries, chunks, 0.25,
                                            max_steps=30, max_results=7)
         _assert_batches_equal(got, want)
-        stats = fused._runtime().executor.runtime_stats
+        stats = fused.stats
         assert stats.arena_launches >= 1
         assert sum(size * n for size, n
                    in stats.arena_units_fused.items()) >= 2
-        assert plain._runtime().executor.runtime_stats.arena_launches == 0
+        assert plain.stats.arena_launches == 0
     finally:
         fused.close()
         plain.close()
@@ -151,7 +151,7 @@ def test_fused_uncapped_knn_traverse_engine(rng):
         want = plain.query_knn_batch(queries, chunks, 4,
                                      engine="traverse")
         _assert_batches_equal(got, want)
-        assert fused._runtime().executor.runtime_stats.arena_launches >= 1
+        assert fused.stats.arena_launches >= 1
     finally:
         fused.close()
         plain.close()
@@ -242,7 +242,7 @@ def test_single_window_and_empty_batches_never_fuse(rng):
                                       np.zeros(0, dtype=np.int64), 3,
                                       max_steps=16)
         assert empty.indices.shape == (0, 3)
-        assert index._runtime().executor.runtime_stats.arena_launches == 0
+        assert index.stats.arena_launches == 0
     finally:
         index.close()
 
@@ -265,8 +265,8 @@ def test_cache_counters_identical_under_fusion(rng):
             replay = index.query_knn_batch(queries, chunks, 4,
                                            max_steps=20)
             _assert_batches_equal(replay, first)
-            lookups[fusion] = (index.cache_hits, index.cache_misses)
-            stats = index._runtime().executor.runtime_stats
+            stats = index.stats
+            lookups[fusion] = (stats.cache_hits, stats.cache_misses)
             if fusion:
                 # The replay is served by the cache: no second launch.
                 assert stats.arena_launches == 1
@@ -285,7 +285,7 @@ def test_arena_stats_exact_on_serial(rng):
     try:
         index.query_knn_batch(queries, grid.assign(queries), 4,
                               max_steps=18)
-        stats = index._runtime().executor.runtime_stats
+        stats = index.stats
         # Serial has one fusion slot: all four windows fuse into one
         # launch whose viewed bytes are the packed node footprint.
         assert stats.arena_launches == 1
@@ -321,9 +321,9 @@ def test_fused_unit_raise_retries_bit_safe(rng):
         got = index.query_knn_batch(queries, chunks, 4, max_steps=18)
         _assert_batches_equal(got, want)
         assert injector.fire_counts == [1]
-        assert index.fault_stats.retries == 1
-        assert index.fault_stats.degradations == []
-        assert index._runtime().executor.runtime_stats.arena_launches >= 1
+        assert index.stats.retries == 1
+        assert index.stats.degradations == []
+        assert index.stats.arena_launches >= 1
     finally:
         index.close()
 
@@ -347,8 +347,8 @@ def test_fused_unit_crash_respawns_bit_safe(rng):
         if index.effective_executor != "process":
             pytest.skip("fork unavailable; pool fell back")
         assert injector.fire_counts == [1]
-        assert index.fault_stats.retries == 1
-        assert index.fault_stats.respawns == 1
+        assert index.stats.retries == 1
+        assert index.stats.respawns == 1
     finally:
         index.close()
 
@@ -451,8 +451,8 @@ def test_backend_without_fusion_slot_dispatches_per_window(rng):
         want = serial.query_knn_batch(queries, chunks, 4, max_steps=18)
         got = duck.query_knn_batch(queries, chunks, 4, max_steps=18)
         _assert_batches_equal(got, want)
-        assert duck._runtime().executor.runtime_stats.arena_launches == 0
-        assert serial._runtime().executor.runtime_stats.arena_launches == 1
+        assert duck.stats.arena_launches == 0
+        assert serial.stats.arena_launches == 1
     finally:
         serial.close()
         duck.close()

@@ -8,6 +8,8 @@ frame rolls the warm session back to the last good frame, and
 ``on_error="skip"`` quarantines failures without poisoning the stream.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.runtime import (
     FaultyState,
     InjectedFaultError,
     ProcessShardPool,
+    RuntimeStats,
     SingleWindowState,
     SupervisionConfig,
     WorkUnit,
@@ -90,10 +93,11 @@ def test_fault_matrix_bit_equal(rng, backend, kind):
                                 max_steps=20)
     _assert_batches_equal(got, want)
     assert injector.fire_counts == [1]
-    stats = index.fault_stats
+    stats = index.stats
     if kind == "slow":
         # The unit succeeded, just late — no recovery work at all.
-        assert stats.snapshot() == (0, 0, 0, 0)
+        assert (stats.retries, stats.respawns, stats.timeouts,
+                stats.degradations) == (0, 0, 0, [])
     else:
         assert stats.retries == 1
         assert stats.degradations == []
@@ -127,13 +131,13 @@ def test_exact_counter_accounting_process(rng):
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     assert injector.fire_counts == [1, 1, 1]
-    stats = index.fault_stats
+    stats = index.stats
     assert stats.retries == 3
     assert stats.timeouts == 1          # the hang
     assert stats.respawns == 2          # the crash and the hang
     assert stats.degradations == []
     assert index.effective_executor == "process"
-    assert index.runtime_stats.arena_launches >= 2
+    assert index.stats.arena_launches >= 2
     index.close()
 
 
@@ -158,7 +162,7 @@ def test_degradation_ladder_exhausts_to_serial(rng):
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
-    stats = index.fault_stats
+    stats = index.stats
     assert stats.degradations == ["process->thread", "thread->serial"]
     assert index.effective_executor == "serial"
     # Later batches stay on the exhausted rung and still match.
@@ -168,14 +172,13 @@ def test_degradation_ladder_exhausts_to_serial(rng):
     index.close()
 
 
-def test_thread_rung_degrades_a_lone_unit(rng):
-    """The thread rung walks on to serial even for a one-unit batch —
-    what the process rung hands over when the other slots' units had
-    already finished."""
+def _degrade_a_lone_unit(rng, backend, step):
+    """Fail the only unit of a one-unit batch on ``backend`` and check
+    the pool stepped down the ladder once and still answered exactly."""
     tree = KDTree(rng.uniform(0, 1, size=(120, 3)))
     queries = rng.uniform(0, 1, size=(40, 3))
     injector = FaultInjector([FaultSpec(kind="raise", window=0)])
-    executor = resolve_executor(injector.executor("thread"),
+    executor = resolve_executor(injector.executor(backend),
                                 SingleWindowState(tree), WORKERS,
                                 SupervisionConfig(max_retries=0))
     unit = WorkUnit(0, np.arange(len(queries)), "knn", queries,
@@ -186,7 +189,21 @@ def test_thread_rung_degrades_a_lone_unit(rng):
         executor.close()
     _assert_batches_equal(got, tree.knn_batch(queries, 4, max_steps=20))
     assert injector.fire_counts == [1]
-    assert executor.fault_stats.degradations == ["thread->serial"]
+    assert executor.stats.degradations == [step]
+
+
+def test_thread_rung_degrades_a_lone_unit(rng):
+    """The thread rung walks on to serial even for a one-unit batch —
+    what the process rung hands over when the other slots' units had
+    already finished."""
+    _degrade_a_lone_unit(rng, "thread", "thread->serial")
+
+
+@pytest.mark.parametrize("backend", ["process", "shm"])
+def test_pool_rung_degrades_a_lone_unit(rng, backend):
+    """A cold process or shm pool runs a lone unit (the unsplit Base
+    path) inline, and still walks on down the ladder when it fails."""
+    _degrade_a_lone_unit(rng, backend, "process->thread")
 
 
 def test_exhausted_serial_rung_raises_execution_error(rng):
@@ -230,7 +247,7 @@ def test_validation_error_is_never_retried(rng):
     with pytest.raises(ValidationError):
         executor.run([unit])
     assert state_calls == [0]           # exactly one attempt
-    assert executor.fault_stats.retries == 0
+    assert executor.stats.retries == 0
     index.close()
 
 
@@ -297,12 +314,12 @@ def test_shm_crash_respawn_reattaches_segments(rng):
         index.close()
         pytest.skip("fork unavailable; shm pool degraded")
     _assert_batches_equal(got, want)
-    assert index.fault_stats.respawns == 1
-    shipped = pool.runtime_stats.state_bytes_shipped
+    assert index.stats.respawns == 1
+    shipped = pool.stats.state_bytes_shipped
     got2 = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                  max_steps=20)
     _assert_batches_equal(got2, want)
-    assert pool.runtime_stats.state_bytes_shipped == shipped
+    assert pool.stats.state_bytes_shipped == shipped
     names = [record.name for record in pool._segments.values()]
     assert names
     index.close()
@@ -355,7 +372,7 @@ def test_session_stream_recovers_bit_equal(rng, backend):
         assert got.ok
     assert sum(injector.fire_counts) > 0
     assert stats.retries == sum(injector.fire_counts)
-    assert stats.degradations == 0
+    assert stats.degradations == []
     # Per-frame counters must sum to the session totals.
     assert sum(o.retries for o in outcomes) == stats.retries
     assert sum(o.respawns for o in outcomes) == stats.respawns
@@ -500,6 +517,45 @@ def test_session_on_error_skip_quarantines(rng):
     assert stats.frames_quarantined == 1
     assert stats.validation_failures == 1
     assert stats.frames == len(seq)
+
+
+#: Every counter field of the runtime block (the gauge, the histograms
+#: and the ladder log excluded).
+COUNTERS = [spec.name for spec in fields(RuntimeStats)
+            if spec.default == 0 and not spec.metadata.get("gauge")]
+
+
+@pytest.mark.parametrize("stream", ["quarantine", "cold"])
+def test_session_totals_are_the_sum_of_frame_deltas(stream):
+    """Each runtime counter of SessionStats is the sum of its frames'
+    ``runtime`` deltas: a quarantined frame carries the delta its failed
+    attempt already folded, and a cold-mode frame's fresh block reads
+    as a delta since birth."""
+    rng = np.random.default_rng(17)
+    frames = [rng.uniform(-1, 1, size=(400, 3)) for _ in range(3)]
+    if stream == "quarantine":
+        executor = FaultInjector(
+            [FaultSpec("raise", window=1)]).executor("shm")
+        session_cfg = StreamingSessionConfig(max_retries=0,
+                                             degradation=False)
+    else:
+        executor = "shm"
+        session_cfg = StreamingSessionConfig(reuse_index=False)
+    config = StreamGridConfig(
+        splitting=SplittingConfig(shape=(3, 3, 1), kernel=(2, 2, 1)),
+        executor=executor, executor_workers=WORKERS)
+    with StreamSession(config, k=4, session=session_cfg) as session:
+        outcomes = session.run(frames, on_error="skip")
+        stats = session.stats
+        if session.effective_executor != "shm":
+            pytest.skip("fork unavailable; nothing ships")
+    if stream == "quarantine":
+        assert [o.ok for o in outcomes] == [False, True, True]
+        assert outcomes[0].runtime["state_bytes_shipped"] > 0
+    assert stats.state_bytes_shipped > 0
+    for name in COUNTERS:
+        assert getattr(stats, name) == sum(
+            o.runtime.get(name, 0) for o in outcomes), name
 
 
 def test_session_on_error_validation():

@@ -240,6 +240,42 @@ def test_crash_in_one_tenant_leaves_the_other_untouched():
     _assert_frames_equal(got_b, ref_b)
 
 
+def test_lease_blocks_sum_to_the_inner_block():
+    """Per-tenant attribution is exact: summed over the leases, each
+    recovery and data-movement counter equals the inner backend's, and
+    the leases' ladder logs concatenate to the inner log."""
+    reset_shared_result_cache()
+    injector = FaultInjector([
+        FaultSpec("crash", window=namespaced_window(0, 1), nth=1)])
+    fleet = ShardFleet(FleetConfig(
+        backend=injector.executor("shm"), n_workers=2,
+        supervision=SupervisionConfig(max_retries=2)))
+    try:
+        with StreamSession(_config(fleet), k=4) as sa, \
+                StreamSession(_config(fleet), k=4) as sb:
+            for fa, fb in zip(_frames(seed=71, n_frames=4),
+                              _frames(seed=72, n_frames=4)):
+                sa.process(fa)
+                sb.process(fb)
+            if sa.effective_executor != "fleet:shm":
+                pytest.skip("fork unavailable; inner pool fell back")
+            leases = [sa._index.stats, sb._index.stats]
+            inner = fleet._inner.stats
+            assert injector.fire_counts == [1]
+            assert inner.retries == leases[0].retries == 1
+            assert inner.state_bytes_shipped > 0
+            for name in ("retries", "respawns", "timeouts",
+                         "state_bytes_shipped", "forks_avoided",
+                         "queue_fallback_units"):
+                assert sum(getattr(lease, name) for lease in leases) \
+                    == getattr(inner, name), name
+            assert [step for lease in leases
+                    for step in lease.degradations] == inner.degradations
+    finally:
+        fleet.shutdown()
+        reset_shared_result_cache()
+
+
 def test_hang_in_one_tenant_leaves_the_other_untouched():
     frames_a = _frames(seed=41, n_frames=1)
     frames_b = _frames(seed=42, n_frames=1)

@@ -417,7 +417,7 @@ def test_shm_warm_frame_avoids_refork_and_ships_only_dirty(rng):
         reference.close()
         pytest.skip("shm pool fell back; nothing to assert")
     spawns = pool.spawn_count
-    shipped_cold = pool.runtime_stats.state_bytes_shipped
+    shipped_cold = pool.stats.state_bytes_shipped
     assert shipped_cold > 0
 
     # Frame 2: nudge a subset of points — same occupancy, some windows
@@ -429,7 +429,7 @@ def test_shm_warm_frame_avoids_refork_and_ships_only_dirty(rng):
     reference.update_frame(nxt, reference.assignment)
     _assert_batches_equal(index.query_knn_batch(queries, qc, 4),
                           reference.query_knn_batch(queries, qc, 4))
-    stats = pool.runtime_stats
+    stats = pool.stats
     assert pool.spawn_count == spawns, "warm frame re-forked workers"
     assert stats.forks_avoided > 0
     assert stats.state_bytes_shipped > shipped_cold
@@ -460,7 +460,7 @@ def test_shm_traced_units_ride_queue_fallback(rng):
     _assert_batches_equal(got, want, traces=True)
     pool = index._runtime().executor
     if pool.effective == "shm":
-        assert pool.runtime_stats.queue_fallback_units > 0
+        assert pool.stats.queue_fallback_units > 0
     index.close()
     reference.close()
 

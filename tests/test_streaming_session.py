@@ -532,10 +532,11 @@ def test_compact_cache_entries_replay_bit_equal(op):
     index = ChunkedIndex(positions, assignment, windows)
     index.result_cache = cache
     first = _REPLAY_OPS[op](index, queries, qc)
-    units = index.cache_misses
-    assert units > 0 and index.cache_hits == 0
+    stats = index.stats
+    units = stats.cache_misses
+    assert units > 0 and stats.cache_hits == 0
     replay = _REPLAY_OPS[op](index, queries, qc)
-    assert (index.cache_hits, index.cache_misses) == (units, units)
+    assert (stats.cache_hits, stats.cache_misses) == (units, units)
     _assert_batches_equal(first, want)
     _assert_batches_equal(replay, want)
     for entry in cache._entries.values():
@@ -651,6 +652,21 @@ def test_query_before_ingest_raises():
     with StreamSession(_config("spatial"), k=4) as session:
         with pytest.raises(ValidationError, match="no frame ingested"):
             session.query()
+
+
+def test_query_folds_the_whole_runtime_block():
+    """query() folds every runtime counter into SessionStats, not only
+    its cache lookups: after one frame and three queries on fresh
+    blocks the session's totals are exactly the live block's."""
+    frame = _frames(1)[0]
+    with StreamSession(_config("spatial"), k=4) as session:
+        session.process(frame)
+        launches = session.stats.arena_launches
+        for shift in (0.01, 0.02, 0.03):
+            session.query(blocks={"knn": frame[::3] + shift})
+        block = session._index.stats
+        assert block.arena_launches > launches
+        assert session.stats.snapshot() == block.snapshot()
 
 
 def test_plan_validation():
