@@ -76,14 +76,19 @@ def queries_to_chunks(queries: np.ndarray, grid: Optional[ChunkGrid],
 
     Shared by :meth:`CompulsorySplitter.chunk_of_queries` and the
     streaming session, which routes queries against a reused index.
+    In serial mode a query that is a frame point is routed by its exact
+    coordinates (one sort of the frame plus a ``searchsorted`` lookup)
+    and only the others pay the O(N) blocked scan; the exact route is
+    skipped unless every coordinate is finite and any nonzero one has
+    magnitude ≥ 1e-140 (see
+    :func:`~repro.spatial.kdtree.nearest_point_indices`).
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if grid is not None:
         return grid.assign(queries)
     # Serial mode: a query inherits the chunk of its nearest point,
     # matching the paper's LiDAR processing where queries are the
-    # points themselves.  One blocked broadcast resolves the whole
-    # query batch instead of an O(N) norm per query.
+    # points themselves.
     nearest = nearest_point_indices(positions, queries)
     return assignment[nearest]
 
@@ -95,9 +100,9 @@ class CompulsorySplitter:
     backend (:mod:`repro.runtime`) the underlying
     :class:`~repro.spatial.neighbors.ChunkedIndex` dispatches batches
     on; results are identical across backends.  The scheduler fuses
-    compatible windows into multi-window traversal launches wherever
-    the backend allows (bit-equal to per-window dispatch; see
-    :mod:`repro.runtime`).
+    compatible windows holding 32 or more queries together into
+    multi-window traversal launches wherever the backend allows
+    (bit-equal to per-window dispatch; see :mod:`repro.runtime`).
     """
 
     def __init__(self, positions: np.ndarray,

@@ -55,12 +55,16 @@ queries run as *lanes* of one lockstep traversal over the concatenated
 node arrays of all member windows.  The interpreter's fixed numpy cost
 per traversal iteration is paid once per fused batch instead of once
 per window, which is the paper's parallel traversal-unit dispatch
-amortized in software.  A unit that does not fuse (a singleton group)
-runs its window's own batch engine, whose lockstep path is a
-one-member arena launch.  Results are scattered back per member before
-anyone above the scheduler sees them, and are **bit-equal** to
-per-window dispatch on every backend; the result cache and the
-retry/ticket supervision are untouched.
+amortized in software.  A same-slot group fuses only when its members
+hold at least ``_LOCKSTEP_MIN_QUERIES`` (32) queries in total — the
+threshold at which a single tree's batch engine turns lockstep — so a
+handful of lanes (a session's 16-query drift check) never pays the
+per-iteration cost.  A unit that does not fuse runs its window's own
+batch engine: a one-member arena launch at 32 or more queries, the
+scalar kernel below that.  Results are scattered
+back per member before anyone above the scheduler sees them, and are
+**bit-equal** to per-window dispatch on every backend; the result cache
+and the retry/ticket supervision are untouched.
 :class:`~repro.runtime.executor.RuntimeStats` counts
 ``arena_launches`` / ``arena_units_fused`` / ``arena_bytes_viewed``.
 

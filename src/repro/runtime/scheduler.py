@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.runtime.executor import Executor, WorkUnit, resolve_executor
-from repro.spatial.kdtree import TraversalArena
+from repro.spatial.kdtree import _LOCKSTEP_MIN_QUERIES, TraversalArena
 
 #: Packed bytes per arena node — 24 (xyz) + 8 (left) + 8 (right) +
 #: 8 (point index) + 1 (axis); mirrors
@@ -205,8 +205,11 @@ class WindowScheduler:
     (see :class:`~repro.spatial.kdtree.TraversalArena`) and scatters the
     per-member results back, so callers — and the result cache and
     fault supervision above them — observe exactly the per-window units
-    they submitted.  A backend opts out through its ``fusion_slot``
-    (returning ``None``, or not defining it at all).
+    they submitted.  A group fuses only when it holds at least
+    ``_LOCKSTEP_MIN_QUERIES`` queries in total, the rule
+    :meth:`~repro.spatial.kdtree.KDTree.knn_batch` applies to one tree.
+    A backend opts out through its ``fusion_slot`` (returning ``None``,
+    or not defining it at all).
     """
 
     def __init__(self, state, executor="serial",
@@ -280,6 +283,14 @@ class WindowScheduler:
     def _fuse_units(self, units: Sequence[WorkUnit]):
         """Greedily fuse compatible same-slot units into arena units.
 
+        A group of same-slot units with one fusion signature fuses when
+        it has two or more members holding at least
+        ``_LOCKSTEP_MIN_QUERIES`` queries together.  Smaller groups
+        dispatch per window: a lockstep iteration's fixed numpy cost
+        outweighs the per-window launches it saves on a few lanes (one
+        constant governs this rule and the single-tree one in
+        :meth:`~repro.spatial.kdtree.KDTree.knn_batch`).
+
         Returns ``(dispatch, plan)``: the unit list to hand the
         executor, and — when anything fused — one entry per dispatch
         unit listing the input positions it serves (``plan is None``
@@ -306,8 +317,11 @@ class WindowScheduler:
             keys.append(key)
             if key is not None:
                 groups.setdefault(key, []).append(i)
-        fused_groups = {key: members for key, members in groups.items()
-                        if len(members) >= 2}
+        fused_groups = {
+            key: members for key, members in groups.items()
+            if len(members) >= 2 and sum(
+                len(units[i].queries) for i in members)
+            >= _LOCKSTEP_MIN_QUERIES}
         if not fused_groups:
             return list(units), None
         dispatch: List[WorkUnit] = []

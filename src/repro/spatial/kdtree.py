@@ -73,7 +73,9 @@ _SCAN_MAX_POINTS = 262_144
 # lockstep stacks alike) are capped at ~4M entries (~32 MB of float64).
 _SCAN_BLOCK_ELEMS = 1 << 22
 # The lockstep engine pays a fixed numpy cost per traversal iteration;
-# below this many queries the scalar kernel amortizes better.
+# below this many queries the scalar kernel amortizes better.  The same
+# threshold gates one tree's batch and the scheduler's multi-window
+# fusion (:meth:`repro.runtime.WindowScheduler._fuse_units`).
 _LOCKSTEP_MIN_QUERIES = 32
 
 
@@ -1191,10 +1193,24 @@ def _smallest_k(dist: np.ndarray, k: int):
 
 def nearest_point_indices(points: np.ndarray,
                           queries: np.ndarray) -> np.ndarray:
-    """Index of the closest point for every query, in one blocked pass.
+    """Index of the closest point for every query.
 
-    Vectorized replacement for per-query ``argmin(norm(points - q))``
-    loops; ties resolve to the lowest point index (argmin semantics).
+    Equal to a per-query ``argmin`` over squared distances: ties
+    resolve to the lowest point index.  Two routes produce it:
+
+    * **exact** — a query that *is* a frame point (the LiDAR case,
+      where the queries are the points themselves) is answered by its
+      coordinates: the frame is sorted once by a 64-bit key of its
+      coordinate bits (stable, so the lowest index leads every run of
+      duplicates), each query is looked up with ``searchsorted``, and a
+      hit is the run's first point when its coordinates equal the
+      query's (``-0.0`` folded into ``0.0``).  Its squared distance is
+      exactly 0, which only an underflowing distinct point could tie,
+      so the route runs only when every coordinate of frame and queries
+      is finite and every nonzero one has magnitude ≥
+      ``_EXACT_ROUTE_FLOOR``;
+    * **scan** — every other query takes one blocked pass over all
+      points.
     """
     points = np.asarray(points, dtype=np.float64)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -1204,6 +1220,59 @@ def nearest_point_indices(points: np.ndarray,
         raise ValidationError("queries must be (Q, 3)")
     if len(points) == 0:
         raise ValidationError("cannot find neighbours in zero points")
+    out = np.empty(len(queries), dtype=np.int64)
+    misses = np.arange(len(queries))
+    if len(queries) and _exact_route_safe(points) \
+            and _exact_route_safe(queries):
+        frame = points + 0.0            # folds -0.0 into 0.0
+        block = queries + 0.0
+        frame_keys = _coordinate_keys(frame)
+        order = np.argsort(frame_keys, kind="stable")
+        at = np.searchsorted(frame_keys[order], _coordinate_keys(block))
+        first = order[np.minimum(at, len(order) - 1)]
+        hit = (frame[first] == block).all(axis=1)
+        out[hit] = first[hit]
+        misses = np.flatnonzero(~hit)
+    if len(misses):
+        out[misses] = _scan_nearest(points, queries[misses])
+    return out
+
+
+#: Smallest nonzero coordinate magnitude the exact route accepts.  Two
+#: distinct doubles at or above it differ by at least one ulp of 1e-140,
+#: whose square (~1e-312) is still a nonzero subnormal, so only an exact
+#: match reaches squared distance 0.  Below it a distinct point's
+#: distance can underflow to 0 and win the lower-index tie: with points
+#: ``[[1e-170, 0, 0], [0, 0, 0]]`` the scan answers 0 for the origin.
+_EXACT_ROUTE_FLOOR = 1e-140
+
+
+def _exact_route_safe(xyz: np.ndarray) -> bool:
+    """True when every coordinate is finite and is 0 or at least the
+    floor in magnitude."""
+    size = np.abs(xyz)
+    return bool(np.isfinite(size).all()) and not bool(
+        ((size < _EXACT_ROUTE_FLOOR) & (size != 0.0)).any())
+
+
+def _coordinate_keys(xyz: np.ndarray) -> np.ndarray:
+    """One uint64 lookup key per finite, zero-folded ``(N, 3)`` row.
+
+    Equal rows get equal keys; distinct rows rarely collide, and a
+    collision only sends a query to the scan.  Rotating ``y`` and ``z``
+    spreads their exponent bits over the low-entropy mantissa tails of
+    round values.
+    """
+    bits = xyz.view(np.uint64)
+    y, z = bits[:, 1], bits[:, 2]
+    return (bits[:, 0]
+            ^ ((y << np.uint64(21)) | (y >> np.uint64(43)))
+            ^ ((z << np.uint64(42)) | (z >> np.uint64(22))))
+
+
+def _scan_nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Blocked brute-force argmin of squared distances (lowest index
+    wins ties)."""
     out = np.empty(len(queries), dtype=np.int64)
     px, py, pz = points[:, 0], points[:, 1], points[:, 2]
     block = max(1, _SCAN_BLOCK_ELEMS // len(points))

@@ -47,11 +47,11 @@ deadline, a warm session's frame results are bit-identical to cold
 per-frame rebuilds on every executor backend
 (``tests/test_streaming_session.py`` proves it).
 
-Sessions are additionally **fault-tolerant**: frames are validated
-(shape / dtype / NaN / Inf) *before* any warm state is touched, every
-frame's ingest + plan execution runs under a checkpoint that rolls the
-session back to the last good frame on failure, the runtime underneath
-retries / respawns / degrades through
+Sessions are additionally **fault-tolerant**: frames and query blocks
+are validated (shape / dtype / NaN / Inf) *before* any warm state is
+touched, every frame's ingest + plan execution runs under a checkpoint
+that rolls the session back to the last good frame on failure, the
+runtime underneath retries / respawns / degrades through
 :class:`repro.runtime.SupervisionConfig` (knobs on
 :class:`~repro.core.config.StreamingSessionConfig`), and
 ``on_error="skip"`` quarantines failed frames into error-carrying
@@ -368,27 +368,27 @@ class StreamSession:
         :attr:`FrameResult.op_results`; :attr:`FrameResult.result` is
         the first op's.
 
-        Failure semantics: the frame is validated (shape / dtype /
-        finite coordinates) before any warm state is touched, and the
-        ingest + plan run under a checkpoint — on any failure the
-        session rolls back to the last good frame (index, deadline
-        calibration, drift cadence, frame counter).  ``on_error``
-        (default: the session config's ``on_error``) then decides:
-        ``"raise"`` re-raises the failure; ``"skip"`` quarantines it
-        into a :class:`FrameResult` whose :attr:`FrameResult.error`
-        carries the structured failure and whose op results are empty.
+        Failure semantics: the frame and its query blocks are validated
+        (shape / dtype / finite coordinates) before any warm state is
+        touched, and the ingest + plan run under a checkpoint — on any
+        failure the session rolls back to the last good frame (index,
+        deadline calibration, drift cadence, frame counter).
+        ``on_error`` (default: the session config's ``on_error``) then
+        decides: ``"raise"`` re-raises the failure; ``"skip"``
+        quarantines it into a :class:`FrameResult` whose
+        :attr:`FrameResult.error` carries the structured failure and
+        whose op results are empty.
         """
         on_error = self._resolve_on_error(on_error)
-        blocks = self._checked_blocks(plan, blocks)
         try:
             positions = self._validate_positions(positions)
+            blocks = self._checked_blocks(plan, blocks)
         except ValidationError as exc:
             # Rejected before any state was touched: nothing to roll
             # back — the index, cache, and calibration are untouched.
             self.stats.validation_failures += 1
             if on_error == "skip":
-                return self._quarantined_frame(plan, blocks, exc,
-                                               "validate")
+                return self._quarantined_frame(plan, exc, "validate")
             raise
         self._closed = False
         if len(positions) == 0:
@@ -419,8 +419,8 @@ class StreamSession:
             if isinstance(exc, ValidationError):
                 self.stats.validation_failures += 1
             if on_error == "skip":
-                return self._quarantined_frame(plan, blocks, exc,
-                                               "execute", runtime)
+                return self._quarantined_frame(plan, exc, "execute",
+                                               runtime)
             raise
         runtime = self._fold(block, before)
         n_chunks = grid.n_chunks if grid is not None else \
@@ -458,14 +458,19 @@ class StreamSession:
         session's drift cadence or frame counters.  ``plan`` defaults
         to the session's single-op kNN plan.  Raises
         :class:`~repro.errors.ValidationError` when no frame has been
-        ingested yet.
+        ingested yet, or — counted in ``validation_failures``, with no
+        state touched — when a query block is malformed or non-finite.
         """
         if self._index is None:
             raise ValidationError(
                 "no frame ingested; call process()/execute() before "
                 "query()")
         plan = plan if plan is not None else self._default_plan
-        blocks = self._checked_blocks(plan, blocks)
+        try:
+            blocks = self._checked_blocks(plan, blocks)
+        except ValidationError:
+            self.stats.validation_failures += 1
+            raise
         deadline: Optional[int] = None
         if self.config.use_termination:
             deadline = self.policy.deadline
@@ -578,7 +583,6 @@ class StreamSession:
         return delta
 
     def _quarantined_frame(self, plan: FramePlan,
-                           blocks: Mapping[str, Optional[np.ndarray]],
                            exc: BaseException, stage: str,
                            runtime: Optional[Dict[str, Any]] = None
                            ) -> FrameResult:
@@ -609,13 +613,44 @@ class StreamSession:
     def _checked_blocks(plan: FramePlan,
                         blocks: Optional[Mapping[str, Optional[np.ndarray]]]
                         ) -> Dict[str, Optional[np.ndarray]]:
-        """Validate that every named block matches one of the plan's ops."""
+        """Validate the query blocks before any warm state is touched.
+
+        Every named block must match one of the plan's ops and coerce
+        to a finite ``(Q, 3)`` float array (a zero-size block becomes
+        ``(0, 3)``) — the query-side twin of
+        :meth:`_validate_positions`: a NaN/Inf query would otherwise
+        come back as a successful row of NaN/inf distances.
+        """
         blocks = dict(blocks) if blocks else {}
         unknown = set(blocks) - set(plan.names)
         if unknown:
             raise ValidationError(
                 f"blocks name ops the plan does not have: "
                 f"{sorted(unknown)}; plan ops: {list(plan.names)}")
+        for name, block in blocks.items():
+            if block is None:
+                continue
+            try:
+                queries = np.atleast_2d(np.asarray(block,
+                                                   dtype=np.float64))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"op {name!r}: query block is not numeric: "
+                    f"{exc}") from exc
+            if queries.size == 0:
+                queries = queries.reshape(0, 3)
+            if queries.ndim != 2 or queries.shape[1] != 3:
+                raise ValidationError(
+                    f"op {name!r}: query block must be (Q, 3), got "
+                    f"{queries.shape}")
+            finite = np.isfinite(queries).all(axis=1)
+            if not finite.all():
+                raise ValidationError(
+                    f"op {name!r}: query block contains non-finite "
+                    f"coordinates (NaN/Inf) in "
+                    f"{int(len(queries) - finite.sum())} of "
+                    f"{len(queries)} queries")
+            blocks[name] = queries
         return blocks
 
     def _run_plan(self, plan: FramePlan,
@@ -632,19 +667,11 @@ class StreamSession:
         index = self._index
         ops: List[WindowedOp] = []
         for op in plan.ops:
-            block = blocks.get(op.name)
-            if block is None:
+            queries = blocks.get(op.name)
+            if queries is None:
                 queries = index.positions
                 query_chunks = index.assignment
             else:
-                queries = np.atleast_2d(np.asarray(block,
-                                                   dtype=np.float64))
-                if queries.size == 0:
-                    queries = queries.reshape(0, 3)
-                if queries.shape[1] != 3:
-                    raise ValidationError(
-                        f"op {op.name!r}: query block must be (Q, 3), "
-                        f"got {queries.shape}")
                 query_chunks = queries_to_chunks(
                     queries, self._grid, index.positions,
                     index.assignment)
@@ -663,11 +690,7 @@ class StreamSession:
         op_results: "OrderedDict[str, BatchQueryResult]" = OrderedDict()
         for op in plan.ops:
             block = blocks.get(op.name)
-            if block is None:
-                n_queries = 0
-            else:
-                block = np.atleast_2d(np.asarray(block, dtype=np.float64))
-                n_queries = len(block) if block.size else 0
+            n_queries = 0 if block is None else len(block)
             width = op.k if op.kind == "knn" else 0
             op_results[op.name] = BatchQueryResult.empty(n_queries, width)
         deadline: Optional[int] = None

@@ -8,6 +8,19 @@ import pytest
 from repro.datasets import make_lidar_cloud
 from repro.pointcloud import PointCloud
 
+try:
+    from hypothesis import settings
+except ImportError:
+    # Suites without property tests run where hypothesis is absent.
+    pass
+else:
+    # Property tests draw the same examples on every run (and keep no
+    # example database), so a CI failure always reproduces locally.
+    # Loaded before any test module is imported, so every ``@settings``
+    # decorator inherits it.
+    settings.register_profile("derandomized", derandomize=True)
+    settings.load_profile("derandomized")
+
 
 def pytest_configure(config):
     config.addinivalue_line(

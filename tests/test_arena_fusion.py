@@ -25,6 +25,7 @@ import pytest
 from repro.core.config import (
     SplittingConfig,
     StreamGridConfig,
+    StreamingSessionConfig,
     TerminationConfig,
 )
 from repro.errors import ValidationError
@@ -299,6 +300,67 @@ def test_arena_stats_exact_on_serial(rng):
             assert key in snap
     finally:
         index.close()
+
+
+# ----------------------------------------------------------------------
+# Fusion threshold: a group needs >= 32 queries in total
+# ----------------------------------------------------------------------
+class _RecordingSerial(SerialExecutor):
+    """The serial backend, recording the kind of every unit it runs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dispatched = []
+
+    def run(self, units):
+        self.dispatched.extend(unit.kind for unit in units)
+        return super().run(units)
+
+
+@pytest.mark.parametrize("n_queries", [31, 32, 33])
+def test_fusion_needs_a_lockstep_sized_group(n_queries):
+    """A same-slot group fuses only when it holds >= 32 queries — the
+    one-tree lockstep threshold.  Below it every window dispatches its
+    own unit; at it, one arena launch serves the group.  Either way the
+    results are bit-equal to per-window dispatch."""
+    rng = np.random.default_rng(n_queries)
+    pts = rng.uniform(0, 1, size=(400, 3))
+    queries = rng.uniform(0, 1, size=(n_queries, 3))
+    fused, grid = _windowed_index(pts, _RecordingSerial)
+    plain, _ = _windowed_index(pts, _per_window(_RecordingSerial))
+    chunks = grid.assign(queries)
+    try:
+        got = fused.query_knn_batch(queries, chunks, 4, max_steps=18)
+        want = plain.query_knn_batch(queries, chunks, 4, max_steps=18)
+        _assert_batches_equal(got, want)
+        per_window = plain._scheduler.executor.dispatched
+        dispatched = fused._scheduler.executor.dispatched
+        assert len(per_window) >= 2 and set(per_window) == {"knn"}
+        if n_queries < 32:
+            assert dispatched == per_window
+            assert fused.stats.arena_launches == 0
+        else:
+            assert dispatched == ["fused_knn"]
+            assert fused.stats.arena_launches == 1
+            assert fused.stats.arena_units_fused == {len(per_window): 1}
+    finally:
+        fused.close()
+        plain.close()
+
+
+def test_serial_drift_check_adds_no_arena_launch():
+    """The per-frame drift check — 16 uncapped queries spread over
+    several windows — runs per window: a warm frame's only arena launch
+    is its own 600-query kNN op."""
+    frame = np.random.default_rng(4).uniform(-1, 1, size=(600, 3))
+    config = StreamGridConfig(splitting=SplittingConfig(
+        shape=(9, 1, 1), kernel=(2, 1, 1), mode="serial"))
+    with StreamSession(config, k=4, session=StreamingSessionConfig(
+            result_cache=False)) as session:
+        session.process(frame)
+        again = session.process(frame)
+    assert again.drift is not None and not again.recalibrated
+    assert again.runtime["arena_launches"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.runtime import (
 )
 from repro.runtime.executor import _LIVE_POOLS, _terminate_orphaned_pools
 from repro.spatial import ChunkGrid, ChunkedIndex, KDTree, chunk_windows
-from repro.streaming import StreamSession
+from repro.streaming import FramePlan, StreamSession
 
 WORKERS = 2
 BACKENDS = ["serial", "thread", "process", "shm"]
@@ -55,7 +55,7 @@ def _index(rng, executor="serial", supervision=None, n=200, **kwargs):
 
 
 def _reference(rng, n=200):
-    index, pts, assignment = _index(rng)
+    index, pts, assignment = _index(rng, n=n)
     want = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                  max_steps=20)
     index.close()
@@ -111,9 +111,10 @@ def test_fault_matrix_bit_equal(rng, backend, kind):
 
 def test_exact_counter_accounting_process(rng):
     """One crash + one hang + one in-unit raise → exactly accounted."""
-    want = _reference(np.random.default_rng(42))
+    want = _reference(np.random.default_rng(42), n=400)
     # The pool fuses each affinity stripe (window % 2) into one arena
-    # unit, and a spec matches a fused unit through any member window:
+    # unit — 400 points give every stripe the >= 32 queries fusion
+    # needs — and a spec matches a fused unit through any member window:
     # the crash hits slot 1's unit, the hang slot 0's, and the raise
     # (nth=2) slot 0's retry after the hang.
     injector = FaultInjector([
@@ -123,7 +124,7 @@ def test_exact_counter_accounting_process(rng):
     ])
     index, pts, assignment = _index(
         np.random.default_rng(42), executor=injector.executor("process"),
-        supervision=SupervisionConfig(unit_timeout=1.5))
+        supervision=SupervisionConfig(unit_timeout=1.5), n=400)
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
@@ -517,6 +518,50 @@ def test_session_on_error_skip_quarantines(rng):
     assert stats.frames_quarantined == 1
     assert stats.validation_failures == 1
     assert stats.frames == len(seq)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["spatial", "serial"])
+def test_session_rejects_non_finite_query_blocks(mode, bad):
+    """A query block with a NaN/Inf row is rejected like a NaN frame:
+    before any state is touched, counted in validation_failures, and
+    quarantined under on_error="skip" — on process, execute and
+    query()."""
+    frames = _session_frames(n_frames=2, n=600)
+    splitting = SplittingConfig(shape=(2, 2, 1), kernel=(2, 2, 1)) \
+        if mode == "spatial" else _session_config().splitting
+    config = StreamGridConfig(splitting=splitting,
+                              termination=TerminationConfig(
+                                  profile_queries=12))
+    good = frames[1][::15]                      # 40 frame rows
+    poisoned = good.copy()
+    poisoned[7, 1] = bad
+    with StreamSession(config, k=4) as clean:
+        clean.process(frames[0])
+        want = clean.process(frames[1], good)
+    plan = FramePlan.knn(4)
+    with StreamSession(config, k=4) as session:
+        session.process(frames[0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            session.process(frames[1], poisoned)
+        with pytest.raises(ValidationError, match="non-finite"):
+            session.execute(frames[1], plan, {"knn": poisoned})
+        with pytest.raises(ValidationError, match="non-finite"):
+            session.query(plan, {"knn": poisoned})
+        assert session.stats.validation_failures == 3
+        assert session.stats.rollbacks == 0   # state never touched
+        skipped = session.process(frames[1], poisoned, on_error="skip")
+        assert not skipped.ok
+        assert skipped.error["stage"] == "validate"
+        assert "non-finite" in skipped.error["message"]
+        assert session.stats.validation_failures == 4
+        assert session.stats.frames_quarantined == 1
+        # The stream resumes from frame 0's warm state, bit-equal to a
+        # session that never saw the poisoned blocks.
+        got = session.process(frames[1], good)
+        assert got.ok and got.frame_id == 2
+        assert got.deadline == want.deadline
+        _assert_batches_equal(got.result, want.result)
 
 
 #: Every counter field of the runtime block (the gauge, the histograms

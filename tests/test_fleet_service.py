@@ -474,6 +474,36 @@ def test_service_serves_concurrent_tenants_in_frame_order():
     assert not _shm_entries()
 
 
+def test_service_rejects_non_finite_query_blocks():
+    """A NaN query row submitted through the service fails validation
+    in the tenant's session: raised to the submitter, or quarantined
+    under on_error="skip", with the tenant streaming on unharmed."""
+    frames = _frames(seed=83, n_frames=2, n_points=600)
+    poisoned = frames[1][::15].copy()
+    poisoned[3, 0] = np.nan
+    want = _run_session("serial", frames, splitting=SERIAL)
+
+    async def main():
+        async with StreamService(
+                _config("serial", SERIAL), k=4,
+                fleet_config=FleetConfig(backend="serial")) as service:
+            first = await service.submit("a", frames[0])
+            with pytest.raises(ValidationError, match="non-finite"):
+                await service.submit("a", frames[1], queries=poisoned)
+            skipped = await service.submit("a", frames[1],
+                                           queries=poisoned,
+                                           on_error="skip")
+            assert not skipped.ok
+            assert skipped.error["stage"] == "validate"
+            second = await service.submit("a", frames[1])
+            stats = service.tenant_stats()["a"]
+            assert stats.validation_failures == 2
+            assert stats.rollbacks == 0
+            return [first, second]
+
+    _assert_frames_equal(asyncio.run(main()), want)
+
+
 def test_service_backpressure_bounds_pending_frames():
     frames = _frames(seed=71, n_frames=2)
 

@@ -453,11 +453,13 @@ def test_serial_chunk_of_queries_matches_per_query_argmin(rng):
     config = SplittingConfig(shape=(4, 1, 1), kernel=(2, 1, 1),
                              mode="serial")
     splitter = CompulsorySplitter(pts, config)
-    queries = rng.normal(size=(17, 3))
-    batched = splitter.chunk_of_queries(queries)
-    for i, query in enumerate(queries):
-        nearest = int(np.argmin(np.linalg.norm(pts - query, axis=1)))
-        assert batched[i] == splitter.assignment[nearest]
+    off_frame = rng.normal(size=(17, 3))
+    frame_rows = pts[rng.permutation(len(pts))[:40]]   # exact route
+    for queries in (off_frame, frame_rows):
+        batched = splitter.chunk_of_queries(queries)
+        for i, query in enumerate(queries):
+            nearest = int(np.argmin(np.linalg.norm(pts - query, axis=1)))
+            assert batched[i] == splitter.assignment[nearest]
 
 
 def test_window_point_counts_match_isin_reference(rng):
