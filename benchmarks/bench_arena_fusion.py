@@ -41,7 +41,7 @@ from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_arena.json")
 
 #: Serial first — it carries the headline ratio.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread", "shm")
 
 
 def _per_window(backend):

@@ -7,14 +7,14 @@ four ways:
 
 * ``serial / none`` — fault-free serial execution: the bit-exactness
   reference and the fps baseline;
-* ``process / none`` — fault-free forked pool: what supervision costs
-  when nothing fails;
-* ``process / crash`` — a deterministic crash schedule: a worker is
+* ``shm / none`` — fault-free shm pool: what supervision costs when
+  nothing fails;
+* ``shm / crash`` — a deterministic crash schedule: a worker is
   killed on every K-th work unit of one chosen window (the injector
   counts *units*, so with roughly one unit per window per frame this
   approximates a crash every K frames; the realized fault count is
   reported per row);
-* ``process / mixed`` — the crash schedule plus one worker hang
+* ``shm / mixed`` — the crash schedule plus one worker hang
   (detected by the unit timeout, worker killed mid-sleep) and one
   in-unit exception.
 
@@ -132,8 +132,8 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
 
     rows = []
     clean_s = {}
-    for backend, schedule in (("serial", "none"), ("process", "none"),
-                              ("process", "crash"), ("process", "mixed")):
+    for backend, schedule in (("serial", "none"), ("shm", "none"),
+                              ("shm", "crash"), ("shm", "mixed")):
         if check and schedule != "none":
             # Correctness gate on its own injector (never the timed one):
             # every frame completes, bit-equal, no permanent fallback.

@@ -4,8 +4,8 @@ Drives N concurrent :class:`repro.streaming.StreamSession` tenants
 (N ∈ {2, 8} by default) through drifting-cloud frame streams two ways:
 
 * **dedicated** — the status quo: every tenant constructs its own
-  process pool (``executor="process"``), so N tenants hold N × workers
-  forked processes between them;
+  shm pool (``executor="shm"``), so N tenants hold N × workers forked
+  processes between them;
 * **fleet** — every tenant leases the same
   :class:`repro.runtime.fleet.ShardFleet` (shared-memory inner
   transport): one supervised worker set serves all tenants, window ids
@@ -185,7 +185,7 @@ def run(n_points=4096, n_queries=256, k=8, n_frames=6,
 
             def _dedicated():
                 return _drive(streams, queries, k,
-                              lambda i: "process", scenario,
+                              lambda i: "shm", scenario,
                               pool_workers)
 
             def _fleet():
@@ -288,7 +288,7 @@ def run(n_points=4096, n_queries=256, k=8, n_frames=6,
         "bit_equal_checked": bool(check),
         "fleet_effective_ok": fleet_effective_ok,
         # The headline acceptance: one shared fleet matches or beats N
-        # independent process pools on aggregate throughput at the
+        # independent shm pools on aggregate throughput at the
         # largest tenant count, with no cache sharing to help it.
         "fleet_ge_dedicated_at_largest":
             largest_distinct["fleet_fps"]

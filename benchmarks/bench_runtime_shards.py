@@ -1,14 +1,13 @@
-"""Throughput benchmark: serial vs thread vs process vs shm shards.
+"""Throughput benchmark: serial vs thread vs shm shards.
 
 Times ``CompulsorySplitter`` batch dispatch on many-window
 configurations (a serial-mode 8-window split and a spatial 16-window
-split) under the four window-shard runtime backends
+split) under three window-shard runtime backends
 (:mod:`repro.runtime`): the inline ``SerialExecutor``, the
-``ThreadExecutor`` thread pool, the ``ProcessShardPool`` that pins
-window ids to forked workers with the kd-tree / chunk state shipped
-once per worker, and the zero-copy ``ShmShardPool`` that stages window
-state in shared-memory segments workers attach to instead of
-re-forking.  Two operations are measured per backend:
+``ThreadExecutor`` thread pool, and the ``ShmShardPool`` that pins
+window ids to forked workers and stages window state in shared-memory
+segments the workers attach to.  Two operations are measured per
+backend:
 
 * ``knn`` — uncapped kNN (per-window vectorized scan engine);
 * ``knn_capped`` — deadline-capped kNN (per-window lockstep traversal).
@@ -19,10 +18,10 @@ steps, terminated) — the runtime must be a pure *where-it-runs* change.
 
 Worker counts auto-resolve from the CPU count unless ``--workers`` pins
 them, with a floor of two for the pooled backends so the thread pool
-and the forked process pool are genuinely exercised even on single-core
+and the forked shm pool are genuinely exercised even on single-core
 hosts (where shards timeshare one core, so the honest expectation is
 ≈ 1.0x minus IPC overhead, not a win).  Each row records the
-``effective`` backend, and the headline pool/serial ratios count only
+``effective`` backend, and the headline shm/serial ratio counts only
 rows that actually ran the forked pool — fallback rows can never
 masquerade as a sharding measurement.
 
@@ -51,10 +50,7 @@ from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_runtime.json")
 
-BACKENDS = ("serial", "thread", "process", "shm")
-#: Pooled backends whose speed-up over serial is reported (fallback
-#: rows excluded via the per-row ``effective`` record).
-POOLED = ("process", "shm")
+BACKENDS = ("serial", "thread", "shm")
 
 
 def _configs():
@@ -150,7 +146,7 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
     queries = positions[rng.choice(n_points, size=n_queries,
                                    replace=False)]
     # Floor the pooled backends at two workers so the thread pool and
-    # the forked process pool are genuinely measured even where the CPU
+    # the forked shm pool are genuinely measured even where the CPU
     # count auto-resolves to one (fallback rows are excluded from the
     # headline ratio regardless — see below).
     pool_workers = workers if workers is not None \
@@ -225,8 +221,6 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
         best = max(effective) if effective else 0.0
         return ratios, bool(effective), best
 
-    process_ratios, process_exercised, best_process = \
-        _pool_ratios("process")
     shm_ratios, shm_exercised, best_shm = _pool_ratios("shm")
     grouping = _grouping_comparison(repeats, n_points=n_points,
                                     n_queries=n_queries,
@@ -238,10 +232,6 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
                      "workers": workers, "pool_workers": pool_workers,
                      "cpu_count": os.cpu_count()},
         "results": results,
-        "process_over_serial": process_ratios,
-        "process_pool_exercised": process_exercised,
-        "best_process_over_serial": best_process,
-        "process_ge_serial": process_exercised and best_process >= 1.0,
         "shm_over_serial": shm_ratios,
         "shm_pool_exercised": shm_exercised,
         "best_shm_over_serial": best_shm,
@@ -259,11 +249,6 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
             f"{row['config']:12s} {row['windows']:4d} "
             f"{row['backend']:8s} {row['effective']:8s} {row['op']:11s} "
             f"{row['best_s']:9.4f} {row['throughput_qps']:10.0f}")
-    lines.append(
-        f"best process/serial throughput ratio (effective-process rows "
-        f"only): {best_process:.2f}x "
-        f"(>=1.0: {payload['process_ge_serial']}; "
-        f"pool exercised: {process_exercised})")
     lines.append(
         f"best shm/serial throughput ratio (effective-shm rows only): "
         f"{best_shm:.2f}x (>=1.0: {payload['shm_ge_serial']}; "

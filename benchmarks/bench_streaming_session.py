@@ -1,8 +1,8 @@
 """Throughput benchmark: cold per-frame rebuilds vs a warm StreamSession.
 
 Streams two multi-frame sequences through StreamGrid, on ≥ 8-window
-configurations under all four window-shard runtime backends (including
-the zero-copy ``shm`` pool, whose per-row ``state_bytes_shipped`` /
+configurations under the serial, thread and shm runtime backends (the
+zero-copy ``shm`` pool's per-row ``state_bytes_shipped`` /
 ``forks_avoided`` counters make the warm-ingest savings auditable):
 
 * ``serial-8w`` — a **rolling LiDAR stream** (Lisco-style): frames are
@@ -72,7 +72,7 @@ from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_streaming.json")
 
-BACKENDS = ("serial", "thread", "process", "shm")
+BACKENDS = ("serial", "thread", "shm")
 
 
 def _rolling_frames(n_frames, n_points, seed=7):

@@ -36,7 +36,7 @@ windowed path routes through :class:`~repro.spatial.neighbors.ChunkedIndex`'s
 :class:`~repro.runtime.scheduler.SingleWindowState` behind its own
 scheduler — so the ``executor`` knob of
 :class:`~repro.core.config.StreamGridConfig` selects the runtime
-backend (serial / thread / process) for every variant uniformly.
+backend (serial / thread / shm / fleet) for every variant uniformly.
 """
 
 from __future__ import annotations

@@ -13,24 +13,25 @@ and delegates execution to a :class:`~repro.runtime.scheduler.WindowScheduler`.
 The Executor protocol
 ---------------------
 An executor backend is an object bound to a *shard state* (anything with
-``run_unit(unit) -> result`` and ``window_is_empty(window) -> bool``)
-that implements:
+``run_unit(unit) -> result`` and ``window_is_empty(window) -> bool``;
+pooled execution additionally needs ``shm_export_window(window)``, the
+packed kd-tree arrays the shm pool stages into shared memory) that
+implements:
 
 * ``run(units) -> list`` — execute a list of work units and return their
   results **in unit order** (the scheduler relies on this to scatter
   results back in input order);
 * ``close()`` — release worker resources (idempotent);
-* ``reset_workers()`` — discard worker-held *snapshots* of the shard
-  state while keeping the executor itself warm (a no-op for backends
-  that read live state; the forked pool drops its workers and re-forks
-  on the next batch).  Frame-streaming callers invoke this after
-  mutating shard state in place;
+* ``reset_workers()`` — mark every worker-visible copy of the shard
+  state stale while keeping the executor itself warm (a no-op for
+  backends that read live state; the shm pool version-bumps every
+  window segment and re-exports it on the next batch, its workers
+  still running).  Frame-streaming callers invoke this after mutating
+  shard state in place;
 * ``invalidate_windows(windows)`` — the per-window refinement of
-  ``reset_workers``: discard only the snapshots serving the given
-  windows (the forked pool stops just the workers those windows map to
-  under the affinity rule and re-forks them lazily).  Streaming callers
-  with dirty-window tracking use this so clean windows' workers stay
-  warm across frames;
+  ``reset_workers``: mark only the given windows stale.  Streaming
+  callers with dirty-window tracking use this so clean windows ship
+  nothing across frames;
 * ``name`` / ``effective`` — the requested backend name and the backend
   actually in force (they differ when a backend had to fall back);
 * ``stats`` — the backend's :class:`~repro.runtime.executor.RuntimeStats`
@@ -40,8 +41,8 @@ that implements:
   the dispatch slot *window*'s units run on.  The scheduler fuses
   compatible per-window units into one multi-window
   :class:`~repro.spatial.kdtree.TraversalArena` launch only when their
-  windows share a slot, so fused units respect worker affinity and
-  per-slot invalidation exactly like per-window ones.  ``None`` (the
+  windows share a slot, so fused units respect worker affinity exactly
+  like per-window ones.  ``None`` (the
   base default) opts a backend out of fusion, and so does a backend
   that does not define ``fusion_slot`` at all.
 
@@ -74,30 +75,26 @@ windows inline (level-synchronous :class:`~repro.spatial.kdtree.KDTree`
 build) before the frame's units dispatch, so every batch is one
 dispatch and no worker waits on a rebuild.
 
-Five interchangeable backends ship with the runtime:
+Four interchangeable backends ship with the runtime:
 
 * :class:`~repro.runtime.executor.SerialExecutor` — an inline loop, the
   reference backend;
 * :class:`~repro.runtime.executor.ThreadExecutor` — a
   ``concurrent.futures.ThreadPoolExecutor``; wins when the per-window
   kernels release the GIL (the vectorized scan / lockstep engines);
-* :class:`~repro.runtime.executor.ProcessShardPool` — forked worker
-  processes with the kd-tree / chunk state shipped **once per worker**
-  (inherited through ``fork``, never pickled per call); wins on the
-  GIL-bound scalar traversal kernels;
 * :class:`~repro.runtime.shm.ShmShardPool` (``executor="shm"``) — the
-  zero-copy refinement of the forked pool: window kd-trees live in
-  ``multiprocessing.shared_memory`` segments under a versioned
-  registry, workers **attach** instead of re-forking when state
-  changes, query blocks ship through one shared input segment per
-  batch, and fixed-width results come back through preallocated shared
-  output reservations.  ``reset_workers`` / ``invalidate_windows``
-  become registry version bumps (dirty windows are rewritten in place;
-  :class:`~repro.runtime.executor.RuntimeStats` counts the forks
-  avoided and bytes shipped), and every segment is unlinked on
-  ``close()`` / ``terminate_workers()`` / interpreter exit — no
-  ``/dev/shm`` leaks.  Supervision, fault injection, and the
-  degradation ladder carry over from the forked pool unchanged;
+  one multi-process pool: forked workers, pinned to windows by the
+  affinity rule below, that never read the shard state itself.  Window
+  kd-trees live in ``multiprocessing.shared_memory`` segments under a
+  versioned registry, workers **attach** them (and keep running when
+  state changes), query blocks ship through one shared input segment
+  per batch, and fixed-width results come back through preallocated
+  shared output reservations.  ``reset_workers`` /
+  ``invalidate_windows`` are registry version bumps (dirty windows are
+  rewritten in place; :class:`~repro.runtime.executor.RuntimeStats`
+  counts the forks avoided and bytes shipped), and every segment is
+  unlinked on ``close()`` / ``terminate_workers()`` / interpreter
+  exit — no ``/dev/shm`` leaks;
 * :class:`~repro.runtime.fleet.ShardFleet` (``executor="fleet"``) — the
   **multi-tenant** backend: sessions acquire a
   :class:`~repro.runtime.fleet.FleetLease` on one process-global
@@ -107,7 +104,7 @@ Five interchangeable backends ship with the runtime:
   (:func:`~repro.runtime.fleet.namespaced_window`), so the segment
   registry, worker affinity, and fault targeting key on
   ``(session_id, window)`` and tenants can never touch each other's
-  snapshots; cross-tenant dispatch is EDF-ordered by each batch's
+  segments; cross-tenant dispatch is EDF-ordered by each batch's
   calibrated step budget, with admission control
   (:class:`~repro.runtime.fleet.FleetConfig`: ``max_sessions``,
   per-tenant in-flight caps, shed-or-queue) and exact per-tenant
@@ -115,10 +112,10 @@ Five interchangeable backends ship with the runtime:
 
 The window-affinity sharding rule
 ---------------------------------
-:class:`ProcessShardPool` pins window ``w`` to worker ``w % n_workers``:
-every unit for a given window always lands on the same process, so a
-worker only ever warms the lazily-built traversal tables of *its*
-windows and repeated batches reuse that state.  Results are matched back
+:class:`~repro.runtime.shm.ShmShardPool` pins window ``w`` to worker
+``w % n_workers``: every unit for a given window always lands on the
+same process, so a worker only ever attaches (and caches the rebuilt
+trees of) *its* windows' segments and repeated batches reuse them.  Results are matched back
 to units by sequence number, preserving the two batch invariants —
 input-order stability of scattered results and step-count parity with
 the per-query reference — for every backend.
@@ -128,13 +125,14 @@ Supervision and the degradation ladder
 Every backend executes under a
 :class:`~repro.runtime.executor.SupervisionConfig`: in-unit exceptions
 are retried (``max_retries``) on the same backend — deterministic
-results make retries bit-safe — and the forked pool additionally
+results make retries bit-safe — and the shm pool additionally
 detects worker *death* and, when ``unit_timeout`` is set, worker
 *hangs*, recovering by killing and respawning only the affected slot
 and re-dispatching that slot's unfinished units (per-dispatch tickets
 discard anything the killed worker still emitted).  Only after a unit
-exhausts its retries does the backend walk the degradation ladder —
-process → thread → serial, each rung logged and recorded in the
+exhausts its retries — or the shm pool cannot stage a batch into
+shared memory — does the backend walk the degradation ladder —
+shm → thread → serial, each rung logged and recorded in the
 :class:`~repro.runtime.executor.RuntimeStats` block — and only a
 failure on the serial rung raises :class:`~repro.errors.ExecutionError`.
 Deterministic input errors (:class:`~repro.errors.ValidationError`)
@@ -145,18 +143,20 @@ Adding a backend
 ----------------
 Subclass :class:`~repro.runtime.executor.Executor`, accept
 ``(state, n_workers=None, supervision=None, stats=None)`` in the
-constructor, implement ``run`` / ``close``, and either register the
+constructor, implement ``run`` / ``close`` (plus ``reset_workers`` /
+``invalidate_windows`` if workers keep copies of window state, and
+``fusion_slot`` to opt into arena fusion), and either register the
 class in :data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new
 name or pass the class (or a ready instance) directly as the
 ``executor=`` knob — :func:`~repro.runtime.executor.resolve_executor`
 accepts a backend name, a factory callable, or an :class:`Executor`
-instance.
+instance.  A new multi-process transport should extend
+:class:`~repro.runtime.shm.ShmShardPool` rather than sit beside it.
 """
 
 from repro.runtime.executor import (
     EXECUTOR_BACKENDS,
     Executor,
-    ProcessShardPool,
     RuntimeStats,
     SerialExecutor,
     SupervisionConfig,
@@ -195,7 +195,6 @@ from repro.runtime.scheduler import (
 __all__ = [
     "EXECUTOR_BACKENDS",
     "Executor",
-    "ProcessShardPool",
     "RuntimeStats",
     "SerialExecutor",
     "ShmShardPool",

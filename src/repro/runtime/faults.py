@@ -183,7 +183,7 @@ class FaultInjector:
             f"injected hang fault on window {unit.window} "
             "(inline execution: raising instead of stalling)")
 
-    def executor(self, backend="process"):
+    def executor(self, backend="shm"):
         """An ``executor=`` knob value that injects this object's faults.
 
         Returns a factory ``(state, n_workers) -> Executor`` building
@@ -208,12 +208,11 @@ class FaultyState:
 
     Implements the same duck-typed surface executors rely on
     (``run_unit`` plus attribute passthrough, so scheduler helpers like
-    ``window_is_empty`` — and the shared-memory export probes of
-    :class:`repro.runtime.ShmShardPool` — keep working) and stays
-    fork-picklable as long as the wrapped state is.  Shm workers that
-    serve units from attached segments rather than the shipped state
-    unwrap ``state._injector`` so injected faults still fire on the
-    zero-copy path.
+    ``window_is_empty`` — and the ``shm_export_window`` staging of
+    :class:`repro.runtime.ShmShardPool` — keep working).  Pool workers
+    serve units from attached segments, never from the state, so the
+    pool hands each worker ``state._injector`` and injected faults fire
+    inside the worker.
     """
 
     def __init__(self, state, injector: FaultInjector) -> None:

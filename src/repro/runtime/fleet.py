@@ -17,7 +17,7 @@ sharing safe and fair:
   (``window % n_workers``), worker-side tree caches, and fault-spec
   targeting all key on ``(session_id, window)``.  One tenant's
   dirty-window invalidation or injected fault can never touch another
-  tenant's snapshots — their namespaced ids are disjoint by
+  tenant's segments — their namespaced ids are disjoint by
   construction.
 - **Deadline-aware cross-session dispatch.**  Concurrent submits are
   serialized through an EDF-style priority queue: each batch's key is
@@ -38,7 +38,7 @@ sharing safe and fair:
 
 Failure handling is **not** reinvented: the inner backend is an
 ordinary supervised executor (tickets, slot respawn, retries, the
-process → thread → serial degradation ladder of
+shm → thread → serial degradation ladder of
 :class:`~repro.runtime.executor.SupervisionConfig`), configured
 fleet-wide through :class:`FleetConfig`.  Fault injection composes the
 same way as everywhere else — pass
@@ -162,11 +162,10 @@ class _FleetState:
     The single state object the inner executor is bound to.  Attached
     per-session states are the scheduler-level adapters
     (:class:`~repro.runtime.scheduler.WeakShardState`), so this registry
-    never keeps a dropped session's index alive.  Fork-safety: the
-    registry dict rides into forked workers by copy-on-write; states
-    attached *after* a fork are invisible there, which the fleet handles
-    by resetting workers whose backend actually consults the snapshot
-    (see :meth:`~repro.runtime.executor.Executor.holds_forked_state`).
+    never keeps a dropped session's index alive.  Pool workers never
+    read it: the parent exports each tenant window's tree into shared
+    memory at dispatch time, so a tenant attached after the workers
+    forked needs no re-fork.
     """
 
     def __init__(self) -> None:
@@ -203,9 +202,6 @@ class _FleetState:
     def window_is_empty(self, ns_window: int) -> bool:
         state, window = self._route(int(ns_window))
         return state.window_is_empty(window)
-
-    def supports_shm_export(self) -> bool:
-        return True
 
     def shm_export_window(self, ns_window: int):
         state, window = self._route(int(ns_window))
@@ -288,7 +284,7 @@ class FleetLease(Executor):
     def reset_workers(self) -> None:
         """Invalidate every window this tenant ever dispatched — the
         whole-state mutation signal, scoped to the tenant so other
-        tenants' warm snapshots survive."""
+        tenants' warm segments survive."""
         if self._released or not self._windows:
             return
         self._fleet._invalidate(self, sorted(self._windows))
@@ -442,14 +438,6 @@ class ShardFleet:
                 "fleet-wide SupervisionConfig governs recovery")
         with self._exclusive():
             self._state.attach(session_id, state)
-            inner = self._inner
-            if inner is not None and inner.holds_forked_state():
-                # Live workers hold a forked registry snapshot that
-                # predates this tenant; drop them so the next batch
-                # re-forks with the full registry.  (The shm pool in
-                # export mode returns False here — its workers attach
-                # state by segment name at dispatch time.)
-                inner.reset_workers()
         logger.debug("ShardFleet: admitted session %d", session_id)
         return lease
 

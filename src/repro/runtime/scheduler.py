@@ -41,7 +41,8 @@ class WeakShardState:
 
     Dereferencing is always safe in practice: every access happens
     inside a batch call on the owner, so the owner is alive on the call
-    stack (and forked workers hold their own cloned copy of it).
+    stack (pool workers never touch it: they attach window trees by
+    segment name).
     """
 
     def __init__(self, state) -> None:
@@ -61,23 +62,13 @@ class WeakShardState:
     def run_unit(self, unit: WorkUnit):
         return self._state().run_unit(unit)
 
-    # Optional state protocols, forwarded only when the target provides
-    # them (``getattr`` probes on this adapter must mirror the target).
-    def supports_shm_export(self) -> bool:
-        """True when the target exports packed window trees (the
-        shared-memory backend's opt-in probe)."""
-        return callable(getattr(self._state(), "shm_export_window", None))
-
     def shm_export_window(self, window: int):
-        export = getattr(self._state(), "shm_export_window", None)
-        if export is None:
-            raise ValidationError(
-                "shard state does not export window trees")
-        return export(window)
+        return self._state().shm_export_window(window)
 
     def window_size(self, window: int) -> int:
         """Node count of *window*'s tree (0 when the target does not
-        report sizes) — arena-bytes accounting only."""
+        report sizes) — arena-bytes accounting only, so the target may
+        leave it out."""
         size = getattr(self._state(), "window_size", None)
         return int(size(window)) if size is not None else 0
 
@@ -180,9 +171,6 @@ class SingleWindowState:
 
     def window_size(self, window: int) -> int:
         return len(self.tree)
-
-    def supports_shm_export(self) -> bool:
-        return True
 
     def shm_export_window(self, window: int):
         """Packed tree arrays for the shared-memory backend."""
@@ -394,7 +382,7 @@ class WindowScheduler:
                 for group in unit_groups]
 
     def reset_workers(self) -> None:
-        """Drop worker-held state snapshots; the executor stays warm.
+        """Mark worker-visible state stale; the executor stays warm.
 
         See :meth:`repro.runtime.executor.Executor.reset_workers` — used
         by streaming state owners after in-place state mutation.
@@ -402,7 +390,7 @@ class WindowScheduler:
         self.executor.reset_workers()
 
     def invalidate_windows(self, windows: Sequence[int]) -> None:
-        """Drop worker snapshots serving *windows* only; see
+        """Mark only *windows*' worker-visible state stale; see
         :meth:`repro.runtime.executor.Executor.invalidate_windows` —
         the per-window refinement streaming state owners use when they
         know exactly which windows' state changed."""

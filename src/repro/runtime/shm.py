@@ -1,17 +1,21 @@
-"""Zero-copy shared-memory shard backend (``executor="shm"``).
+"""The pooled shard backend (``executor="shm"``): forked workers over
+shared-memory window state.
 
-:class:`ShmShardPool` keeps the forked-worker supervision machinery of
-:class:`~repro.runtime.executor.ProcessShardPool` — tickets, per-slot
-FIFOs, crash/hang respawn, the degradation ladder, fault injection —
-and replaces how state and data move:
+:class:`ShmShardPool` is the runtime's one multi-process transport.
+Window ``w`` is pinned to worker ``w % n_workers`` (the window-affinity
+rule), and every batch runs **supervised** — per-dispatch tickets,
+per-slot FIFOs, crash / hang detection with slot respawn, bounded
+retries, and the ``shm → thread → serial`` degradation ladder of
+:class:`~repro.runtime.executor.SupervisionConfig`.  State and data
+move through shared memory:
 
 - **Window state lives in shared segments.**  Each serving window's
   packed kd-tree arrays (points, child links, point index, split axes)
   are written once into a ``multiprocessing.shared_memory`` segment
   under a *versioned segment registry*.  Workers attach the segment and
-  rebuild the tree zero-copy (:meth:`repro.spatial.kdtree.KDTree.from_arrays`)
-  instead of inheriting a forked copy-on-write snapshot, caching the
-  reconstruction per ``(segment, version)``.
+  rebuild the tree zero-copy (:meth:`repro.spatial.kdtree.KDTree.from_arrays`),
+  caching the reconstruction per ``(segment, version)``; they never
+  read the shard state itself.
 - **Invalidation is a version bump, not a teardown.**
   ``reset_workers`` / ``invalidate_windows`` mark registry entries
   stale; the next batch re-exports only the stale windows' arrays — in
@@ -25,15 +29,19 @@ and replaces how state and data move:
   deterministic: ``min(k, n)`` for kNN, ``min(max_results, n)`` for
   capped ball queries); the result queue carries only a tiny
   completion marker.  Units whose result size is data-dependent
-  (uncapped range queries) or that carry traversal traces fall back to
-  the pickle queue, counted in ``RuntimeStats.queue_fallback_units``.
+  (uncapped range queries), fused arena units, and units that carry
+  traversal traces fall back to the pickle queue, counted in
+  ``RuntimeStats.queue_fallback_units``.
 
-The shard state must opt in by exposing
-``shm_export_window(window) -> (points, axis, left, right, point_index,
-root)`` (see :meth:`repro.spatial.neighbors.ChunkedIndex.shm_export_window`).
-States that do not export — custom states predating this backend —
-run with plain forked-snapshot semantics and ``effective`` honestly
-reports ``"process"``.
+The shard state must expose ``shm_export_window(window) -> (points,
+axis, left, right, point_index, root)`` (see
+:meth:`repro.spatial.neighbors.ChunkedIndex.shm_export_window`).  A
+batch that cannot be staged — a state without that method, or a full
+``/dev/shm`` — walks one rung down the degradation ladder, exactly like
+a unit that exhausted its retries.  The pool runs inline on
+:class:`~repro.runtime.executor.SerialExecutor` instead — with a logged
+warning — when the ``fork`` start method is unavailable, the worker
+count resolves to ≤ 1, or forking fails at runtime.
 
 Segment hygiene: ``close``, ``terminate_workers`` and the ``atexit``
 ``_LIVE_POOLS`` sweep all unlink every live segment, so a crashed or
@@ -45,9 +53,14 @@ retirement (see :func:`_attach_untracked`).
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import logging
+import multiprocessing
 import os
+import queue as queue_mod
+import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -55,21 +68,28 @@ import numpy as np
 
 from multiprocessing import shared_memory
 
-from repro.errors import ValidationError
+from repro.errors import ExecutionError, ValidationError, WorkerTimeoutError
 from repro.runtime.executor import (
+    _PENDING,
     EXECUTOR_BACKENDS,
-    ProcessShardPool,
+    Executor,
     RuntimeStats,
+    SerialExecutor,
     SupervisionConfig,
+    ThreadExecutor,
     WorkUnit,
     _non_retryable,
+    resolve_worker_count,
+    run_unit_supervised,
 )
 from repro.spatial.kdtree import BatchQueryResult, KDTree
 
 logger = logging.getLogger("repro.runtime")
 
-#: Dispatch-message tag marking a shared-memory unit descriptor.
-_SHM_UNIT = "__shm_unit__"
+#: How often the drain loop re-checks worker liveness (and, when a
+#: unit timeout is configured, wall-clock progress).
+_RESULT_POLL_S = 0.25
+
 #: Success payload marking "the result is in the output reservation".
 _SHM_RESULT = "__shm_result__"
 
@@ -256,36 +276,27 @@ def _fused_windows(unit_kind: str, params) -> Optional[Tuple[int, ...]]:
     return None
 
 
+
 def _run_shm_unit(trees, injector, attach_batch, payload):
-    """Execute one shared-memory unit descriptor; returns the success
-    payload for the outbox (``_SHM_RESULT`` or the full result).
+    """Execute one unit descriptor; returns the success payload for
+    the outbox (``_SHM_RESULT`` or the full result).
 
     All buffer views live only inside this frame, so batch-segment
     attachments are safe to evict once the call returns.
     """
     from repro.runtime.scheduler import run_fused_unit, run_tree_unit
 
-    (_tag, window, kind, params, tree_desc, in_desc, out_spec) = payload
+    window, kind, params, tree_desc, in_desc, out_spec = payload
     members = _fused_windows(kind, params)
     if members is not None:
         # Fused arena unit: rebuild every member window's tree from its
         # segment (descriptors ship in member order) and run the whole
         # arena traversal worker-side; the list result rides the pickle
         # queue (out_spec is always None for fused kinds).
-        member_trees = [_worker_tree(trees, desc, w)
-                        for desc, w in zip(tree_desc, members)]
-        in_name, q_off, rows_off, n_rows = in_desc
-        in_seg = attach_batch(in_name)
-        queries = np.ndarray((n_rows, 3), dtype=np.float64,
-                             buffer=in_seg.buf, offset=q_off)
-        rows = np.ndarray((n_rows,), dtype=np.int64,
-                          buffer=in_seg.buf, offset=rows_off)
-        unit = WorkUnit(window=window, rows=rows, kind=kind,
-                        queries=queries, params=params)
-        if injector is not None:
-            injector.before_unit(unit)
-        return run_fused_unit(member_trees, unit)
-    tree = _worker_tree(trees, tree_desc, window)
+        tree = [_worker_tree(trees, desc, w)
+                for desc, w in zip(tree_desc, members)]
+    else:
+        tree = _worker_tree(trees, tree_desc, window)
     in_name, q_off, rows_off, n_rows = in_desc
     in_seg = attach_batch(in_name)
     queries = np.ndarray((n_rows, 3), dtype=np.float64,
@@ -296,6 +307,8 @@ def _run_shm_unit(trees, injector, attach_batch, payload):
                     queries=queries, params=params)
     if injector is not None:
         injector.before_unit(unit)
+    if members is not None:
+        return run_fused_unit(tree, unit)
     result = run_tree_unit(tree, unit)
     if out_spec is not None and result.traces is None:
         out_name, base, width = out_spec
@@ -311,21 +324,23 @@ def _run_shm_unit(trees, injector, attach_batch, payload):
     return result
 
 
-def _shm_worker_main(state, inbox, outbox) -> None:
-    """Worker loop of the shared-memory pool.
+def _shm_worker_main(injector, inbox, outbox) -> None:
+    """Worker loop: unit descriptors in, completion markers out.
 
-    Plain :class:`WorkUnit` messages (export-less states) run against
-    the forked *state* exactly like
-    :func:`~repro.runtime.executor._shard_worker_main`.  Shared-memory
-    descriptors instead rebuild the window tree from its segment, run
-    the unit with :func:`~repro.runtime.scheduler.run_tree_unit`, and
-    write the result into the preallocated output reservation — the
-    queue only echoes a completion marker.  A fault injector attached
-    to the state (:class:`~repro.runtime.faults.FaultyState`) still
-    sees every unit *before* it runs, so crash / hang / raise / slow
-    semantics carry over unchanged.
+    Every message carries the dispatch *ticket* the parent issued;
+    results echo it so the parent can discard late results from a
+    killed worker (the re-dispatched unit got a fresh ticket).  A unit
+    rebuilds its window tree from the segment, runs with
+    :func:`~repro.runtime.scheduler.run_tree_unit`, and writes the
+    result into its preallocated output reservation — the queue only
+    echoes a completion marker.  A fault *injector* (the ``_injector``
+    of a :class:`~repro.runtime.faults.FaultyState`) sees every unit
+    *before* it runs, so crash / hang / raise / slow faults fire inside
+    the worker.  In-unit failures ship a ``(type name, message,
+    retryable)`` triple instead of hanging the pool;
+    :class:`ValidationError` is flagged non-retryable so input-contract
+    violations surface unchanged.
     """
-    injector = getattr(state, "_injector", None)
     trees: Dict[int, tuple] = {}
     # Per-batch input/output attachments, keyed by segment name.  Each
     # batch uses fresh names, so a small insertion-ordered cache with
@@ -351,15 +366,6 @@ def _shm_worker_main(state, inbox, outbox) -> None:
         if message is None:
             return
         ticket, seq, payload = message
-        if not (isinstance(payload, tuple) and payload
-                and payload[0] == _SHM_UNIT):
-            try:
-                outbox.put((ticket, seq, True, state.run_unit(payload)))
-            except BaseException as exc:
-                outbox.put((ticket, seq, False,
-                            (type(exc).__name__, str(exc),
-                             not _non_retryable(exc))))
-            continue
         try:
             outbox.put((ticket, seq, True,
                         _run_shm_unit(trees, injector, attach_batch,
@@ -370,20 +376,65 @@ def _shm_worker_main(state, inbox, outbox) -> None:
                          not _non_retryable(exc))))
 
 
-class ShmShardPool(ProcessShardPool):
-    """Forked workers attached to shared-memory shard state.
+#: Live pools, swept at interpreter exit so an un-``close()``-d session
+#: can never leak orphaned worker processes or segments past the parent.
+_LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
 
-    See the module docstring for the transport design.  Supervision —
-    tickets, retries, respawn, the ``process → thread → serial``
-    degradation ladder, fault injection — is inherited unchanged from
-    :class:`~repro.runtime.executor.ProcessShardPool`; only the worker
-    loop, the dispatch message, and the result path differ.
+
+def _terminate_orphaned_pools() -> None:
+    """``atexit`` sweep: hard-stop every still-open pool's workers and
+    unlink its segments (:meth:`ShmShardPool.terminate_workers`)."""
+    for pool in list(_LIVE_POOLS):
+        try:
+            pool.terminate_workers()
+        except Exception:
+            pass
+
+
+atexit.register(_terminate_orphaned_pools)
+
+
+def _drain_queue(queue) -> int:
+    """Discard everything buffered in *queue*; returns the count."""
+    drained = 0
+    while True:
+        try:
+            queue.get_nowait()
+            drained += 1
+        except (queue_mod.Empty, OSError, ValueError):
+            return drained
+
+
+class ShmShardPool(Executor):
+    """Forked workers with window-id affinity over shared-memory state.
+
+    See the module docstring for the transport.  Window ``w`` is pinned
+    to worker ``w % n_workers``, so each worker only ever serves (and
+    caches the attached trees of) its own windows.  Workers fork
+    lazily — only the slots a batch targets — and stay resident until
+    :meth:`close`; ``spawn_count`` counts forks over the pool's
+    lifetime (a streaming caller can verify that warm frames never
+    re-fork).
+
+    :meth:`run` is **supervised**: every dispatch carries a fresh
+    ticket, per-unit bookkeeping tracks what each slot still owes, and
+    the drain loop watches for worker death and (when
+    ``supervision.unit_timeout`` is set) wall-clock hangs.  A crashed or
+    hung slot is killed and respawned — the new worker re-attaches the
+    live segments — and only *its* unfinished units are re-dispatched:
+    results are deterministic, so the retry is bit-safe, and stale
+    tickets discard anything the killed worker still managed to emit.
+    After ``max_retries`` consecutive failures of the same unit, or
+    when a batch cannot be staged, the pool walks the degradation
+    ladder (thread, then serial — see :class:`SupervisionConfig`)
+    instead of raising.
 
     ``RuntimeStats`` accounting: ``state_bytes_shipped`` (segment
     bytes written; clean windows ship nothing), ``forks_avoided``
     (worker slots that survived an invalidation as a version bump),
     ``segments_live`` (registry gauge) and ``queue_fallback_units``
-    (results that could not ride a shared reservation).
+    (results that could not ride a shared reservation), plus the
+    recovery counters every backend keeps.
     """
 
     name = "shm"
@@ -391,87 +442,159 @@ class ShmShardPool(ProcessShardPool):
     def __init__(self, state, n_workers: Optional[int] = None,
                  supervision: Optional[SupervisionConfig] = None,
                  stats: Optional[RuntimeStats] = None) -> None:
-        super().__init__(state, n_workers, supervision=supervision,
-                         stats=stats)
+        super().__init__(supervision, stats)
+        self._state = state
+        self._n_workers = resolve_worker_count(n_workers)
+        self._procs: Optional[List] = None
+        self._inboxes = None
+        self._outbox = None
+        self._context = None
+        self._fallback: Optional[SerialExecutor] = None
+        self._degraded: Optional[Executor] = None
+        self._tickets = itertools.count(1)
+        self.spawn_count = 0
         #: window id -> live segment record (the versioned registry).
         self._segments: Dict[int, _WindowSegment] = {}
         #: windows whose segment content no longer matches the state.
         self._stale: Set[int] = set()
-        #: None until probed on the first batch.
-        self._export_ok: Optional[bool] = None
-        self._shm_msgs: Dict[int, tuple] = {}
-        self._out_slots: Dict[int, Tuple[int, int, int]] = {}
         self._batch_in: Optional[shared_memory.SharedMemory] = None
         self._batch_out: Optional[shared_memory.SharedMemory] = None
-
-    # -- capability probe ----------------------------------------------
-    def _state_exports(self) -> bool:
-        probe = getattr(self._state, "supports_shm_export", None)
-        if probe is not None:
-            try:
-                ok = bool(probe())
-            except Exception:
-                ok = False
-        else:
-            ok = callable(getattr(self._state, "shm_export_window", None))
-        if not ok:
-            logger.warning(
-                "ShmShardPool: state %s does not export window trees; "
-                "running with forked-snapshot (process) semantics",
-                type(self._state).__name__)
-        return ok
-
-    def _export_active(self) -> bool:
-        return bool(self._export_ok) and self._degraded is None \
-            and self._fallback is None
+        _LIVE_POOLS.add(self)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            self._fall_back("the 'fork' start method is unavailable")
+        elif self._n_workers <= 1:
+            self._fall_back("worker count resolved to <= 1")
 
     @property
     def effective(self) -> str:
         if self._degraded is not None:
             return self._degraded.effective
-        if self._fallback is not None:
-            return "serial"
-        if self._export_ok is False:
-            return "process"
-        return "shm"
+        return "serial" if self._fallback is not None else "shm"
 
-    # -- batch staging --------------------------------------------------
+    def _fall_back(self, reason: str) -> None:
+        logger.warning(
+            "ShmShardPool: %s; falling back to SerialExecutor", reason)
+        self._fallback = SerialExecutor(
+            self._state, supervision=self.supervision,
+            stats=self.stats)
+
     def run(self, units: Sequence[WorkUnit]) -> List[Any]:
-        if units and self._degraded is None and self._fallback is None:
-            if self._export_ok is None:
-                self._export_ok = self._state_exports()
-            skip_inline = self._procs is None and len(units) <= 1
-            if self._export_ok and not skip_inline:
-                try:
-                    self._stage_batch(units)
-                except Exception as exc:
-                    # Staging never touched the workers, but their
-                    # forked snapshots may predate a version-bump
-                    # invalidation — drop everything and re-fork with
-                    # plain process semantics rather than risk stale
-                    # state.
-                    logger.warning(
-                        "ShmShardPool: shared-memory staging failed "
-                        "(%s: %s); reverting to forked-snapshot "
-                        "dispatch", type(exc).__name__, exc)
-                    self._export_ok = False
-                    self._drop_batch()
-                    self._unlink_segments()
-                    super().close()
+        if not units:
+            return []
+        if self._degraded is not None:
+            return self._degraded.run(units)
+        if self._fallback is not None:
+            return self._fallback.run(units)
+        if self._procs is None and len(units) <= 1:
+            # A single unit (e.g. the unsplit Base path) gains nothing
+            # from sharding: skip the fork and the staging entirely.
+            # It stays on this rung's ladder: once its retries are spent
+            # the pool degrades like a forked batch would.
+            try:
+                return [run_unit_supervised(self._state, units[0],
+                                            self.supervision, self.stats)]
+            except ExecutionError as exc:
+                return self._exhaust(units, [_PENDING], str(exc),
+                                     ExecutionError)
         try:
-            return super().run(units)
+            messages, out_slots = self._stage_batch(units)
+        except Exception as exc:
+            # _exhaust closes the pool, which also frees whatever the
+            # failed staging had already allocated.
+            return self._exhaust(
+                units, [_PENDING] * len(units),
+                f"shared-memory staging failed "
+                f"({type(exc).__name__}: {exc})", ExecutionError)
+        try:
+            slots = sorted({unit.window % self._n_workers
+                            for unit in units})
+            if not self._ensure_workers(slots):
+                return self._fallback.run(units)
+            return self._run_supervised(units, messages, out_slots)
         finally:
             self._drop_batch()
 
-    def _stage_batch(self, units: Sequence[WorkUnit]) -> None:
-        """Export stale window segments and build dispatch messages.
+    # -- worker lifecycle -----------------------------------------------
+    def _spawn_worker(self, slot: int) -> None:
+        """Fork one worker for *slot*."""
+        proc = self._context.Process(
+            target=_shm_worker_main,
+            args=(getattr(self._state, "_injector", None),
+                  self._inboxes[slot], self._outbox),
+            daemon=True)
+        proc.start()
+        self._procs[slot] = proc
+        self.spawn_count += 1
+
+    def _kill_worker(self, slot: int) -> None:
+        """Hard-stop one slot (crashed or hung) without the handshake.
+
+        The dead slot's inbox may still hold queued units (and a hung
+        worker never consumed them), so it is replaced wholesale — a
+        respawned worker must start from an empty queue or it would
+        replay stale dispatches.
+        """
+        proc = self._procs[slot]
+        if proc is not None:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=2.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=1.0)
+        self._procs[slot] = None
+        try:
+            self._inboxes[slot].close()
+        except (OSError, ValueError):
+            pass
+        self._inboxes[slot] = self._context.Queue()
+
+    def _ensure_workers(self, slots) -> bool:
+        """Fork workers for *slots* (lazily); False on fallback."""
+        try:
+            if self._procs is None:
+                context = multiprocessing.get_context("fork")
+                queues = []
+                try:
+                    outbox = context.Queue()
+                    queues.append(outbox)
+                    inboxes = []
+                    for _ in range(self._n_workers):
+                        inbox = context.Queue()
+                        queues.append(inbox)
+                        inboxes.append(inbox)
+                except OSError:
+                    # Partial queue creation (e.g. EMFILE): release what
+                    # exists before falling back — close() below would
+                    # skip the queues with _procs still None.
+                    for queue in queues:
+                        queue.close()
+                    raise
+                self._context = context
+                self._outbox = outbox
+                self._inboxes = inboxes
+                self._procs = [None] * self._n_workers
+            for slot in slots:
+                if self._procs[slot] is None:
+                    self._spawn_worker(slot)
+        except OSError as exc:
+            self.close()
+            self._fall_back(f"could not fork workers ({exc})")
+            return False
+        return True
+
+    # -- batch staging --------------------------------------------------
+    def _stage_batch(self, units: Sequence[WorkUnit]):
+        """Export stale window segments and build the dispatch messages.
 
         Runs entirely in the parent before any dispatch: per-window
         tree segments are refreshed (in place when the new layout
         fits), the batch's query blocks and row maps are packed into
         one input segment, and eligible units get output reservations.
+        Returns one message and one output slot — ``(base, rows,
+        width)``, or ``None`` when the result rides the queue — per
+        unit.
         """
-        stats = self.stats
         segments: Dict[int, _WindowSegment] = {}
         for unit in units:
             members = _fused_windows(unit.kind, unit.params)
@@ -505,7 +628,7 @@ class ShmShardPool(ProcessShardPool):
             width = _unit_output_width(
                 unit, segments[int(unit.window)].n_points)
             if width is None:
-                stats.queue_fallback_units += 1
+                self.stats.queue_fallback_units += 1
                 out_specs.append(None)
                 continue
             base = out_bytes
@@ -515,24 +638,26 @@ class ShmShardPool(ProcessShardPool):
             self._batch_out = shared_memory.SharedMemory(
                 name=_segment_name("out"), create=True, size=out_bytes)
 
-        for seq, unit in enumerate(units):
+        messages: List[tuple] = []
+        out_slots: List[Optional[Tuple[int, int, int]]] = []
+        for unit, (q_off, rows_off), spec in zip(units, in_offsets,
+                                                 out_specs):
             n_rows = len(unit.rows)
-            q_off, rows_off = in_offsets[seq]
-            out_spec = None
-            if out_specs[seq] is not None:
-                base, width = out_specs[seq]
+            out_spec = out_slot = None
+            if spec is not None:
+                base, width = spec
                 out_spec = (self._batch_out.name, base, width)
-                self._out_slots[seq] = (base, n_rows, width)
+                out_slot = (base, n_rows, width)
             members = _fused_windows(unit.kind, unit.params)
             if members is not None:
                 tree_desc = tuple(segments[w].descriptor for w in members)
             else:
                 tree_desc = segments[int(unit.window)].descriptor
-            self._shm_msgs[seq] = (
-                _SHM_UNIT, int(unit.window), unit.kind, dict(unit.params),
-                tree_desc,
-                (self._batch_in.name, q_off, rows_off, n_rows),
-                out_spec)
+            messages.append((
+                int(unit.window), unit.kind, dict(unit.params), tree_desc,
+                (self._batch_in.name, q_off, rows_off, n_rows), out_spec))
+            out_slots.append(out_slot)
+        return messages, out_slots
 
     def _export_window(self, window: int) -> _WindowSegment:
         """Refresh (or create) *window*'s segment from the live state.
@@ -573,29 +698,18 @@ class ShmShardPool(ProcessShardPool):
         self.stats.segments_live = len(self._segments)
         return record
 
-    # -- ProcessShardPool hooks ----------------------------------------
-    def _worker_target(self):
-        return _shm_worker_main
-
-    def _encode_unit(self, seq: int, unit: WorkUnit):
-        return self._shm_msgs.get(seq, unit)
-
-    def _decode_result(self, seq: int, unit: WorkUnit, payload):
+    def _read_result(self, payload, out_slot):
+        """A worker's success *payload* as the unit's result: the
+        result itself when it rode the queue, else a copy out of the
+        unit's output reservation."""
         if not (isinstance(payload, str) and payload == _SHM_RESULT):
             return payload
-        base, n_rows, width = self._out_slots[seq]
+        base, n_rows, width = out_slot
         views = _result_views(self._batch_out.buf, base, n_rows, width)
-        return BatchQueryResult(views[0].copy(), views[1].copy(),
-                                views[2].copy(), views[3].copy(),
-                                views[4].copy())
-
-    def _release_batch(self) -> None:
-        self._drop_batch()
+        return BatchQueryResult(*(view.copy() for view in views))
 
     def _drop_batch(self) -> None:
-        """Free the per-batch input/output segments and messages."""
-        self._shm_msgs.clear()
-        self._out_slots.clear()
+        """Free the per-batch input/output segments."""
         for attr in ("_batch_in", "_batch_out"):
             seg = getattr(self, attr)
             if seg is None:
@@ -607,33 +721,184 @@ class ShmShardPool(ProcessShardPool):
             except Exception:
                 pass
 
+    # -- supervised drain loop -----------------------------------------
+    def _run_supervised(self, units: Sequence[WorkUnit], messages,
+                        out_slots) -> List[Any]:
+        """Dispatch *units* and drain results under fault supervision.
+
+        Bookkeeping per unit: the current dispatch ticket (stale-ticket
+        results are discarded) and the attempt count; per slot: the
+        FIFO of outstanding unit seqs and the time of the slot's last
+        progress (dispatch or delivered result) — the hang detector's
+        clock.  Workers process their inbox in order, so the head of a
+        slot's FIFO is always the unit a crashed/hung worker was
+        executing: it takes the blame (and the retry accounting) while
+        the rest of the FIFO is re-dispatched for free.
+        """
+        sup = self.supervision
+        results: List[Any] = [_PENDING] * len(units)
+        attempts = [1] * len(units)
+        tickets: List[Optional[int]] = [None] * len(units)
+        slot_of = [unit.window % self._n_workers for unit in units]
+        slot_fifo: Dict[int, List[int]] = {}
+        last_progress: Dict[int, float] = {}
+        poll = _RESULT_POLL_S if sup.unit_timeout is None else \
+            min(_RESULT_POLL_S, max(0.01, sup.unit_timeout / 4.0))
+
+        def dispatch(seq: int) -> None:
+            ticket = next(self._tickets)
+            tickets[seq] = ticket
+            slot_fifo.setdefault(slot_of[seq], []).append(seq)
+            self._inboxes[slot_of[seq]].put((ticket, seq, messages[seq]))
+
+        for seq in range(len(units)):
+            dispatch(seq)
+        now = time.monotonic()
+        for slot in slot_fifo:
+            last_progress[slot] = now
+
+        remaining = len(units)
+        while remaining:
+            try:
+                ticket, seq, ok, payload = self._outbox.get(timeout=poll)
+            except queue_mod.Empty:
+                exhausted = self._check_slots(units, attempts, tickets,
+                                              slot_fifo, last_progress,
+                                              dispatch)
+                if exhausted is not None:
+                    return self._exhaust(units, results, *exhausted)
+                continue
+            if tickets[seq] != ticket:
+                # Stale: a killed worker's late result, or a leftover
+                # from a previous batch — the re-dispatch owns the unit.
+                logger.warning(
+                    "ShmShardPool: discarding stale result for unit %d "
+                    "(ticket %d)", seq, ticket)
+                continue
+            slot = slot_of[seq]
+            last_progress[slot] = time.monotonic()
+            slot_fifo[slot].remove(seq)
+            if ok:
+                results[seq] = self._read_result(payload, out_slots[seq])
+                tickets[seq] = None
+                remaining -= 1
+                continue
+            type_name, message, retryable = payload
+            if not retryable:
+                self.close()
+                raise ValidationError(message)
+            failure = f"{type_name}: {message}"
+            if attempts[seq] <= sup.max_retries:
+                attempts[seq] += 1
+                self.stats.retries += 1
+                logger.warning(
+                    "ShmShardPool: unit %d (window %d) failed in worker "
+                    "(%s); retry %d/%d", seq, units[seq].window,
+                    failure, attempts[seq] - 1, sup.max_retries)
+                dispatch(seq)
+                continue
+            return self._exhaust(
+                units, results,
+                f"unit for window {units[seq].window} failed "
+                f"{attempts[seq]} time(s) in workers ({failure})",
+                ExecutionError)
+        return results
+
+    def _check_slots(self, units, attempts, tickets, slot_fifo,
+                     last_progress, dispatch):
+        """Death / hang sweep over every slot with outstanding units.
+
+        Returns ``None`` when recovery succeeded (or nothing was
+        wrong), else the ``(detail, error type)`` pair of an exhausted
+        unit — the caller walks the degradation ladder with it.
+        """
+        sup = self.supervision
+        now = time.monotonic()
+        for slot, fifo in slot_fifo.items():
+            if not fifo:
+                continue
+            proc = self._procs[slot]
+            dead = proc is None or not proc.is_alive()
+            hung = (not dead and sup.unit_timeout is not None
+                    and now - last_progress[slot] > sup.unit_timeout)
+            if not dead and not hung:
+                continue
+            head = fifo[0]
+            if hung:
+                self.stats.timeouts += 1
+                kind, error = "exceeded the unit timeout", \
+                    WorkerTimeoutError
+                logger.warning(
+                    "ShmShardPool: worker slot %d exceeded the %.3gs "
+                    "unit timeout on unit %d (window %d); killing and "
+                    "respawning", slot, sup.unit_timeout, head,
+                    units[head].window)
+            else:
+                kind, error = "died", ExecutionError
+                logger.warning(
+                    "ShmShardPool: worker slot %d died on unit %d "
+                    "(window %d); respawning", slot, head,
+                    units[head].window)
+            self._kill_worker(slot)
+            if attempts[head] > sup.max_retries:
+                return (f"worker serving window {units[head].window} "
+                        f"{kind} {attempts[head]} time(s)", error)
+            attempts[head] += 1
+            self.stats.retries += 1
+            self.stats.respawns += 1
+            self._spawn_worker(slot)
+            redispatch = list(fifo)
+            fifo.clear()
+            for seq in redispatch:
+                dispatch(seq)
+            last_progress[slot] = time.monotonic()
+        return None
+
+    def _exhaust(self, units, results, detail, error):
+        """A unit is out of retries (or the batch could not be staged):
+        degrade the pool, or raise."""
+        if not self.supervision.degradation:
+            self.close()
+            raise error(
+                f"ShmShardPool: {detail} and degradation is disabled")
+        logger.warning(
+            "ShmShardPool: %s; degrading to the thread backend", detail)
+        self.stats.degradations.append("shm->thread")
+        self.close()
+        self._degraded = ThreadExecutor(
+            self._state, self._n_workers, supervision=self.supervision,
+            stats=self.stats)
+        todo = [seq for seq, value in enumerate(results)
+                if value is _PENDING]
+        finished = self._degraded.run([units[seq] for seq in todo])
+        for seq, value in zip(todo, finished):
+            results[seq] = value
+        return results
+
     # -- invalidation as version bumps ---------------------------------
+    def _surviving_slots(self, slots) -> int:
+        """Live workers among *slots*: the forks an invalidation did
+        not need."""
+        if self._procs is None:
+            return 0
+        return sum(1 for slot in slots if self._procs[slot] is not None)
+
     def reset_workers(self) -> None:
         """Mark the whole registry stale; workers stay resident.
 
         The state owner mutated in place: every window re-exports from
-        the live state on its next dispatch, but no slot is torn down —
-        workers never consult their forked snapshot for exported units.
-        Without an exporting state this falls back to the inherited
-        teardown (forked snapshots are the only state carrier there).
+        the live state on its next dispatch, but no slot is torn down.
         """
-        if not self._export_active() or self._procs is None:
-            super().reset_workers()
-            return
-        self._stale.update(self._segments.keys())
-        self.stats.forks_avoided += sum(
-            1 for proc in self._procs if proc is not None)
+        self._stale.update(self._segments)
+        self.stats.forks_avoided += self._surviving_slots(
+            range(self._n_workers))
 
     def invalidate_windows(self, windows: Sequence[int]) -> None:
         """Version-bump only *windows*; no worker slot is stopped."""
-        if not self._export_active() or self._procs is None:
-            super().invalidate_windows(windows)
-            return
         touched = {int(w) for w in windows}
         self._stale.update(touched & set(self._segments))
-        slots = {w % self._n_workers for w in touched}
-        self.stats.forks_avoided += sum(
-            1 for slot in slots if self._procs[slot] is not None)
+        self.stats.forks_avoided += self._surviving_slots(
+            {w % self._n_workers for w in touched})
 
     def release_windows(self, windows: Sequence[int]) -> None:
         """Retire *windows* for good: unlink their segments **now**.
@@ -643,12 +908,7 @@ class ShmShardPool(ProcessShardPool):
         until pool ``close()`` would grow ``/dev/shm`` with tenant
         churn.  Workers that still cache an attachment merely hold the
         (now anonymous) pages until their bounded tree cache evicts it.
-        Without an exporting registry this degrades to the inherited
-        invalidation (forked snapshots are dropped slot-wise).
         """
-        if not self._segments:
-            super().release_windows(windows)
-            return
         for window in {int(w) for w in windows}:
             record = self._segments.pop(window, None)
             if record is not None:
@@ -656,13 +916,18 @@ class ShmShardPool(ProcessShardPool):
             self._stale.discard(window)
         self.stats.segments_live = len(self._segments)
 
-    def holds_forked_state(self) -> bool:
-        """Export-mode workers never consult their forked snapshot for
-        exported units — state arrives through named segments staged at
-        dispatch time — so late-attached shard states need no re-fork."""
-        return super().holds_forked_state() and not self._export_active()
+    def fusion_slot(self, window: int) -> Optional[int]:
+        """Window affinity is ``window % n_workers``; fusing within one
+        affinity stripe keeps every window's units on its pinned slot,
+        so invalidation and the ticket protocol see fused units exactly
+        like per-window ones."""
+        if self._degraded is not None:
+            return self._degraded.fusion_slot(window)
+        if self._fallback is not None:
+            return self._fallback.fusion_slot(window)
+        return int(window) % self._n_workers
 
-    # -- segment hygiene ------------------------------------------------
+    # -- teardown and segment hygiene ----------------------------------
     def _unlink_one(self, record: _WindowSegment) -> None:
         try:
             record.shm.close()
@@ -682,14 +947,74 @@ class ShmShardPool(ProcessShardPool):
         self.stats.segments_live = 0
 
     def close(self) -> None:
-        super().close()
+        if self._degraded is not None:
+            self._degraded.close()
+        if self._procs is not None:
+            for slot, proc in enumerate(self._procs):
+                if proc is None:
+                    continue
+                try:
+                    self._inboxes[slot].put(None)
+                except (OSError, ValueError):
+                    pass
+                proc.join(timeout=5.0)
+                if proc.is_alive():
+                    proc.terminate()
+            # Results from live workers may still sit in the outbox (and
+            # unread dispatches in the inboxes): drain everything before
+            # teardown so a later re-fork can never consume a stale
+            # ``(ticket, seq, ...)`` from a previous batch.
+            for inbox in self._inboxes:
+                _drain_queue(inbox)
+                inbox.close()
+            stale = _drain_queue(self._outbox)
+            if stale:
+                logger.warning(
+                    "ShmShardPool: discarded %d stale result(s) while "
+                    "closing", stale)
+            self._outbox.close()
+            self._procs = self._inboxes = self._outbox = self._context = None
         self._drop_batch()
         self._unlink_segments()
 
     def terminate_workers(self) -> None:
-        super().terminate_workers()
+        """Hard-stop every worker without the shutdown handshake and
+        unlink every segment.
+
+        The ``atexit`` sweep path: an un-``close()``-d pool at
+        interpreter exit must not leak children (a hung worker ignores
+        the sentinel handshake entirely), so workers are terminated
+        outright and the queues drained and dropped.
+        """
+        if self._procs is not None:
+            for proc in self._procs:
+                if proc is not None and proc.is_alive():
+                    proc.terminate()
+            for proc in self._procs:
+                if proc is not None:
+                    proc.join(timeout=1.0)
+                    if proc.is_alive():
+                        proc.kill()
+            for inbox in self._inboxes:
+                _drain_queue(inbox)
+                try:
+                    inbox.close()
+                except (OSError, ValueError):
+                    pass
+            _drain_queue(self._outbox)
+            try:
+                self._outbox.close()
+            except (OSError, ValueError):
+                pass
+            self._procs = self._inboxes = self._outbox = self._context = None
         self._drop_batch()
         self._unlink_segments()
+
+    def __del__(self) -> None:
+        try:
+            self.close()
+        except Exception:
+            pass
 
 
 EXECUTOR_BACKENDS["shm"] = ShmShardPool

@@ -17,7 +17,7 @@ execution is delegated to the window-shard runtime
 (:mod:`repro.runtime`): the index emits one
 :class:`~repro.runtime.executor.WorkUnit` per serving window and a
 :class:`~repro.runtime.scheduler.WindowScheduler` runs them on the
-selected executor backend (serial / thread / process).  Invariants the
+selected executor backend (serial / thread / shm / fleet).  Invariants the
 batched dispatch preserves on every backend:
 
 * **input-order stability** — results come back row-for-row in the order
@@ -351,8 +351,8 @@ class ChunkedIndex:
     buckets a query block by serving window and routes each window's
     sub-batch through the window-shard runtime (:mod:`repro.runtime`);
     the ``executor`` knob selects the backend (``"serial"``,
-    ``"thread"``, ``"process"``), and results are scattered back in
-    input order whichever backend runs them.
+    ``"thread"``, ``"shm"``, ``"fleet"``), and results are scattered
+    back in input order whichever backend runs them.
 
     The chunk→window LUT, per-window membership, and per-window kd-trees
     are built lazily and invalidated on any mutation of chunk membership
@@ -502,8 +502,8 @@ class ChunkedIndex:
     def invalidate(self) -> None:
         """Drop the LUT / membership / tree caches and the runtime.
 
-        Any executor workers holding forked copies of the old state are
-        shut down; the next batch call rebuilds everything from the
+        Any executor workers (and their shared-memory window segments)
+        are shut down; the next batch call rebuilds everything from the
         current chunk assignment.
         """
         self.close()
@@ -544,10 +544,10 @@ class ChunkedIndex:
         :meth:`set_assignment` (which tears the whole runtime down),
         this keeps the :class:`~repro.runtime.scheduler.WindowScheduler`
         — and any live thread pool — alive for the session's lifetime
-        and only asks the executor to drop worker-held *snapshots*
-        (forked processes re-fork from the new state on the next
-        batch; serial and thread backends read live state and keep
-        running untouched).
+        and only asks the executor to mark the changed windows stale
+        (the shm pool re-exports their segments on the next batch;
+        serial and thread backends read live state and keep running
+        untouched).
 
         When the new frame's chunk occupancy matches the previous
         frame's (same point count, identical chunk assignment, same
@@ -557,10 +557,10 @@ class ChunkedIndex:
         per-chunk rollup → per-window membership test) finds the windows
         whose member coordinates actually moved, and only those rebuild,
         inline, before this call returns.  Clean windows keep their
-        kd-tree objects, content versions, and — on the process
-        backend — their workers' forked snapshots
+        kd-tree objects, content versions, and — on the shm backend —
+        their shared-memory segments
         (:meth:`~repro.runtime.scheduler.WindowScheduler.invalidate_windows`
-        drops only the dirty windows' workers).  A dirty window whose
+        marks only the dirty windows stale).  A dirty window whose
         new coordinates are *identical* to some previous window's (the
         rolling-stream case: a sliding frame advancing by whole chunks
         shifts window ``w``'s content into window ``w - 1``) reuses that
@@ -717,7 +717,7 @@ class ChunkedIndex:
 
         The scheduler sees this index through a :class:`WeakShardState`
         so dropping the index refcount-collects the whole runtime
-        (closing any forked worker pool) without waiting for cyclic GC.
+        (closing any worker pool) without waiting for cyclic GC.
         """
         if self._scheduler is None:
             self._ensure_built()
@@ -787,8 +787,9 @@ class ChunkedIndex:
     def run_unit(self, unit: WorkUnit):
         """Shard-state protocol: answer one window's work unit.
 
-        Runs in executor workers (forked copies of this index included);
-        results are window-local — the parent remaps indices through the
+        Runs in this process (the shm pool's workers run units on trees
+        attached from :meth:`shm_export_window` instead); results are
+        window-local — the parent remaps indices through the
         window's member table when scattering.  Fused arena units carry
         their member windows in ``params["windows"]`` and come back as
         one window-local result per member.

@@ -11,11 +11,12 @@ frame over frame:
 
 * **one scheduler lifetime per session** — the session owns a single
   :class:`~repro.spatial.neighbors.ChunkedIndex` whose
-  :class:`~repro.runtime.scheduler.WindowScheduler` (and any thread
+  :class:`~repro.runtime.scheduler.WindowScheduler` (and any worker
   pool) lives for the whole session; frames arrive through
   :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`, which
-  only asks the executor to drop worker-held state *snapshots* (the
-  forked process pool re-forks lazily from the new frame's state);
+  only asks the executor to mark the changed windows stale (the shm
+  pool re-exports just those windows' segments on the next batch, its
+  workers still running);
 * **drift-gated deadline calibration** — the termination deadline is
   profiled on frame 0 (uncapped traversals through the session's own
   windowed trees) and re-profiled only when a cheap per-frame drift
@@ -29,8 +30,8 @@ frame over frame:
   :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`, which
   rebuilds the dirty trees inline with the level-synchronous
   :class:`~repro.spatial.kdtree.KDTree` build); clean
-  windows keep their kd-tree objects — and, on the process backend,
-  their workers' forked snapshots — while a dirty window whose
+  windows keep their kd-tree objects — and, on the shm backend,
+  their shared-memory segments — while a dirty window whose
   coordinates are *identical* to some previous window's (a rolling
   stream advancing by whole chunks slides window ``w + 1``'s content
   into window ``w``) reuses that tree outright (bit-exact: tree

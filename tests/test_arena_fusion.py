@@ -54,7 +54,7 @@ from repro.spatial.neighbors import WindowResultCache
 from repro.streaming import StreamSession
 
 WORKERS = 2
-BACKENDS = ["serial", "thread", "process", "shm", "fleet"]
+BACKENDS = ["serial", "thread", "shm", "fleet"]
 
 
 def _per_window(backend_cls):
@@ -391,8 +391,8 @@ def test_fused_unit_raise_retries_bit_safe(rng):
 
 
 def test_fused_unit_crash_respawns_bit_safe(rng):
-    """A worker crash mid-arena on the forked pool respawns the slot
-    and re-dispatches the fused unit bit-safe."""
+    """A worker crash mid-arena on the shm pool respawns the slot and
+    re-dispatches the fused unit bit-safe."""
     pts = np.random.default_rng(7).uniform(0, 1, size=(400, 3))
     queries = np.random.default_rng(8).uniform(0, 1, size=(120, 3))
     plain, grid = _windowed_index(pts, PER_WINDOW_SERIAL)
@@ -400,13 +400,13 @@ def test_fused_unit_crash_respawns_bit_safe(rng):
     want = plain.query_knn_batch(queries, chunks, 4, max_steps=18)
     plain.close()
     injector = FaultInjector([FaultSpec(kind="crash", window=0)])
-    index, _ = _windowed_index(pts, injector.executor("process"),
+    index, _ = _windowed_index(pts, injector.executor("shm"),
                                supervision=SupervisionConfig(
                                    unit_timeout=5.0))
     try:
         got = index.query_knn_batch(queries, chunks, 4, max_steps=18)
         _assert_batches_equal(got, want)
-        if index.effective_executor != "process":
+        if index.effective_executor != "shm":
             pytest.skip("fork unavailable; pool fell back")
         assert injector.fire_counts == [1]
         assert index.stats.retries == 1

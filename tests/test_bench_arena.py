@@ -23,7 +23,7 @@ def test_bench_arena_fusion_smoke(tmp_path):
     payload = bench_arena_fusion.smoke(tmp_output=output)
     assert os.path.exists(output)
     backends = {row["backend"] for row in payload["results"]}
-    assert backends == {"serial", "thread", "process"}
+    assert backends == {"serial", "thread", "shm"}
     # 3 backends x 2 ops.
     assert len(payload["results"]) == 6
     for row in payload["results"]:
@@ -32,7 +32,7 @@ def test_bench_arena_fusion_smoke(tmp_path):
         assert row["fused_fps"] > 0 and row["per_window_fps"] > 0
         # The equality gate ran inside run() on every frame.
         assert row["equal"] is True
-        assert row["effective"] in ("serial", "thread", "process")
+        assert row["effective"] in ("serial", "thread", "shm")
         if row["backend"] == "serial":
             # One fusion slot: every frame fuses all 8 windows into a
             # single launch per dispatched op.

@@ -27,8 +27,8 @@ def test_bench_fault_recovery_smoke(tmp_path):
     assert os.path.exists(output)
     rows = payload["results"]
     assert [(row["backend"], row["schedule"]) for row in rows] == [
-        ("serial", "none"), ("process", "none"),
-        ("process", "crash"), ("process", "mixed")]
+        ("serial", "none"), ("shm", "none"),
+        ("shm", "crash"), ("shm", "mixed")]
     # The correctness gate inside run() already asserted bit-equality
     # against the fault-free serial reference; check the bookkeeping.
     assert payload["all_faulty_rows_fired"]

@@ -43,7 +43,7 @@ def test_bench_fleet_service_smoke(tmp_path):
         # fleet's shm inner, dedicated rows their private pools.
         assert row["fleet_effective"] == ["fleet:shm"] * row["sessions"]
         assert row["dedicated_effective"] == \
-            ["process"] * row["sessions"]
+            ["shm"] * row["sessions"]
         # Nothing was shed on a clean run.
         assert row["fleet_shed"] == 0
         assert len(row["tenants"]) == row["sessions"]

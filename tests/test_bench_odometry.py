@@ -25,7 +25,7 @@ def test_bench_odometry_session_smoke(tmp_path):
     payload = bench_odometry_session.smoke(tmp_output=output)
     assert os.path.exists(output)
     backends = [row["backend"] for row in payload["results"]]
-    assert backends == ["serial", "thread", "process"]
+    assert backends == ["serial", "thread", "shm"]
     n_scans = payload["workload"]["n_scans"]
     for row in payload["results"]:
         for mode in ("oneshot", "batched", "warm"):
@@ -33,7 +33,7 @@ def test_bench_odometry_session_smoke(tmp_path):
             assert row[f"{mode}_sps"] == pytest.approx(
                 n_scans / row[f"{mode}_s"])
             assert row[f"{mode}_effective"] in ("serial", "thread",
-                                                "process")
+                                                "shm")
         assert row["warm_over_oneshot"] == pytest.approx(
             row["oneshot_s"] / row["warm_s"])
         assert row["warm_over_batched"] == pytest.approx(

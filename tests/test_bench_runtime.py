@@ -1,6 +1,6 @@
 """Smoke test for the window-shard runtime benchmark harness.
 
-Runs the serial / thread / process / shm comparison on a tiny workload
+Runs the serial / thread / shm comparison on a tiny workload
 so tier-1 exercises the harness (including the backend-vs-serial
 equality check and the bucketed-vs-padded grouping gate) without paying
 for the real timing run.
@@ -24,45 +24,31 @@ def test_bench_runtime_shards_smoke(tmp_path):
     payload = bench_runtime_shards.smoke(tmp_output=output)
     assert os.path.exists(output)
     backends = {row["backend"] for row in payload["results"]}
-    assert backends == {"serial", "thread", "process", "shm"}
+    assert backends == {"serial", "thread", "shm"}
     configs = {row["config"] for row in payload["results"]}
     assert configs == {"serial-8w", "spatial-16w"}
     # Both configurations qualify as many-window (>= 8 windows).
     assert all(row["windows"] >= 8 for row in payload["results"])
-    # 2 configs x 4 backends x 2 ops.
-    assert len(payload["results"]) == 16
+    # 2 configs x 3 backends x 2 ops.
+    assert len(payload["results"]) == 12
     for row in payload["results"]:
         assert row["best_s"] > 0
         assert row["throughput_qps"] > 0
-        assert row["effective"] in ("serial", "thread", "process", "shm")
-    assert len(payload["process_over_serial"]) == 4
-    for ratio in payload["process_over_serial"]:
-        assert isinstance(ratio["process_effective"], bool)
+        assert row["effective"] in ("serial", "thread", "shm")
     assert len(payload["shm_over_serial"]) == 4
     for ratio in payload["shm_over_serial"]:
         assert isinstance(ratio["shm_effective"], bool)
     # The headline may only count rows that genuinely ran the forked
-    # pool.  ProcessShardPool can legitimately fall back at runtime
-    # even where "fork" is listed (e.g. fork() fails under a pid
-    # limit), so assert payload self-consistency rather than
-    # hard-requiring the pool.
-    effective_process = [row["effective"] == "process"
-                         for row in payload["results"]
-                         if row["backend"] == "process"]
-    assert payload["process_pool_exercised"] == any(effective_process)
-    if "fork" not in multiprocessing.get_all_start_methods():
-        assert not payload["process_pool_exercised"]
-    if payload["process_pool_exercised"]:
-        assert payload["best_process_over_serial"] > 0
-    else:
-        assert payload["best_process_over_serial"] == 0.0
-        assert not payload["process_ge_serial"]
-    # Same self-consistency for the zero-copy pool (it degrades through
-    # the same ladder when fork is unavailable).
+    # pool.  ShmShardPool can legitimately fall back at runtime even
+    # where "fork" is listed (e.g. fork() fails under a pid limit), so
+    # assert payload self-consistency rather than hard-requiring the
+    # pool.
     effective_shm = [row["effective"] == "shm"
                      for row in payload["results"]
                      if row["backend"] == "shm"]
     assert payload["shm_pool_exercised"] == any(effective_shm)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        assert not payload["shm_pool_exercised"]
     if payload["shm_pool_exercised"]:
         assert payload["best_shm_over_serial"] > 0
     else:

@@ -8,6 +8,9 @@ frame rolls the warm session back to the last good frame, and
 ``on_error="skip"`` quarantines failures without poisoning the stream.
 """
 
+import errno
+import multiprocessing
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -25,19 +28,18 @@ from repro.runtime import (
     FaultSpec,
     FaultyState,
     InjectedFaultError,
-    ProcessShardPool,
     RuntimeStats,
     SingleWindowState,
     SupervisionConfig,
     WorkUnit,
     resolve_executor,
 )
-from repro.runtime.executor import _LIVE_POOLS, _terminate_orphaned_pools
+from repro.runtime.shm import _LIVE_POOLS, _terminate_orphaned_pools
 from repro.spatial import ChunkGrid, ChunkedIndex, KDTree, chunk_windows
 from repro.streaming import FramePlan, StreamSession
 
 WORKERS = 2
-BACKENDS = ["serial", "thread", "process", "shm"]
+BACKENDS = ["serial", "thread", "shm"]
 
 
 # ----------------------------------------------------------------------
@@ -101,15 +103,14 @@ def test_fault_matrix_bit_equal(rng, backend, kind):
     else:
         assert stats.retries == 1
         assert stats.degradations == []
-    if (backend in ("process", "shm")
-            and index.effective_executor in ("process", "shm")):
+    if backend == "shm" and index.effective_executor == "shm":
         if kind in ("crash", "hang"):
             assert stats.respawns == 1
         assert stats.timeouts == (1 if kind == "hang" else 0)
     index.close()
 
 
-def test_exact_counter_accounting_process(rng):
+def test_exact_counter_accounting_shm(rng):
     """One crash + one hang + one in-unit raise → exactly accounted."""
     want = _reference(np.random.default_rng(42), n=400)
     # The pool fuses each affinity stripe (window % 2) into one arena
@@ -123,12 +124,12 @@ def test_exact_counter_accounting_process(rng):
         FaultSpec(kind="raise", window=4, nth=2),
     ])
     index, pts, assignment = _index(
-        np.random.default_rng(42), executor=injector.executor("process"),
+        np.random.default_rng(42), executor=injector.executor("shm"),
         supervision=SupervisionConfig(unit_timeout=1.5), n=400)
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
-    if index.effective_executor != "process":
+    if index.effective_executor != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     assert injector.fire_counts == [1, 1, 1]
@@ -137,16 +138,16 @@ def test_exact_counter_accounting_process(rng):
     assert stats.timeouts == 1          # the hang
     assert stats.respawns == 2          # the crash and the hang
     assert stats.degradations == []
-    assert index.effective_executor == "process"
+    assert index.effective_executor == "shm"
     assert index.stats.arena_launches >= 2
     index.close()
 
 
 def test_degradation_ladder_exhausts_to_serial(rng):
-    """A persistent fault walks process → thread → serial, bit-equal.
+    """A persistent fault walks shm → thread → serial, bit-equal.
 
     With ``max_retries=0`` each rung gets one attempt; a fault firing
-    twice burns the process and thread rungs and the serial rung
+    twice burns the shm and thread rungs and the serial rung
     completes.  The ladder steps are recorded in order and the pool
     stays on the last rung for later batches (permanent fallback only
     after exhaustion — and here it *was* exhausted).
@@ -154,17 +155,17 @@ def test_degradation_ladder_exhausts_to_serial(rng):
     want = _reference(np.random.default_rng(7))
     injector = FaultInjector([FaultSpec(kind="raise", window=4, times=2)])
     index, pts, assignment = _index(
-        np.random.default_rng(7), executor=injector.executor("process"),
+        np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, unit_timeout=5.0))
     pool = index._runtime().executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
     _assert_batches_equal(got, want)
     stats = index.stats
-    assert stats.degradations == ["process->thread", "thread->serial"]
+    assert stats.degradations == ["shm->thread", "thread->serial"]
     assert index.effective_executor == "serial"
     # Later batches stay on the exhausted rung and still match.
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
@@ -195,23 +196,69 @@ def _degrade_a_lone_unit(rng, backend, step):
 
 def test_thread_rung_degrades_a_lone_unit(rng):
     """The thread rung walks on to serial even for a one-unit batch —
-    what the process rung hands over when the other slots' units had
+    what the shm rung hands over when the other slots' units had
     already finished."""
     _degrade_a_lone_unit(rng, "thread", "thread->serial")
 
 
-@pytest.mark.parametrize("backend", ["process", "shm"])
+@pytest.mark.parametrize("backend", ["shm"])
 def test_pool_rung_degrades_a_lone_unit(rng, backend):
-    """A cold process or shm pool runs a lone unit (the unsplit Base
-    path) inline, and still walks on down the ladder when it fails."""
-    _degrade_a_lone_unit(rng, backend, "process->thread")
+    """A cold shm pool runs a lone unit (the unsplit Base path) inline,
+    and still walks on down the ladder when it fails."""
+    _degrade_a_lone_unit(rng, backend, "shm->thread")
+
+
+def _own_segments():
+    """This process's live ``repro-*`` shared-memory segments."""
+    prefix = f"repro-{os.getpid()}-"
+    if not os.path.isdir("/dev/shm"):
+        return []
+    return [name for name in os.listdir("/dev/shm")
+            if name.startswith(prefix)]
+
+
+@pytest.mark.parametrize("degradation", [True, False])
+def test_shm_staging_failure_takes_the_ladder(monkeypatch, degradation):
+    """A batch the shm pool cannot stage (``/dev/shm`` full) is a
+    recorded ladder step, not a silent switch of transports; with the
+    ladder off it raises like any exhausted unit.  Nothing leaks."""
+    from multiprocessing import shared_memory
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork unavailable; the pool never stages")
+    want = _reference(np.random.default_rng(5), n=400)
+    real = shared_memory.SharedMemory
+
+    def full_dev_shm(name=None, create=False, size=0):
+        if create:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(name=name, create=create, size=size)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", full_dev_shm)
+    index, pts, assignment = _index(
+        np.random.default_rng(5), executor="shm", n=400,
+        supervision=SupervisionConfig(degradation=degradation))
+    try:
+        if not degradation:
+            with pytest.raises(ExecutionError, match="staging failed"):
+                index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                      max_steps=20)
+            return
+        got = index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                    max_steps=20)
+        _assert_batches_equal(got, want)
+        assert index.stats.degradations == ["shm->thread"]
+        assert index.effective_executor == "thread"
+    finally:
+        index.close()
+        assert _own_segments() == []
 
 
 def test_exhausted_serial_rung_raises_execution_error(rng):
     """A fault outliving every rung surfaces as ExecutionError."""
     injector = FaultInjector([FaultSpec(kind="raise", window=4, times=50)])
     index, pts, assignment = _index(
-        np.random.default_rng(7), executor=injector.executor("process"),
+        np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, unit_timeout=5.0))
     with pytest.raises(ExecutionError):
         index.query_knn_batch(pts[::3], assignment[::3], 4, max_steps=20)
@@ -221,7 +268,7 @@ def test_exhausted_serial_rung_raises_execution_error(rng):
 def test_degradation_disabled_raises(rng):
     injector = FaultInjector([FaultSpec(kind="raise", window=4, times=50)])
     index, pts, assignment = _index(
-        np.random.default_rng(7), executor=injector.executor("process"),
+        np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, degradation=False))
     with pytest.raises(ExecutionError):
         index.query_knn_batch(pts[::3], assignment[::3], 4, max_steps=20)
@@ -255,10 +302,10 @@ def test_validation_error_is_never_retried(rng):
 def test_stale_ticket_results_are_discarded(rng):
     """A late result from a killed worker can never scatter wrong seqs."""
     index, pts, assignment = _index(np.random.default_rng(3),
-                                    executor="process")
+                                    executor="shm")
     index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
     pool = index._runtime().executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     # Forge a stale result: its ticket can never match a live dispatch.
@@ -273,10 +320,10 @@ def test_stale_ticket_results_are_discarded(rng):
 def test_atexit_sweep_terminates_orphans(rng):
     """The atexit sweep hard-stops un-close()d pools' children."""
     index, pts, assignment = _index(np.random.default_rng(3),
-                                    executor="process")
+                                    executor="shm")
     index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
     pool = index._runtime().executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
     assert pool in _LIVE_POOLS

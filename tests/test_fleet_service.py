@@ -136,7 +136,7 @@ def test_fleet_is_a_config_choice():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("splitting", [SPATIAL, SERIAL],
                          ids=["spatial", "serial-mode"])
-@pytest.mark.parametrize("inner", ["serial", "thread", "process", "shm"])
+@pytest.mark.parametrize("inner", ["serial", "thread", "shm"])
 def test_fleet_matches_dedicated_pool(inner, splitting):
     frames = _frames(seed=3)
     reference = _run_session("serial", frames, splitting)
@@ -222,7 +222,7 @@ def test_crash_in_one_tenant_leaves_the_other_untouched():
     injector = FaultInjector([
         FaultSpec("crash", window=namespaced_window(0, 1), nth=1)])
     fleet = ShardFleet(FleetConfig(
-        backend=injector.executor("process"), n_workers=2,
+        backend=injector.executor("shm"), n_workers=2,
         supervision=SupervisionConfig(max_retries=2)))
     try:
         with StreamSession(_config(fleet), k=4) as sa, \
@@ -285,7 +285,7 @@ def test_hang_in_one_tenant_leaves_the_other_untouched():
         FaultSpec("hang", window=namespaced_window(0, 0), nth=1,
                   duration=30.0)])
     fleet = ShardFleet(FleetConfig(
-        backend=injector.executor("process"), n_workers=2,
+        backend=injector.executor("shm"), n_workers=2,
         supervision=SupervisionConfig(unit_timeout=0.5, max_retries=2)))
     try:
         with StreamSession(_config(fleet), k=4) as sa, \

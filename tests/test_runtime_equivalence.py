@@ -1,15 +1,14 @@
 """Executor-independence of the window-shard runtime.
 
 Mirror of ``test_spatial_batch_equivalence``: whichever backend runs the
-per-window work units — serial loop, thread pool, forked process
-shards, or the zero-copy shared-memory pool — ``indices``,
-``distances``, ``steps`` and ``terminated`` must be identical,
-including degenerate empty windows and single-window inputs.  The
-process/shm tests pin ``executor_workers=2`` so real forked workers
-run even on single-core CI machines (where auto-resolution falls back
-to serial by design).  Shared-memory specifics — segment hygiene on
-close, warm frames avoiding re-forks, warm repair equivalence — are
-covered at the bottom.
+per-window work units — serial loop, thread pool, or the zero-copy
+shared-memory pool — ``indices``, ``distances``, ``steps`` and
+``terminated`` must be identical, including degenerate empty windows
+and single-window inputs.  The shm tests pin ``executor_workers=2`` so
+real forked workers run even on single-core CI machines (where
+auto-resolution falls back to serial by design).  Shared-memory
+specifics — segment hygiene on close, warm frames avoiding re-forks,
+warm repair equivalence — are covered at the bottom.
 """
 
 import numpy as np
@@ -24,8 +23,8 @@ from repro.core.cotraining import GroupingContext
 from repro.core.splitting import CompulsorySplitter
 from repro.errors import ValidationError
 from repro.runtime import (
-    ProcessShardPool,
     SerialExecutor,
+    ShmShardPool,
     SingleWindowState,
     ThreadExecutor,
     WindowScheduler,
@@ -35,8 +34,8 @@ from repro.runtime import (
 from repro.spatial import ChunkedIndex, ChunkGrid, ChunkWindow, KDTree, \
     WindowedOp, chunk_windows
 
-BACKENDS = ["serial", "thread", "process", "shm"]
-#: Two workers so "thread"/"process"/"shm" genuinely parallelise on CI.
+BACKENDS = ["serial", "thread", "shm"]
+#: Two workers so "thread"/"shm" genuinely parallelise on CI.
 WORKERS = 2
 
 
@@ -286,13 +285,13 @@ def test_workunit_kind_validation(rng):
 
 
 # ----------------------------------------------------------------------
-# ProcessShardPool fallback behaviour (satellite: constrained CI)
+# ShmShardPool fallback behaviour (constrained CI)
 # ----------------------------------------------------------------------
-def test_process_pool_falls_back_on_single_worker(rng, caplog):
+def test_shm_pool_falls_back_on_single_worker(rng, caplog):
     pts = rng.normal(size=(40, 3))
     state = SingleWindowState(KDTree(pts))
     with caplog.at_level("WARNING", logger="repro.runtime"):
-        pool = ProcessShardPool(state, n_workers=1)
+        pool = ShmShardPool(state, n_workers=1)
     assert pool.effective == "serial"
     assert "falling back to SerialExecutor" in caplog.text
     unit = WorkUnit(0, np.arange(3), "knn", pts[:3], {"k": 2})
@@ -302,30 +301,32 @@ def test_process_pool_falls_back_on_single_worker(rng, caplog):
     pool.close()
 
 
-def test_process_pool_falls_back_without_fork(rng, caplog, monkeypatch):
-    import repro.runtime.executor as executor_mod
+def test_shm_pool_falls_back_without_fork(rng, caplog, monkeypatch):
+    import repro.runtime.shm as shm_mod
 
-    monkeypatch.setattr(executor_mod.multiprocessing,
+    monkeypatch.setattr(shm_mod.multiprocessing,
                         "get_all_start_methods", lambda: ["spawn"])
     pts = rng.normal(size=(30, 3))
     state = SingleWindowState(KDTree(pts))
     with caplog.at_level("WARNING", logger="repro.runtime"):
-        pool = ProcessShardPool(state, n_workers=4)
+        pool = ShmShardPool(state, n_workers=4)
     assert pool.effective == "serial"
     assert "fork" in caplog.text
 
 
 def test_resolve_executor_rejects_unknown_backend(rng):
     state = SingleWindowState(KDTree(rng.normal(size=(10, 3))))
-    with pytest.raises(ValidationError):
-        resolve_executor("warp-drive", state)
+    for name in ("warp-drive", "process"):
+        with pytest.raises(ValidationError):
+            resolve_executor(name, state)
     assert isinstance(resolve_executor(None, state), SerialExecutor)
     assert isinstance(resolve_executor("thread", state, 2), ThreadExecutor)
 
 
 def test_config_rejects_unknown_executor():
-    with pytest.raises(ValidationError):
-        StreamGridConfig(executor="warp-drive")
+    for name in ("warp-drive", "process"):
+        with pytest.raises(ValidationError):
+            StreamGridConfig(executor=name)
     with pytest.raises(ValidationError):
         StreamGridConfig(executor_workers=0)
 

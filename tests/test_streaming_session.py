@@ -38,8 +38,8 @@ from repro.spatial import (
 )
 from repro.streaming import FramePlan, QueryOp, StreamSession
 
-BACKENDS = ["serial", "thread", "process"]
-#: Two workers so "thread"/"process" genuinely parallelise on CI boxes.
+BACKENDS = ["serial", "thread", "shm"]
+#: Two workers so "thread"/"shm" genuinely parallelise on CI boxes.
 WORKERS = 2
 
 
@@ -356,55 +356,23 @@ def test_update_frame_dirty_window_tracking(rng):
     fresh.close()
 
 
-def test_process_pool_invalidates_only_dirty_workers(rng):
-    """Per-window invalidation respawns only the affected worker slot."""
-    pts = rng.uniform(0, 1, size=(200, 3))
-    grid = ChunkGrid.fit(pts, (4, 4, 1))
-    windows = chunk_windows((4, 4, 1), (2, 2, 1))
-    assignment = grid.assign(pts)
-    index = ChunkedIndex(pts, assignment, windows, executor="process",
-                         executor_workers=2)
-    index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
-    pool = index._scheduler.executor
-    if pool.effective != "process":
-        index.close()
-        pytest.skip("fork start method unavailable; pool fell back")
-    assert pool.spawn_count == 2       # both slots served the batch
-    mask = assignment == 0
-    assert mask.any()
-    moved = pts.copy()
-    moved[mask] += 0.01
-    assert index.update_frame(moved, assignment) is True
-    assert index.last_dirty_windows < len(windows)
-    fresh = ChunkedIndex(moved, assignment, windows)
-    got = index.query_knn_batch(moved[::5], assignment[::5], 4,
-                                max_steps=15)
-    want = fresh.query_knn_batch(moved[::5], assignment[::5], 4,
-                                 max_steps=15)
-    _assert_batches_equal(got, want)
-    # Chunk 0 maps to window 0 → worker slot 0; slot 1's windows were
-    # all clean, so only one fork happened.
-    assert pool.spawn_count == 3
-    index.close()
-    fresh.close()
+def test_shm_pool_recovers_after_silent_worker_death(rng):
+    """Invalidating a window whose worker already died restarts cleanly.
 
-
-def test_process_pool_recovers_after_silent_worker_death(rng):
-    """Invalidating a slot whose worker already died restarts cleanly.
-
-    The shutdown sentinel is only consumed by a live worker; a dead
-    slot's inbox must be replaced, or the re-forked worker would read
-    the leftover sentinel and exit mid-batch.
+    Invalidation only version-bumps the segment registry, so nothing
+    notices the dead worker until the next batch dispatches to it: the
+    drain loop must detect the death, respawn the slot on a fresh
+    inbox, and re-dispatch its units bit-equal.
     """
     pts = rng.uniform(0, 1, size=(180, 3))
     grid = ChunkGrid.fit(pts, (4, 4, 1))
     windows = chunk_windows((4, 4, 1), (2, 2, 1))
     assignment = grid.assign(pts)
-    index = ChunkedIndex(pts, assignment, windows, executor="process",
+    index = ChunkedIndex(pts, assignment, windows, executor="shm",
                          executor_workers=2)
     index.query_knn_batch(pts[::5], assignment[::5], 4, max_steps=15)
     pool = index._scheduler.executor
-    if pool.effective != "process":
+    if pool.effective != "shm":
         index.close()
         pytest.skip("fork start method unavailable; pool fell back")
     pool._procs[0].kill()
