@@ -8,8 +8,11 @@ or series the paper reports, prints them, and persists them under
 from __future__ import annotations
 
 import os
+import platform
 import time
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
+
+import numpy as np
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -28,6 +31,15 @@ def time_best(fn, repeats: int):
         value = fn()
         best = min(best, time.perf_counter() - start)
     return best, value
+
+
+def host() -> Dict[str, object]:
+    """The machine a measurement ran on: CPU count, Python and numpy
+    versions.  Every BENCH file records it — timings, and above all
+    parallel-backend ratios, mean nothing without it."""
+    return {"cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__}
 
 
 def emit(name: str, lines: Iterable[str],

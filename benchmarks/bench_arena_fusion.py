@@ -36,7 +36,7 @@ from repro.core.config import SplittingConfig
 from repro.core.splitting import CompulsorySplitter
 from repro.runtime import EXECUTOR_BACKENDS, resolve_worker_count
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_arena.json")
 
@@ -146,8 +146,8 @@ def run(n_points=40000, n_queries=2048, n_frames=6, n_windows=32, k=8,
                      "n_frames": n_frames, "n_windows": n_windows,
                      "k": k, "max_steps": max_steps, "radius": radius,
                      "max_results": max_results, "repeats": repeats,
-                     "workers": workers, "pool_workers": pool_workers,
-                     "cpu_count": os.cpu_count()},
+                     "workers": workers, "pool_workers": pool_workers},
+        "host": host(),
         "results": results,
         "best_serial_fused_over_per_window": best_serial,
         "serial_fused_ge_1_5x": best_serial >= 1.5,
@@ -174,7 +174,8 @@ def run(n_points=40000, n_queries=2048, n_frames=6, n_windows=32, k=8,
         f"workload: n={n_points}, q={n_queries}/frame, "
         f"frames={n_frames}, windows={n_windows}, k={k}, "
         f"max_steps={max_steps}, repeats={repeats}, "
-        f"pool_workers={pool_workers}, cpus={os.cpu_count()}")
+        f"pool_workers={pool_workers}")
+    lines.append(f"host: {payload['host']}")
     emit("arena_fusion", lines, results_dir=results_dir)
     if output:
         print(f"wrote {output}")

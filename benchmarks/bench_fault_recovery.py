@@ -48,7 +48,7 @@ from repro.datasets import make_lidar_stream_frames
 from repro.runtime import FaultInjector, FaultSpec, resolve_worker_count
 from repro.streaming import StreamSession
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_faults.json")
 
@@ -184,8 +184,8 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
                      "crash_every_units": crash_every,
                      "unit_timeout_s": unit_timeout,
                      "hang_duration_s": hang_duration,
-                     "workers": workers, "pool_workers": pool_workers,
-                     "cpu_count": os.cpu_count()},
+                     "workers": workers, "pool_workers": pool_workers},
+        "host": host(),
         "results": rows,
         "all_faulty_rows_fired": all(row["faults_fired"] > 0
                                      for row in faulty),
@@ -219,7 +219,8 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=6, repeats=3,
         f"workload: n={n_points}, q={n_queries}, k={k}, "
         f"frames={n_frames}, repeats={repeats}, "
         f"crash_every={crash_every} units, timeout={unit_timeout}s, "
-        f"pool_workers={pool_workers}, cpus={os.cpu_count()}")
+        f"pool_workers={pool_workers}")
+    lines.append(f"host: {payload['host']}")
     emit("fault_recovery", lines, results_dir=results_dir)
     if output:
         print(f"wrote {output}")

@@ -57,7 +57,7 @@ from repro.runtime.fleet import FleetConfig, ShardFleet
 from repro.spatial.neighbors import reset_shared_result_cache
 from repro.streaming import StreamSession
 
-from _common import REPO_ROOT, RESULTS_DIR, emit
+from _common import REPO_ROOT, RESULTS_DIR, emit, host
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_fleet.json")
 
@@ -282,8 +282,8 @@ def run(n_points=4096, n_queries=256, k=8, n_frames=6,
                      "k": k, "n_frames": n_frames,
                      "tenant_counts": list(tenant_counts),
                      "repeats": repeats, "workers": workers,
-                     "pool_workers": pool_workers,
-                     "cpu_count": os.cpu_count()},
+                     "pool_workers": pool_workers},
+        "host": host(),
         "results": results,
         "bit_equal_checked": bool(check),
         "fleet_effective_ok": fleet_effective_ok,
@@ -332,8 +332,8 @@ def run(n_points=4096, n_queries=256, k=8, n_frames=6,
     lines.append(
         f"workload: n={n_points}, q={n_queries}, k={k}, "
         f"frames={n_frames}, tenants={list(tenant_counts)}, "
-        f"repeats={repeats}, pool_workers={pool_workers}, "
-        f"cpus={os.cpu_count()}")
+        f"repeats={repeats}, pool_workers={pool_workers}")
+    lines.append(f"host: {payload['host']}")
     emit("fleet_service", lines, results_dir=results_dir)
     if output:
         print(f"wrote {output}")

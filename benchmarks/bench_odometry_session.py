@@ -52,7 +52,7 @@ from repro.registration.features import FeatureConfig, extract_features
 from repro.registration.icp import gauss_newton_align
 from repro.runtime import resolve_worker_count
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_odometry.json")
 
@@ -195,8 +195,8 @@ def run(n_scans=6, n_azimuth=240, n_beams=8, max_iterations=4,
                      "max_iterations": max_iterations,
                      "pinned_deadline": pinned_deadline,
                      "repeats": repeats, "workers": workers,
-                     "pool_workers": pool_workers,
-                     "cpu_count": os.cpu_count()},
+                     "pool_workers": pool_workers},
+        "host": host(),
         "results": results,
         "serial_warm_over_oneshot": serial_row["warm_over_oneshot"],
         "serial_warm_ge_2x": serial_row["warm_over_oneshot"] >= 2.0,
@@ -228,8 +228,8 @@ def run(n_scans=6, n_azimuth=240, n_beams=8, max_iterations=4,
     lines.append(
         f"workload: scans={n_scans}, az={n_azimuth}, beams={n_beams}, "
         f"E={len(edges)}, P={len(planes)}, iters={max_iterations}, "
-        f"repeats={repeats}, pool_workers={pool_workers}, "
-        f"cpus={os.cpu_count()}")
+        f"repeats={repeats}, pool_workers={pool_workers}")
+    lines.append(f"host: {payload['host']}")
     emit("odometry_session", lines, results_dir=results_dir)
     if output:
         print(f"wrote {output}")

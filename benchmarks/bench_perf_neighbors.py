@@ -27,7 +27,7 @@ from repro.core.config import SplittingConfig, StreamGridConfig, \
 from repro.core.cotraining import GroupingContext, baseline_config, \
     cs_config, cs_dt_config
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_neighbors.json")
 
@@ -226,6 +226,7 @@ def run(n_points=4096, n_queries=512, k=32, radius=0.125,
         "benchmark": "neighbors_grouping",
         "workload": {"n_points": n_points, "n_queries": n_queries,
                      "k": k, "radius": radius, "repeats": repeats},
+        "host": host(),
         "results": results,
         "min_speedup": min(r["speedup"] for r in results),
     }
@@ -241,6 +242,7 @@ def run(n_points=4096, n_queries=512, k=32, radius=0.125,
                      f"{row['speedup']:7.1f}x")
     lines.append(f"min speedup: {payload['min_speedup']:.1f}x "
                  f"(n={n_points}, q={n_queries}, k={k})")
+    lines.append(f"host: {payload['host']}")
     emit("perf_neighbors", lines, results_dir=results_dir)
     if output:
         print(f"wrote {output}")

@@ -46,7 +46,7 @@ from repro.core.splitting import CompulsorySplitter
 from repro.runtime import resolve_worker_count
 from repro.spatial import KDTree
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_runtime.json")
 
@@ -229,8 +229,8 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
         "benchmark": "runtime_shards",
         "workload": {"n_points": n_points, "n_queries": n_queries,
                      "k": k, "max_steps": max_steps, "repeats": repeats,
-                     "workers": workers, "pool_workers": pool_workers,
-                     "cpu_count": os.cpu_count()},
+                     "workers": workers, "pool_workers": pool_workers},
+        "host": host(),
         "results": results,
         "shm_over_serial": shm_ratios,
         "shm_pool_exercised": shm_exercised,
@@ -261,7 +261,8 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
     lines.append(
         f"workload: n={n_points}, q={n_queries}, k={k}, "
         f"max_steps={max_steps}, repeats={repeats}, "
-        f"pool_workers={pool_workers}, cpus={os.cpu_count()}")
+        f"pool_workers={pool_workers}")
+    lines.append(f"host: {payload['host']}")
     emit("runtime_shards", lines, results_dir=results_dir)
     if output:
         print(f"wrote {output}")

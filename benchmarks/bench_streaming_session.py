@@ -68,7 +68,7 @@ from repro.datasets import (
 from repro.runtime import resolve_worker_count
 from repro.streaming import StreamSession
 
-from _common import REPO_ROOT, RESULTS_DIR, emit, time_best
+from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_streaming.json")
 
@@ -230,7 +230,7 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=5, repeats=3,
                 "cache_hits": stats.cache_hits,
                 "cache_misses": stats.cache_misses,
                 # Zero-copy accounting (non-zero only on the shm pool):
-                # cumulative bytes staged into shared segments, worker
+                # cumulative bytes staged into window segments, worker
                 # re-forks avoided by segment attach, and the live
                 # segment count at stream end.  ``bytes_per_frame``
                 # exposes the warm-ingest profile — on stable content
@@ -239,7 +239,6 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=5, repeats=3,
                 "state_bytes_shipped": stats.state_bytes_shipped,
                 "forks_avoided": stats.forks_avoided,
                 "segments_live": stats.segments_live,
-                "queue_fallback_units": stats.queue_fallback_units,
                 "bytes_per_frame": [
                     frame.runtime.get("state_bytes_shipped", 0)
                     for frame in warm_frames],
@@ -253,8 +252,8 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=5, repeats=3,
         "benchmark": "streaming_session",
         "workload": {"n_points": n_points, "n_queries": n_queries,
                      "k": k, "n_frames": n_frames, "repeats": repeats,
-                     "workers": workers, "pool_workers": pool_workers,
-                     "cpu_count": os.cpu_count()},
+                     "workers": workers, "pool_workers": pool_workers},
+        "host": host(),
         "results": results,
         "best_warm_over_cold": best_ratio,
         "warm_ge_2x": best_ratio >= 2.0,
@@ -328,7 +327,8 @@ def run(n_points=8192, n_queries=512, k=16, n_frames=5, repeats=3,
     lines.append(
         f"workload: n={n_points}, q={n_queries}, k={k}, "
         f"frames={n_frames}, repeats={repeats}, "
-        f"pool_workers={pool_workers}, cpus={os.cpu_count()}")
+        f"pool_workers={pool_workers}")
+    lines.append(f"host: {payload['host']}")
     emit("streaming_session", lines, results_dir=results_dir)
     if output:
         print(f"wrote {output}")

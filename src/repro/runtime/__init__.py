@@ -87,11 +87,11 @@ Four interchangeable backends ship with the runtime:
   affinity rule below, that never read the shard state itself.  Window
   kd-trees live in ``multiprocessing.shared_memory`` segments under a
   versioned registry, workers **attach** them (and keep running when
-  state changes), query blocks ship through one shared input segment
-  per batch, and fixed-width results come back through preallocated
-  shared output reservations.  ``reset_workers`` /
-  ``invalidate_windows`` are registry version bumps (dirty windows are
-  rewritten in place; :class:`~repro.runtime.executor.RuntimeStats`
+  state changes), and each work unit and its result ride the pool's
+  queues — the window segments are its only shared memory.
+  ``reset_workers`` / ``invalidate_windows`` are registry version
+  bumps (dirty windows are rewritten in place;
+  :class:`~repro.runtime.executor.RuntimeStats`
   counts the forks avoided and bytes shipped), and every segment is
   unlinked on ``close()`` / ``terminate_workers()`` / interpreter
   exit — no ``/dev/shm`` leaks;

@@ -47,8 +47,9 @@ class WorkUnit:
     ``rows`` are the positions of this unit's queries in the original
     batch (input order); executors never reorder results, so the
     scheduler can scatter ``result[i]`` straight back to ``rows`` of
-    unit ``i``.  ``params`` must stay picklable — the pooled backend
-    ships them to its workers through a queue.
+    unit ``i``.  The whole unit must stay picklable — the pooled
+    backend ships each unit (query block, row map and ``params``) to
+    its workers through a queue.
     """
 
     window: int                 # serving window id (shard affinity key)
@@ -115,15 +116,14 @@ class RuntimeStats:
     Data movement (the shared-memory backend, the scheduler's arena
     fusion and the bucketed grouping path in :mod:`repro.core.cotraining`):
 
-    - ``state_bytes_shipped`` — bytes written into shared-memory
-      segments (the only state that ever moves; a clean window ships 0).
+    - ``state_bytes_shipped`` — bytes written into window segments
+      (the only state that ever moves; a clean window ships 0).
     - ``forks_avoided`` — live worker slots that kept running through a
       ``reset_workers`` / ``invalidate_windows`` (invalidation is a
       registry version bump, never a re-fork).
-    - ``segments_live`` — gauge: shared segments currently allocated.
-    - ``queue_fallback_units`` — units whose results rode the pickle
-      queue because no shared output reservation fit (traced units,
-      uncapped range queries, fused arena units).
+    - ``segments_live`` — gauge: window segments currently allocated
+      (the pool's only shared memory; units and results ride its
+      queues).
     - ``bucket_sizes`` — histogram ``{group size: rows}`` of bucketed
       group batches (skew visibility for the grouping hot path).
     - ``arena_launches`` — fused arena traversals launched by the
@@ -148,7 +148,6 @@ class RuntimeStats:
     state_bytes_shipped: int = 0
     forks_avoided: int = 0
     segments_live: int = field(default=0, metadata={"gauge": True})
-    queue_fallback_units: int = 0
     bucket_sizes: Dict[int, int] = field(default_factory=dict)
     arena_launches: int = 0
     arena_units_fused: Dict[int, int] = field(default_factory=dict)

@@ -6,8 +6,8 @@ Window ``w`` is pinned to worker ``w % n_workers`` (the window-affinity
 rule), and every batch runs **supervised** — per-dispatch tickets,
 per-slot FIFOs, crash / hang detection with slot respawn, bounded
 retries, and the ``shm → thread → serial`` degradation ladder of
-:class:`~repro.runtime.executor.SupervisionConfig`.  State and data
-move through shared memory:
+:class:`~repro.runtime.executor.SupervisionConfig`.  Window state lives
+in shared memory; everything else rides the queues:
 
 - **Window state lives in shared segments.**  Each serving window's
   packed kd-tree arrays (points, child links, point index, split axes)
@@ -23,15 +23,13 @@ move through shared memory:
   processes stay alive (``RuntimeStats.forks_avoided`` counts the slots
   that survived).  Clean windows' segments are never rewritten, so a
   warm frame ships zero state bytes.
-- **Query blocks and results travel through shared buffers.**  Each
-  batch stages its query coordinates and row maps in one input segment
-  and preallocates per-unit output reservations (result widths are
-  deterministic: ``min(k, n)`` for kNN, ``min(max_results, n)`` for
-  capped ball queries); the result queue carries only a tiny
-  completion marker.  Units whose result size is data-dependent
-  (uncapped range queries), fused arena units, and units that carry
-  traversal traces fall back to the pickle queue, counted in
-  ``RuntimeStats.queue_fallback_units``.
+- **Units and results ride the queues.**  A dispatch message carries
+  the :class:`~repro.runtime.executor.WorkUnit` itself (query block,
+  row map, params) plus the descriptor(s) of the window segment(s) it
+  reads, through the slot's inbox; every result — plain, traced,
+  uncapped-range or fused — comes back whole through one shared
+  :class:`_ResultPipe`.  The window segments are the pool's only
+  shared memory.
 
 The shard state must expose ``shm_export_window(window) -> (points,
 axis, left, right, point_index, root)`` (see
@@ -82,7 +80,7 @@ from repro.runtime.executor import (
     resolve_worker_count,
     run_unit_supervised,
 )
-from repro.spatial.kdtree import BatchQueryResult, KDTree
+from repro.spatial.kdtree import KDTree
 
 logger = logging.getLogger("repro.runtime")
 
@@ -90,18 +88,15 @@ logger = logging.getLogger("repro.runtime")
 #: unit timeout is configured, wall-clock progress).
 _RESULT_POLL_S = 0.25
 
-#: Success payload marking "the result is in the output reservation".
-_SHM_RESULT = "__shm_result__"
-
 #: Process-global counters keeping segment names / registry versions
 #: unique across pools (a respawned pool must never reuse a live name).
 _SEGMENT_COUNTER = itertools.count()
 _REGISTRY_VERSION = itertools.count(1)
 
 
-def _segment_name(tag: str) -> str:
-    """A /dev/shm-unique segment name for this process."""
-    return f"repro-{os.getpid()}-{tag}-{next(_SEGMENT_COUNTER)}"
+def _segment_name(window: int) -> str:
+    """A /dev/shm-unique name for *window*'s tree segment."""
+    return f"repro-{os.getpid()}-w{window}-{next(_SEGMENT_COUNTER)}"
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
@@ -146,55 +141,6 @@ def _tree_views(buf, n: int):
     pidx = np.ndarray((n,), dtype=np.int64, buffer=buf, offset=off_pidx)
     axis = np.ndarray((n,), dtype=np.int8, buffer=buf, offset=off_axis)
     return points, axis, left, right, pidx
-
-
-def _result_layout(n_rows: int, width: int) -> Tuple[int, ...]:
-    """Offsets (relative to the reservation base) of one unit's result.
-
-    indices ``(R, W) int64``, distances ``(R, W) float64``, counts /
-    steps ``(R,) int64``, terminated ``(R,) bool`` last; the total is
-    rounded up to 8 bytes so consecutive reservations stay aligned.
-    """
-    off_idx = 0
-    off_dist = off_idx + n_rows * width * 8
-    off_counts = off_dist + n_rows * width * 8
-    off_steps = off_counts + n_rows * 8
-    off_term = off_steps + n_rows * 8
-    total = off_term + n_rows
-    return off_idx, off_dist, off_counts, off_steps, off_term, \
-        (total + 7) & ~7
-
-
-def _result_views(buf, base: int, n_rows: int, width: int):
-    off_idx, off_dist, off_counts, off_steps, off_term, _ = \
-        _result_layout(n_rows, width)
-    indices = np.ndarray((n_rows, width), dtype=np.int64, buffer=buf,
-                         offset=base + off_idx)
-    distances = np.ndarray((n_rows, width), dtype=np.float64, buffer=buf,
-                           offset=base + off_dist)
-    counts = np.ndarray((n_rows,), dtype=np.int64, buffer=buf,
-                        offset=base + off_counts)
-    steps = np.ndarray((n_rows,), dtype=np.int64, buffer=buf,
-                       offset=base + off_steps)
-    terminated = np.ndarray((n_rows,), dtype=np.bool_, buffer=buf,
-                            offset=base + off_term)
-    return indices, distances, counts, steps, terminated
-
-
-def _unit_output_width(unit: WorkUnit, n_points: int) -> Optional[int]:
-    """Deterministic result width of *unit* on an ``n_points`` tree,
-    or ``None`` when the result cannot ride a preallocated buffer
-    (traced units, uncapped range queries, fused arena units)."""
-    if unit.kind not in ("knn", "range"):
-        return None
-    if unit.params.get("record_traces"):
-        return None
-    if unit.kind == "knn":
-        return min(int(unit.params["k"]), n_points)
-    max_results = unit.params.get("max_results")
-    if max_results is None:
-        return None
-    return min(int(max_results), n_points)
 
 
 @dataclass
@@ -268,72 +214,76 @@ def _worker_tree(cache: Dict[int, tuple], descriptor, window: int
     return tree
 
 
-def _fused_windows(unit_kind: str, params) -> Optional[Tuple[int, ...]]:
+def _fused_windows(unit: WorkUnit) -> Optional[Tuple[int, ...]]:
     """Member windows of a fused arena unit, or ``None`` for plain
     units (which carry exactly one window in ``unit.window``)."""
-    if unit_kind in ("fused_knn", "fused_range"):
-        return tuple(int(w) for w in params["windows"])
+    if unit.kind in ("fused_knn", "fused_range"):
+        return tuple(int(w) for w in unit.params["windows"])
     return None
 
 
-
-def _run_shm_unit(trees, injector, attach_batch, payload):
-    """Execute one unit descriptor; returns the success payload for
-    the outbox (``_SHM_RESULT`` or the full result).
-
-    All buffer views live only inside this frame, so batch-segment
-    attachments are safe to evict once the call returns.
+class _ResultPipe:
+    """The workers' one result channel: a pipe each worker writes on its
+    main thread, under one cross-process lock, so a result is whole
+    before the worker runs its next unit.  (A ``multiprocessing.Queue``
+    writes from a feeder thread; a worker crashing on its next unit
+    could die mid-write, leaving the shared write lock held and a
+    truncated message the parent blocks on.)
     """
+
+    def __init__(self, context) -> None:
+        self._reader, self._writer = context.Pipe(duplex=False)
+        self._lock = context.Lock()
+
+    def put(self, message) -> None:
+        with self._lock:
+            self._writer.send(message)
+
+    def get(self, timeout: float = 0.0):
+        """The next message; ``queue.Empty`` after *timeout* seconds."""
+        if not self._reader.poll(timeout):
+            raise queue_mod.Empty
+        return self._reader.recv()
+
+    get_nowait = get
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
+def _run_shm_unit(trees, injector, payload):
+    """Execute one dispatched ``(unit, tree descriptor(s))`` payload
+    worker-side; returns the unit's result."""
     from repro.runtime.scheduler import run_fused_unit, run_tree_unit
 
-    window, kind, params, tree_desc, in_desc, out_spec = payload
-    members = _fused_windows(kind, params)
+    unit, tree_desc = payload
+    members = _fused_windows(unit)
     if members is not None:
         # Fused arena unit: rebuild every member window's tree from its
         # segment (descriptors ship in member order) and run the whole
-        # arena traversal worker-side; the list result rides the pickle
-        # queue (out_spec is always None for fused kinds).
+        # arena traversal worker-side.
         tree = [_worker_tree(trees, desc, w)
                 for desc, w in zip(tree_desc, members)]
     else:
-        tree = _worker_tree(trees, tree_desc, window)
-    in_name, q_off, rows_off, n_rows = in_desc
-    in_seg = attach_batch(in_name)
-    queries = np.ndarray((n_rows, 3), dtype=np.float64,
-                         buffer=in_seg.buf, offset=q_off)
-    rows = np.ndarray((n_rows,), dtype=np.int64,
-                      buffer=in_seg.buf, offset=rows_off)
-    unit = WorkUnit(window=window, rows=rows, kind=kind,
-                    queries=queries, params=params)
+        tree = _worker_tree(trees, tree_desc, int(unit.window))
     if injector is not None:
         injector.before_unit(unit)
     if members is not None:
         return run_fused_unit(tree, unit)
-    result = run_tree_unit(tree, unit)
-    if out_spec is not None and result.traces is None:
-        out_name, base, width = out_spec
-        if result.indices.shape == (n_rows, width):
-            out_seg = attach_batch(out_name)
-            views = _result_views(out_seg.buf, base, n_rows, width)
-            views[0][:] = result.indices
-            views[1][:] = result.distances
-            views[2][:] = result.counts
-            views[3][:] = result.steps
-            views[4][:] = result.terminated
-            return _SHM_RESULT
-    return result
+    return run_tree_unit(tree, unit)
 
 
 def _shm_worker_main(injector, inbox, outbox) -> None:
-    """Worker loop: unit descriptors in, completion markers out.
+    """Worker loop: units in, results out.
 
     Every message carries the dispatch *ticket* the parent issued;
     results echo it so the parent can discard late results from a
     killed worker (the re-dispatched unit got a fresh ticket).  A unit
     rebuilds its window tree from the segment, runs with
-    :func:`~repro.runtime.scheduler.run_tree_unit`, and writes the
-    result into its preallocated output reservation — the queue only
-    echoes a completion marker.  A fault *injector* (the ``_injector``
+    :func:`~repro.runtime.scheduler.run_tree_unit` (or
+    :func:`~repro.runtime.scheduler.run_fused_unit`), and its whole
+    result rides the outbox.  A fault *injector* (the ``_injector``
     of a :class:`~repro.runtime.faults.FaultyState`) sees every unit
     *before* it runs, so crash / hang / raise / slow faults fire inside
     the worker.  In-unit failures ship a ``(type name, message,
@@ -342,25 +292,6 @@ def _shm_worker_main(injector, inbox, outbox) -> None:
     violations surface unchanged.
     """
     trees: Dict[int, tuple] = {}
-    # Per-batch input/output attachments, keyed by segment name.  Each
-    # batch uses fresh names, so a small insertion-ordered cache with
-    # eviction bounds the worker's mappings; by eviction time the
-    # evictee's batch has long drained, so no views pin its buffer.
-    batch_segs: Dict[str, shared_memory.SharedMemory] = {}
-
-    def attach_batch(name: str) -> shared_memory.SharedMemory:
-        seg = batch_segs.get(name)
-        if seg is None:
-            while len(batch_segs) >= 4:
-                old = batch_segs.pop(next(iter(batch_segs)))
-                try:
-                    old.close()
-                except BufferError:
-                    pass
-            seg = _attach_untracked(name)
-            batch_segs[name] = seg
-        return seg
-
     while True:
         message = inbox.get()
         if message is None:
@@ -368,8 +299,7 @@ def _shm_worker_main(injector, inbox, outbox) -> None:
         ticket, seq, payload = message
         try:
             outbox.put((ticket, seq, True,
-                        _run_shm_unit(trees, injector, attach_batch,
-                                      payload)))
+                        _run_shm_unit(trees, injector, payload)))
         except BaseException as exc:
             outbox.put((ticket, seq, False,
                         (type(exc).__name__, str(exc),
@@ -431,10 +361,9 @@ class ShmShardPool(Executor):
 
     ``RuntimeStats`` accounting: ``state_bytes_shipped`` (segment
     bytes written; clean windows ship nothing), ``forks_avoided``
-    (worker slots that survived an invalidation as a version bump),
-    ``segments_live`` (registry gauge) and ``queue_fallback_units``
-    (results that could not ride a shared reservation), plus the
-    recovery counters every backend keeps.
+    (worker slots that survived an invalidation as a version bump) and
+    ``segments_live`` (registry gauge), plus the recovery counters
+    every backend keeps.
     """
 
     name = "shm"
@@ -457,8 +386,6 @@ class ShmShardPool(Executor):
         self._segments: Dict[int, _WindowSegment] = {}
         #: windows whose segment content no longer matches the state.
         self._stale: Set[int] = set()
-        self._batch_in: Optional[shared_memory.SharedMemory] = None
-        self._batch_out: Optional[shared_memory.SharedMemory] = None
         _LIVE_POOLS.add(self)
         if "fork" not in multiprocessing.get_all_start_methods():
             self._fall_back("the 'fork' start method is unavailable")
@@ -497,7 +424,7 @@ class ShmShardPool(Executor):
                 return self._exhaust(units, [_PENDING], str(exc),
                                      ExecutionError)
         try:
-            messages, out_slots = self._stage_batch(units)
+            messages = self._stage_batch(units)
         except Exception as exc:
             # _exhaust closes the pool, which also frees whatever the
             # failed staging had already allocated.
@@ -505,14 +432,10 @@ class ShmShardPool(Executor):
                 units, [_PENDING] * len(units),
                 f"shared-memory staging failed "
                 f"({type(exc).__name__}: {exc})", ExecutionError)
-        try:
-            slots = sorted({unit.window % self._n_workers
-                            for unit in units})
-            if not self._ensure_workers(slots):
-                return self._fallback.run(units)
-            return self._run_supervised(units, messages, out_slots)
-        finally:
-            self._drop_batch()
+        slots = sorted({unit.window % self._n_workers for unit in units})
+        if not self._ensure_workers(slots):
+            return self._fallback.run(units)
+        return self._run_supervised(units, messages)
 
     # -- worker lifecycle -----------------------------------------------
     def _spawn_worker(self, slot: int) -> None:
@@ -556,7 +479,7 @@ class ShmShardPool(Executor):
                 context = multiprocessing.get_context("fork")
                 queues = []
                 try:
-                    outbox = context.Queue()
+                    outbox = _ResultPipe(context)
                     queues.append(outbox)
                     inboxes = []
                     for _ in range(self._n_workers):
@@ -584,80 +507,25 @@ class ShmShardPool(Executor):
         return True
 
     # -- batch staging --------------------------------------------------
-    def _stage_batch(self, units: Sequence[WorkUnit]):
+    def _stage_batch(self, units: Sequence[WorkUnit]) -> List[tuple]:
         """Export stale window segments and build the dispatch messages.
 
-        Runs entirely in the parent before any dispatch: per-window
-        tree segments are refreshed (in place when the new layout
-        fits), the batch's query blocks and row maps are packed into
-        one input segment, and eligible units get output reservations.
-        Returns one message and one output slot — ``(base, rows,
-        width)``, or ``None`` when the result rides the queue — per
-        unit.
+        Runs entirely in the parent before any dispatch: each window's
+        tree segment is refreshed at most once (in place when the new
+        layout fits).  Returns one ``(unit, tree descriptor)`` message
+        per unit — a fused unit carries its members' descriptors in
+        member order.
         """
-        segments: Dict[int, _WindowSegment] = {}
-        for unit in units:
-            members = _fused_windows(unit.kind, unit.params)
-            for window in (members if members is not None
-                           else (int(unit.window),)):
-                if window not in segments:
-                    segments[window] = self._export_window(window)
-
-        in_bytes = 0
-        in_offsets = []
-        for unit in units:
-            q_off = in_bytes
-            in_bytes += len(unit.queries) * 24
-            rows_off = in_bytes
-            in_bytes += len(unit.rows) * 8
-            in_offsets.append((q_off, rows_off))
-        self._batch_in = shared_memory.SharedMemory(
-            name=_segment_name("in"), create=True, size=max(in_bytes, 1))
-        for unit, (q_off, rows_off) in zip(units, in_offsets):
-            n_rows = len(unit.rows)
-            queries = np.ndarray((n_rows, 3), dtype=np.float64,
-                                 buffer=self._batch_in.buf, offset=q_off)
-            queries[:] = unit.queries
-            rows = np.ndarray((n_rows,), dtype=np.int64,
-                              buffer=self._batch_in.buf, offset=rows_off)
-            rows[:] = unit.rows
-
-        out_bytes = 0
-        out_specs: List[Optional[Tuple[int, int]]] = []
-        for unit in units:
-            width = _unit_output_width(
-                unit, segments[int(unit.window)].n_points)
-            if width is None:
-                self.stats.queue_fallback_units += 1
-                out_specs.append(None)
-                continue
-            base = out_bytes
-            out_bytes += _result_layout(len(unit.rows), width)[-1]
-            out_specs.append((base, width))
-        if out_bytes:
-            self._batch_out = shared_memory.SharedMemory(
-                name=_segment_name("out"), create=True, size=out_bytes)
-
         messages: List[tuple] = []
-        out_slots: List[Optional[Tuple[int, int, int]]] = []
-        for unit, (q_off, rows_off), spec in zip(units, in_offsets,
-                                                 out_specs):
-            n_rows = len(unit.rows)
-            out_spec = out_slot = None
-            if spec is not None:
-                base, width = spec
-                out_spec = (self._batch_out.name, base, width)
-                out_slot = (base, n_rows, width)
-            members = _fused_windows(unit.kind, unit.params)
-            if members is not None:
-                tree_desc = tuple(segments[w].descriptor for w in members)
+        for unit in units:
+            members = _fused_windows(unit)
+            if members is None:
+                tree_desc = self._export_window(int(unit.window)).descriptor
             else:
-                tree_desc = segments[int(unit.window)].descriptor
-            messages.append((
-                int(unit.window), unit.kind, dict(unit.params), tree_desc,
-                (self._batch_in.name, q_off, rows_off, n_rows), out_spec))
-            out_slots.append(out_slot)
-        return messages, out_slots
+                tree_desc = tuple(self._export_window(w).descriptor
+                                  for w in members)
+            messages.append((unit, tree_desc))
+        return messages
 
     def _export_window(self, window: int) -> _WindowSegment:
         """Refresh (or create) *window*'s segment from the live state.
@@ -680,7 +548,7 @@ class ShmShardPool(Executor):
         else:
             if record is not None:
                 self._unlink_one(record)
-            name = _segment_name(f"w{window}")
+            name = _segment_name(window)
             shm = shared_memory.SharedMemory(name=name, create=True,
                                              size=size)
         views = _tree_views(shm.buf, n)
@@ -698,32 +566,9 @@ class ShmShardPool(Executor):
         self.stats.segments_live = len(self._segments)
         return record
 
-    def _read_result(self, payload, out_slot):
-        """A worker's success *payload* as the unit's result: the
-        result itself when it rode the queue, else a copy out of the
-        unit's output reservation."""
-        if not (isinstance(payload, str) and payload == _SHM_RESULT):
-            return payload
-        base, n_rows, width = out_slot
-        views = _result_views(self._batch_out.buf, base, n_rows, width)
-        return BatchQueryResult(*(view.copy() for view in views))
-
-    def _drop_batch(self) -> None:
-        """Free the per-batch input/output segments."""
-        for attr in ("_batch_in", "_batch_out"):
-            seg = getattr(self, attr)
-            if seg is None:
-                continue
-            setattr(self, attr, None)
-            try:
-                seg.close()
-                seg.unlink()
-            except Exception:
-                pass
-
     # -- supervised drain loop -----------------------------------------
-    def _run_supervised(self, units: Sequence[WorkUnit], messages,
-                        out_slots) -> List[Any]:
+    def _run_supervised(self, units: Sequence[WorkUnit],
+                        messages) -> List[Any]:
         """Dispatch *units* and drain results under fault supervision.
 
         Bookkeeping per unit: the current dispatch ticket (stale-ticket
@@ -779,7 +624,7 @@ class ShmShardPool(Executor):
             last_progress[slot] = time.monotonic()
             slot_fifo[slot].remove(seq)
             if ok:
-                results[seq] = self._read_result(payload, out_slots[seq])
+                results[seq] = payload
                 tickets[seq] = None
                 remaining -= 1
                 continue
@@ -960,21 +805,11 @@ class ShmShardPool(Executor):
                 proc.join(timeout=5.0)
                 if proc.is_alive():
                     proc.terminate()
-            # Results from live workers may still sit in the outbox (and
-            # unread dispatches in the inboxes): drain everything before
-            # teardown so a later re-fork can never consume a stale
-            # ``(ticket, seq, ...)`` from a previous batch.
-            for inbox in self._inboxes:
-                _drain_queue(inbox)
-                inbox.close()
-            stale = _drain_queue(self._outbox)
+            stale = self._drop_queues()
             if stale:
                 logger.warning(
                     "ShmShardPool: discarded %d stale result(s) while "
                     "closing", stale)
-            self._outbox.close()
-            self._procs = self._inboxes = self._outbox = self._context = None
-        self._drop_batch()
         self._unlink_segments()
 
     def terminate_workers(self) -> None:
@@ -995,20 +830,25 @@ class ShmShardPool(Executor):
                     proc.join(timeout=1.0)
                     if proc.is_alive():
                         proc.kill()
-            for inbox in self._inboxes:
-                _drain_queue(inbox)
-                try:
-                    inbox.close()
-                except (OSError, ValueError):
-                    pass
-            _drain_queue(self._outbox)
+            self._drop_queues()
+        self._unlink_segments()
+
+    def _drop_queues(self) -> int:
+        """Drain and close every queue; returns the stale results
+        discarded.  Results from live workers may still sit in the
+        outbox (and unread dispatches in the inboxes): everything goes
+        so a later re-fork can never consume a stale ``(ticket, seq,
+        ...)`` from a previous batch."""
+        for inbox in self._inboxes:
+            _drain_queue(inbox)
+        stale = _drain_queue(self._outbox)
+        for queue in [*self._inboxes, self._outbox]:
             try:
-                self._outbox.close()
+                queue.close()
             except (OSError, ValueError):
                 pass
-            self._procs = self._inboxes = self._outbox = self._context = None
-        self._drop_batch()
-        self._unlink_segments()
+        self._procs = self._inboxes = self._outbox = self._context = None
+        return stale
 
     def __del__(self) -> None:
         try:

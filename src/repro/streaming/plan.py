@@ -115,7 +115,10 @@ class FramePlan:
 class PlanResult:
     """Per-op results of one plan execution against a session frame.
 
-    ``frame_id`` is the frame the plan ran against, ``deadline`` the
+    ``frame_id`` is the frame the plan ran against — for
+    :meth:`~repro.streaming.session.StreamSession.query`, the last
+    frame actually ingested (a quarantined or empty frame consumes an
+    id but leaves the index on its predecessor) — ``deadline`` the
     step cap participating ops were held to (``None`` when termination
     is off), ``op_results`` one
     :class:`~repro.spatial.kdtree.BatchQueryResult` per op in plan

@@ -245,6 +245,10 @@ class StreamSession:
         #: What :meth:`process` runs — the trivial single-op plan.
         self._default_plan = FramePlan.knn(self.k)
         self._frame_id = 0
+        #: Id of the frame the index holds — what :meth:`query` answers
+        #: against (quarantined and empty frames consume an id but leave
+        #: the index on the last ingested frame).
+        self._index_frame_id: Optional[int] = None
         #: Mean steps of the drift query sample, measured at calibration
         #: time — the like-for-like baseline of the drift statistic.
         self._drift_baseline: Optional[float] = None
@@ -402,6 +406,7 @@ class StreamSession:
             positions, grid, assignment, windows = partition_cloud(
                 positions, self.config.splitting)
             reused = self._ingest(positions, assignment, windows)
+            self._index_frame_id = self._frame_id
             self._grid = grid
 
             deadline: Optional[int] = None
@@ -481,7 +486,7 @@ class StreamSession:
         # Per-call attribution reads the runtime block's lookups, not
         # the cache's own counters — a shared cache aggregates tenants.
         runtime = self._fold(block, before)
-        return PlanResult(frame_id=self._frame_id - 1, deadline=deadline,
+        return PlanResult(frame_id=self._index_frame_id, deadline=deadline,
                           op_results=op_results,
                           cache_hits=runtime.get("cache_hits", 0),
                           cache_misses=runtime.get("cache_misses", 0))
@@ -531,6 +536,7 @@ class StreamSession:
         index = self._index
         return {
             "frame_id": self._frame_id,
+            "index_frame_id": self._index_frame_id,
             "grid": self._grid,
             "closed": self._closed,
             "drift_baseline": self._drift_baseline,
@@ -552,6 +558,7 @@ class StreamSession:
         if index is not None:
             index.restore_state(checkpoint["index_state"])
         self._frame_id = checkpoint["frame_id"]
+        self._index_frame_id = checkpoint["index_frame_id"]
         self._grid = checkpoint["grid"]
         self._closed = checkpoint["closed"]
         self._drift_baseline = checkpoint["drift_baseline"]

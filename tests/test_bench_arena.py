@@ -6,9 +6,12 @@ gate and the per-row arena accounting — without paying for the real
 timing run.
 """
 
+import json
 import os
+import platform
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -22,6 +25,12 @@ def test_bench_arena_fusion_smoke(tmp_path):
     output = str(tmp_path / "BENCH_arena.json")
     payload = bench_arena_fusion.smoke(tmp_output=output)
     assert os.path.exists(output)
+    with open(output) as handle:
+        recorded = json.load(handle)
+    assert recorded["host"] == {"cpu_count": os.cpu_count(),
+                                "python": platform.python_version(),
+                                "numpy": np.__version__}
+    assert "cpu_count" not in recorded["workload"]
     backends = {row["backend"] for row in payload["results"]}
     assert backends == {"serial", "thread", "shm"}
     # 3 backends x 2 ops.

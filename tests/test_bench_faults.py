@@ -9,9 +9,12 @@ print-only (``results_dir=None``), so smoke runs can never overwrite
 tracked results.
 """
 
+import json
 import os
+import platform
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -25,6 +28,12 @@ def test_bench_fault_recovery_smoke(tmp_path):
     output = str(tmp_path / "BENCH_faults.json")
     payload = bench_fault_recovery.smoke(tmp_output=output)
     assert os.path.exists(output)
+    with open(output) as handle:
+        recorded = json.load(handle)
+    assert recorded["host"] == {"cpu_count": os.cpu_count(),
+                                "python": platform.python_version(),
+                                "numpy": np.__version__}
+    assert "cpu_count" not in recorded["workload"]
     rows = payload["results"]
     assert [(row["backend"], row["schedule"]) for row in rows] == [
         ("serial", "none"), ("shm", "none"),

@@ -9,9 +9,12 @@ run.  Mirrors ``test_bench_streaming.py``: the text table is print-only
 results.
 """
 
+import json
 import os
+import platform
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -25,6 +28,12 @@ def test_bench_fleet_service_smoke(tmp_path):
     output = str(tmp_path / "BENCH_fleet.json")
     payload = bench_fleet_service.smoke(tmp_output=output)
     assert os.path.exists(output)
+    with open(output) as handle:
+        recorded = json.load(handle)
+    assert recorded["host"] == {"cpu_count": os.cpu_count(),
+                                "python": platform.python_version(),
+                                "numpy": np.__version__}
+    assert "cpu_count" not in recorded["workload"]
     assert payload["benchmark"] == "fleet_service"
     # Smoke runs one tenant count over both scenarios.
     assert [(row["sessions"], row["scenario"])

@@ -5,9 +5,12 @@ exercises the harness (including the batched-vs-seed equality check)
 without paying for the real timing run.
 """
 
+import json
 import os
+import platform
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -21,6 +24,12 @@ def test_bench_perf_neighbors_smoke(tmp_path):
     output = str(tmp_path / "BENCH_neighbors.json")
     payload = bench_perf_neighbors.smoke(tmp_output=output)
     assert os.path.exists(output)
+    with open(output) as handle:
+        recorded = json.load(handle)
+    assert recorded["host"] == {"cpu_count": os.cpu_count(),
+                                "python": platform.python_version(),
+                                "numpy": np.__version__}
+    assert "cpu_count" not in recorded["workload"]
     variants = {row["variant"] for row in payload["results"]}
     assert variants == {"Base", "CS", "CS+DT"}
     ops = {row["op"] for row in payload["results"]}

@@ -8,9 +8,12 @@ at matched deadlines) without paying for the real timing run.  Mirrors
 results.
 """
 
+import json
 import os
+import platform
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -24,6 +27,12 @@ def test_bench_streaming_session_smoke(tmp_path):
     output = str(tmp_path / "BENCH_streaming.json")
     payload = bench_streaming_session.smoke(tmp_output=output)
     assert os.path.exists(output)
+    with open(output) as handle:
+        recorded = json.load(handle)
+    assert recorded["host"] == {"cpu_count": os.cpu_count(),
+                                "python": platform.python_version(),
+                                "numpy": np.__version__}
+    assert "cpu_count" not in recorded["workload"]
     backends = {row["backend"] for row in payload["results"]}
     assert backends == {"serial", "thread", "shm"}
     configs = {row["config"] for row in payload["results"]}

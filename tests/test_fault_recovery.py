@@ -143,6 +143,35 @@ def test_exact_counter_accounting_shm(rng):
     index.close()
 
 
+@pytest.mark.parametrize("trial", range(3))
+def test_crash_right_after_a_large_result_loses_nothing(trial):
+    """Each worker hands over a large uncapped result (window 0 / 1)
+    and crashes on its very next unit (window 2 / 3).  The handed-over
+    result must arrive whole and the result channel stay usable: two
+    respawns and two retries, no timeout, no ladder step."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork unavailable; the pool runs inline")
+    index, pts, assignment = _index(np.random.default_rng(3), n=6000)
+    want = index.query_knn_batch(pts[::3], assignment[::3], 64,
+                                 engine="scan")
+    index.close()
+    injector = FaultInjector([FaultSpec(kind="crash", window=2),
+                              FaultSpec(kind="crash", window=3)])
+    index, pts, assignment = _index(
+        np.random.default_rng(3), executor=injector.executor("shm"),
+        supervision=SupervisionConfig(unit_timeout=2.0), n=6000)
+    try:
+        got = index.query_knn_batch(pts[::3], assignment[::3], 64,
+                                    engine="scan")
+        _assert_batches_equal(got, want)
+        assert injector.fire_counts == [1, 1]
+        assert index.stats.respawns == index.stats.retries == 2
+        assert index.stats.timeouts == 0
+        assert index.stats.degradations == []
+    finally:
+        index.close()
+
+
 def test_degradation_ladder_exhausts_to_serial(rng):
     """A persistent fault walks shm → thread → serial, bit-equal.
 
@@ -514,6 +543,28 @@ def test_session_rollback_on_failed_execution(rng):
         outcome = session.process(frames[2])
         assert outcome.frame_id == 2
         _assert_batches_equal(outcome.result, reference[2].result)
+
+
+def test_query_after_rollback_reports_the_last_good_frame(rng):
+    """A frame that fails after its ingest rolls the index back, and
+    query() reports (and answers from) the frame the index holds
+    again, not the quarantined frame's id."""
+    frames = _session_frames()
+    flaky = _ArmableFaultFactory(once=True)
+    session_cfg = StreamingSessionConfig(max_retries=0, degradation=False,
+                                         on_error="skip")
+    with StreamSession(_session_config(flaky), k=5,
+                       session=session_cfg) as session:
+        session.process(frames[0])
+        want = session.query()
+        flaky.armed = True
+        failed = session.process(frames[1])
+        assert failed.frame_id == 1
+        assert failed.error["stage"] == "execute"
+        assert session.stats.rollbacks == 1
+        got = session.query()
+        assert got.frame_id == want.frame_id == 0
+        _assert_batches_equal(got["knn"], want["knn"])
 
 
 def test_session_rollback_then_clean_frame_bit_equal(rng):

@@ -265,8 +265,7 @@ def test_lease_blocks_sum_to_the_inner_block():
             assert inner.retries == leases[0].retries == 1
             assert inner.state_bytes_shipped > 0
             for name in ("retries", "respawns", "timeouts",
-                         "state_bytes_shipped", "forks_avoided",
-                         "queue_fallback_units"):
+                         "state_bytes_shipped", "forks_avoided"):
                 assert sum(getattr(lease, name) for lease in leases) \
                     == getattr(inner, name), name
             assert [step for lease in leases

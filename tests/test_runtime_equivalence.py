@@ -11,6 +11,9 @@ specifics — segment hygiene on close, warm frames avoiding re-forks,
 warm repair equivalence — are covered at the bottom.
 """
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -446,24 +449,68 @@ def test_shm_warm_frame_avoids_refork_and_ships_only_dirty(rng):
     reference.close()
 
 
-def test_shm_traced_units_ride_queue_fallback(rng):
-    """Trace-recording units have no fixed-width reservation — they
-    must come back through the pickle queue, counted, still bit-equal."""
-    pts = rng.uniform(0, 1, size=(180, 3))
+#: One row per unit shape the shm pool ships: ``(kind, query stride,
+#: batch kwargs, fuses)``.  A stride of 1 puts >= 32 queries on each
+#: worker slot (the scheduler fuses them into arena units); a stride of
+#: 20 keeps every slot under 32 (plain per-window units).
+_UNIT_SHAPES = {
+    "knn-plain": ("knn", 20, {"k": 4, "max_steps": 9}, False),
+    "knn-fused": ("knn", 1, {"k": 4, "max_steps": 9}, True),
+    "range-fused": ("range", 1, {"radius": 0.2, "max_steps": 9,
+                                 "max_results": 6}, True),
+    "range-capped-max-results": ("range", 20, {
+        "radius": 0.2, "max_steps": 9, "max_results": 6}, False),
+    "range-capped": ("range", 20, {"radius": 0.2, "max_steps": 9}, False),
+    "knn-uncapped-scan": ("knn", 3, {"k": 4, "engine": "scan"}, False),
+    "range-uncapped": ("range", 3, {"radius": 0.2}, False),
+    "knn-traced": ("knn", 6, {"k": 3, "engine": "traverse",
+                              "record_traces": True}, False),
+    "range-traced": ("range", 6, {"radius": 0.2, "engine": "traverse",
+                                  "record_traces": True}, False),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_UNIT_SHAPES))
+def test_shm_creates_only_window_segments(rng, monkeypatch, shape):
+    """Every unit shape — plain, fused, capped, uncapped, traced — is
+    bit-equal to serial on the shm pool, and the only segments a batch
+    creates are window trees: units and results ride the queues."""
+    from multiprocessing import shared_memory
+
+    kind, stride, kwargs, fuses = _UNIT_SHAPES[shape]
+    created = []
+    real = shared_memory.SharedMemory
+
+    def recording(name=None, create=False, size=0):
+        if create:
+            created.append(name)
+        return real(name=name, create=create, size=size)
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", recording)
+    pts = rng.uniform(0, 1, size=(240, 3))
     index, grid = _windowed_index(pts, "shm")
     reference, _ = _windowed_index(pts, "serial")
-    queries = pts[::6]
+    queries = pts[::stride]
     qc = grid.assign(queries)
-    got = index.query_knn_batch(queries, qc, 3, engine="traverse",
-                                record_traces=True)
-    want = reference.query_knn_batch(queries, qc, 3, engine="traverse",
-                                     record_traces=True)
-    _assert_batches_equal(got, want, traces=True)
-    pool = index._runtime().executor
-    if pool.effective == "shm":
-        assert pool.stats.queue_fallback_units > 0
-    index.close()
-    reference.close()
+    try:
+        if kind == "knn":
+            got = index.query_knn_batch(queries, qc, **kwargs)
+            want = reference.query_knn_batch(queries, qc, **kwargs)
+        else:
+            got = index.query_range_batch(queries, qc, **kwargs)
+            want = reference.query_range_batch(queries, qc, **kwargs)
+        _assert_batches_equal(got, want, traces=True)
+        pool = index._runtime().executor
+        if pool.effective != "shm":
+            pytest.skip("fork unavailable; the pool never stages")
+        assert (pool.stats.arena_launches > 0) == fuses
+        window_name = re.compile(rf"repro-{os.getpid()}-w\d+-\d+")
+        assert created, "the shm pool staged no window segments"
+        assert [name for name in created
+                if not window_name.fullmatch(name)] == []
+    finally:
+        index.close()
+        reference.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

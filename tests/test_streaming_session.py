@@ -616,6 +616,30 @@ def test_query_without_ingest_matches_execute():
         cold.close()
 
 
+def test_query_reports_the_frame_the_index_holds():
+    """A quarantined or empty frame consumes a frame id but leaves the
+    index on the last ingested frame; query() must report that frame's
+    id, alongside that frame's answers."""
+    frame = np.random.default_rng(9).uniform(0, 1, size=(400, 3))
+    bad = frame.copy()
+    bad[7, 1] = np.nan
+    with StreamSession(_config("spatial"), k=4) as session:
+        assert session.process(frame).frame_id == 0
+        want = session.query()
+        assert want.frame_id == 0
+        quarantined = session.process(bad, on_error="skip")
+        assert quarantined.frame_id == 1 and quarantined.error
+        after_skip = session.query()
+        assert after_skip.frame_id == 0
+        _assert_batches_equal(after_skip["knn"], want["knn"])
+        assert session.process(np.zeros((0, 3))).frame_id == 2
+        after_empty = session.query()
+        assert after_empty.frame_id == 0
+        _assert_batches_equal(after_empty["knn"], want["knn"])
+        assert session.process(frame).frame_id == 3
+        assert session.query().frame_id == 3
+
+
 def test_query_before_ingest_raises():
     with StreamSession(_config("spatial"), k=4) as session:
         with pytest.raises(ValidationError, match="no frame ingested"):
