@@ -4,8 +4,10 @@ Times ``GroupingContext.knn_group`` / ``ball_group`` on a 4096-point
 cloud with 512 queries (k = 32) under the paper's Base / CS / CS+DT
 variants, against a faithful replica of the seed implementation: one
 query at a time, one ``np.linalg.norm`` call per visited tree node, and
-a per-query O(N) padding fallback.  Both sides share the same trees and
-windows, so the measured delta is purely the batched engine.
+a per-query O(N) padding fallback.  The splitting variants share their
+trees and windows with the seed side; Base's seed side searches an
+identical whole-cloud tree of its own.  Every tree is built before
+timing, so the measured delta is purely the batched engine.
 
 Emits ``BENCH_neighbors.json`` at the repo root (override with
 ``--output``) to seed the perf trajectory, plus a text table under
@@ -26,6 +28,7 @@ from repro.core.config import SplittingConfig, StreamGridConfig, \
     TerminationConfig
 from repro.core.cotraining import GroupingContext, baseline_config, \
     cs_config, cs_dt_config
+from repro.spatial import KDTree
 
 from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
@@ -118,14 +121,19 @@ def _seed_pad(positions, indices, size, query):
 
 
 class SeedGrouping:
-    """Seed grouping semantics on top of an existing context's trees.
+    """Seed grouping semantics on top of an existing context's windows.
 
-    Shares the (already built) kd-trees and windows with the batched
-    context so the comparison isolates dispatch + inner-loop cost.
+    The splitting variants share the context's (already built) window
+    trees, so the comparison isolates dispatch + inner-loop cost.  Base
+    searches a plain whole-cloud tree of its own, as the seed did (the
+    context runs Base as a one-window index, which must not be its own
+    reference).
     """
 
     def __init__(self, context: GroupingContext) -> None:
         self._ctx = context
+        self._tree = None if context.config.use_splitting \
+            else KDTree(context.positions)
 
     def _window_search(self, query, runner):
         splitter = self._ctx._splitter
@@ -141,7 +149,7 @@ class SeedGrouping:
         ctx = self._ctx
         groups = []
         for query in np.atleast_2d(queries):
-            if ctx._splitter is not None:
+            if self._tree is None:
                 # The seed windowed path always recorded traversal traces
                 # (it fed the accessed-chunk accounting).
                 indices = self._window_search(
@@ -149,7 +157,7 @@ class SeedGrouping:
                                                max_steps=ctx._deadline,
                                                record_trace=True))
             else:
-                indices = _seed_knn(ctx._tree, query, k,
+                indices = _seed_knn(self._tree, query, k,
                                     max_steps=ctx._deadline)
             groups.append(_seed_pad(ctx.positions, indices, k, query))
         return np.stack(groups)
@@ -158,13 +166,13 @@ class SeedGrouping:
         ctx = self._ctx
         groups = []
         for query in np.atleast_2d(queries):
-            if ctx._splitter is not None:
+            if self._tree is None:
                 indices = self._window_search(
                     query, lambda t: _seed_range(
                         t, query, radius, max_steps=ctx._deadline,
                         max_results=max_results, record_trace=True))
             else:
-                indices = _seed_range(ctx._tree, query, radius,
+                indices = _seed_range(self._tree, query, radius,
                                       max_steps=ctx._deadline,
                                       max_results=max_results)
             groups.append(_seed_pad(ctx.positions, indices,

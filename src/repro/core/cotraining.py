@@ -29,12 +29,14 @@ padding semantics are unchanged from the per-query implementation:
   (DT) searches run the traversal engine whose step accounting matches
   the per-query path exactly (step-count parity).
 
-Both calls *emit work units* rather than executing searches inline: the
-windowed path routes through :class:`~repro.spatial.neighbors.ChunkedIndex`'s
-:class:`~repro.runtime.scheduler.WindowScheduler`, and the unsplit
-(Base) path wraps its kd-tree in a
-:class:`~repro.runtime.scheduler.SingleWindowState` behind its own
-scheduler — so the ``executor`` knob of
+Both calls *emit work units* rather than executing searches inline,
+through one :class:`~repro.core.splitting.CompulsorySplitter` and its
+:class:`~repro.spatial.neighbors.ChunkedIndex`'s
+:class:`~repro.runtime.scheduler.WindowScheduler`.  The unsplit (Base)
+variant is the one-window partition of
+:func:`~repro.core.splitting.splitting_for_chunks` ``(1)``: a single
+spatial window over the whole cloud, whose tree is the whole-cloud
+tree.  So the ``executor`` knob of
 :class:`~repro.core.config.StreamGridConfig` selects the runtime
 backend (serial / thread / shm / fleet) for every variant uniformly.
 """
@@ -47,20 +49,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.config import StreamGridConfig
-from repro.core.splitting import CompulsorySplitter
+from repro.core.splitting import CompulsorySplitter, splitting_for_chunks
 from repro.core.termination import TerminationPolicy
 from repro.errors import ValidationError
-from repro.runtime import (
-    SingleWindowState,
-    WindowScheduler,
-    WorkUnit,
-    run_tree_unit,
-)
-from repro.spatial.kdtree import (
-    BatchQueryResult,
-    KDTree,
-    nearest_point_indices,
-)
+from repro.spatial.kdtree import nearest_point_indices
 
 
 @dataclass
@@ -180,30 +172,18 @@ class GroupingContext:
     def __init__(self, positions: np.ndarray, config: StreamGridConfig,
                  calibration_k: int = 8,
                  rng: Optional[np.random.Generator] = None) -> None:
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValidationError("positions must be (N, 3)")
-        if len(positions) == 0:
-            raise ValidationError("cannot build a context on an empty cloud")
-        self.positions = positions
         self.config = config
-        self._splitter: Optional[CompulsorySplitter] = None
-        self._tree: Optional[KDTree] = None
-        self._scheduler: Optional[WindowScheduler] = None
         self._deadline: Optional[int] = None
-        executor = config.executor
-        workers = config.executor_workers
-        if config.use_splitting:
-            self._splitter = CompulsorySplitter(
-                positions, config.splitting, executor=executor,
-                executor_workers=workers)
-        else:
-            self._tree = KDTree(positions)
-            self._scheduler = WindowScheduler(
-                SingleWindowState(self._tree), executor, workers)
+        splitting = config.splitting if config.use_splitting \
+            else splitting_for_chunks(1)
+        # The splitter validates the cloud: (N, 3), non-empty.
+        self._splitter = CompulsorySplitter(
+            positions, splitting, executor=config.executor,
+            executor_workers=config.executor_workers)
+        self.positions = self._splitter.positions
         if config.use_termination:
             policy = TerminationPolicy(config.termination)
-            policy.calibrate(positions, calibration_k,
+            policy.calibrate(self.positions, calibration_k,
                              rng or np.random.default_rng(0))
             self._deadline = policy.deadline
 
@@ -215,40 +195,18 @@ class GroupingContext:
     @property
     def effective_executor(self) -> str:
         """The runtime backend actually in force (``"serial"`` under
-        fallback), whichever variant path this context took."""
-        if self._splitter is not None:
-            return self._splitter.effective_executor
-        return self._scheduler.executor.effective
+        fallback)."""
+        return self._splitter.effective_executor
 
     def close(self) -> None:
         """Shut down any live executor workers (idempotent)."""
-        if self._splitter is not None:
-            self._splitter.close()
-        if self._scheduler is not None:
-            self._scheduler.close()
+        self._splitter.close()
 
     def __enter__(self) -> "GroupingContext":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _single_tree_batch(self, kind: str, queries: np.ndarray,
-                           params: dict) -> BatchQueryResult:
-        """Run the whole batch as one window-0 work unit (Base path).
-
-        A single window means at most one outcome, whose rows are
-        already the full batch in input order.
-        """
-        window_ids = np.zeros(len(queries), dtype=np.int64)
-        if not len(queries):
-            # No units to schedule; the tree's batch calls already shape
-            # zero-row results correctly, so run the kernel directly.
-            return run_tree_unit(self._tree,
-                                 WorkUnit(0, window_ids, kind, queries,
-                                          params))
-        outcomes = self._scheduler.run(queries, window_ids, kind, params)
-        return outcomes[0][1]
 
     # ------------------------------------------------------------------
     def ball_group(self, queries: np.ndarray, radius: float,
@@ -282,15 +240,9 @@ class GroupingContext:
         if max_results <= 0:
             raise ValidationError("max_results must be positive")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self._splitter is not None:
-            result = self._splitter.range_batch(
-                queries, radius, max_steps=self._deadline,
-                max_results=max_results)
-        else:
-            result = self._single_tree_batch(
-                "range", queries,
-                {"radius": radius, "max_steps": self._deadline,
-                 "max_results": max_results})
+        result = self._splitter.range_batch(
+            queries, radius, max_steps=self._deadline,
+            max_results=max_results)
         return self._bucket_batch(result.indices, result.counts,
                                   max_results, queries)
 
@@ -301,12 +253,8 @@ class GroupingContext:
         if k <= 0:
             raise ValidationError("k must be positive")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if self._splitter is not None:
-            result = self._splitter.knn_batch(queries, k,
-                                              max_steps=self._deadline)
-        else:
-            result = self._single_tree_batch(
-                "knn", queries, {"k": k, "max_steps": self._deadline})
+        result = self._splitter.knn_batch(queries, k,
+                                          max_steps=self._deadline)
         return self._bucket_batch(result.indices, result.counts, k,
                                   queries)
 
@@ -317,9 +265,8 @@ class GroupingContext:
         :class:`~repro.runtime.RuntimeStats`."""
         buckets = bucket_group_batch(indices, counts, size, queries,
                                      self.positions)
-        runtime = self._splitter.index if self._splitter is not None \
-            else self._scheduler
-        runtime.stats.absorb({"bucket_sizes": buckets.histogram})
+        self._splitter.index.stats.absorb(
+            {"bucket_sizes": buckets.histogram})
         return buckets
 
 

@@ -10,7 +10,7 @@ propagates total element counts (the ``W_i`` of Eqn. 7) through the DAG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dataflow.ops import StageSpec
 from repro.errors import GraphError

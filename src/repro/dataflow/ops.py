@@ -34,7 +34,7 @@ counts attributes per point and must match across an edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ValidationError

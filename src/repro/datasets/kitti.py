@@ -11,7 +11,7 @@ even chunks by arrival order (Sec. 4.1, "How to Split").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

@@ -1,22 +1,30 @@
 """Pluggable window-shard execution runtime.
 
-Per-window neighbour-search batches are independent units of work: PR 1's
-window-grouped dispatch made each window's sub-batch a single kd-tree
-call, and this package separates *what* a window needs (a
+Per-window neighbour-search batches are independent units of work, and
+this package separates *what* a window needs (a
 :class:`~repro.runtime.executor.WorkUnit`) from *where* it runs (an
-:class:`~repro.runtime.executor.Executor` backend).  Everything that used
-to loop over windows inline — :class:`repro.spatial.neighbors.ChunkedIndex`,
-:class:`repro.core.cotraining.GroupingContext`,
-:class:`repro.core.splitting.CompulsorySplitter` — now *emits* work units
-and delegates execution to a :class:`~repro.runtime.scheduler.WindowScheduler`.
+:class:`~repro.runtime.executor.Executor` backend).  Every neighbour
+search runs through one :class:`repro.spatial.neighbors.ChunkedIndex`,
+which *emits* work units and delegates execution to its
+:class:`~repro.runtime.scheduler.WindowScheduler` —
+:class:`repro.core.splitting.CompulsorySplitter` and
+:class:`repro.core.cotraining.GroupingContext` included, whose unsplit
+Base variant is a one-window index.
+
+A unit carries ``windows`` — every window it serves, its affinity key
+``window`` first — and ``splits``, its query count per window.  A
+per-window unit has one window; a fused unit has several and runs as
+one arena launch.  Staging, execution, namespacing and fault matching
+all read ``unit.windows``; no layer branches on a unit's kind.
 
 The Executor protocol
 ---------------------
 An executor backend is an object bound to a *shard state* (anything with
-``run_unit(unit) -> result`` and ``window_is_empty(window) -> bool``;
-pooled execution additionally needs ``shm_export_window(window)``, the
-packed kd-tree arrays the shm pool stages into shared memory) that
-implements:
+``run_unit(unit) -> result``; the pooled backend additionally needs
+``shm_export_window(window)``, the packed kd-tree arrays it stages into
+shared memory).  Only the scheduler asks its own state
+``window_is_empty(window)``, to skip empty windows when it emits
+units; executors never do.  The backend implements:
 
 * ``run(units) -> list`` — execute a list of work units and return their
   results **in unit order** (the scheduler relies on this to scatter
@@ -51,16 +59,17 @@ Arena fusion (one lockstep launch per batch)
 Fusion is always on; only a backend's ``fusion_slot`` can opt out.  The
 scheduler's window-grouped dispatch fuses compatible per-window
 units — same kind and parameters, untraced, resolving to the traverse
-engine — into single ``fused_knn`` / ``fused_range`` units whose
-queries run as *lanes* of one lockstep traversal over the concatenated
-node arrays of all member windows.  The interpreter's fixed numpy cost
-per traversal iteration is paid once per fused batch instead of once
-per window, which is the paper's parallel traversal-unit dispatch
-amortized in software.  A same-slot group fuses only when its members
-hold at least ``_LOCKSTEP_MIN_QUERIES`` (32) queries in total — the
-threshold at which a single tree's batch engine turns lockstep — so a
-handful of lanes (a session's 16-query drift check) never pays the
-per-iteration cost.  A unit that does not fuse runs its window's own
+engine — into single ``knn`` / ``range`` units with several
+``windows``, whose queries run as *lanes* of one lockstep traversal
+over the concatenated node arrays of all member windows.  The
+interpreter's fixed numpy cost per traversal iteration is paid once
+per fused batch instead of once per window, which is the paper's
+parallel traversal-unit dispatch amortized in software.  A same-slot
+group fuses only when its members hold at least
+``_LOCKSTEP_MIN_QUERIES`` (32) queries in total — the threshold at
+which a single tree's batch engine turns lockstep — so a handful of
+lanes (a session's 16-query drift check) never pays the per-iteration
+cost.  A unit that does not fuse runs its window's own
 batch engine: a one-member arena launch at 32 or more queries, the
 scalar kernel below that.  Results are scattered
 back per member before anyone above the scheduler sees them, and are
@@ -150,7 +159,11 @@ class in :data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new
 name or pass the class (or a ready instance) directly as the
 ``executor=`` knob — :func:`~repro.runtime.executor.resolve_executor`
 accepts a backend name, a factory callable, or an :class:`Executor`
-instance.  A new multi-process transport should extend
+instance.  ``run`` hands each unit to ``state.run_unit`` (or, in a
+worker, to :func:`~repro.runtime.scheduler.run_tree_unit` with one tree
+per entry of ``unit.windows``) and returns one result per unit — a
+list of per-window results for a fused unit, which the scheduler
+scatters.  A new multi-process transport should extend
 :class:`~repro.runtime.shm.ShmShardPool` rather than sit beside it.
 """
 
@@ -184,11 +197,9 @@ from repro.runtime.faults import (
     InjectedFaultError,
 )
 from repro.runtime.scheduler import (
-    SingleWindowState,
     WeakShardState,
     WindowScheduler,
     fusion_signature,
-    run_fused_unit,
     run_tree_unit,
 )
 
@@ -216,10 +227,8 @@ __all__ = [
     "FaultSpec",
     "FaultyState",
     "InjectedFaultError",
-    "SingleWindowState",
     "WeakShardState",
     "WindowScheduler",
     "fusion_signature",
-    "run_fused_unit",
     "run_tree_unit",
 ]

@@ -1,9 +1,9 @@
 """Executor backends of the window-shard runtime.
 
-A :class:`WorkUnit` is one window's slice of a query batch; an
-:class:`Executor` runs a list of them against a *shard state* — any
-object exposing ``run_unit(unit) -> result`` — and returns the results
-in unit order.  See :mod:`repro.runtime` for the protocol contract and
+A :class:`WorkUnit` is the slice of a query batch that one window (or a
+fused group of same-slot windows) serves; an :class:`Executor` runs a
+list of them against a *shard state* — any object exposing
+``run_unit(unit) -> result`` — and returns the results in unit order.  See :mod:`repro.runtime` for the protocol contract and
 the window-affinity sharding rule.
 
 Execution is **supervised**: every backend carries a
@@ -27,7 +27,7 @@ import copy
 import logging
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,14 +42,20 @@ _DEFAULT_MAX_WORKERS = 8
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One window's share of a query batch.
+    """The share of a query batch served by one window — or, fused, by
+    several windows on one dispatch slot.
 
     ``rows`` are the positions of this unit's queries in the original
     batch (input order); executors never reorder results, so the
     scheduler can scatter ``result[i]`` straight back to ``rows`` of
-    unit ``i``.  The whole unit must stay picklable — the pooled
-    backend ships each unit (query block, row map and ``params``) to
-    its workers through a queue.
+    unit ``i``.  ``windows`` lists every window the unit serves, the
+    affinity key ``window`` first, and ``splits`` its query count per
+    window: the query block is the windows' blocks concatenated in that
+    order.  Both default to the one-window unit ``(window,)`` /
+    ``(len(queries),)``; a unit with several windows runs as one
+    :class:`~repro.spatial.kdtree.TraversalArena` launch and returns
+    one result per window.  The whole unit must stay picklable — the
+    pooled backend ships each unit to its workers through a queue.
     """
 
     window: int                 # serving window id (shard affinity key)
@@ -57,6 +63,18 @@ class WorkUnit:
     kind: str                   # "knn" | "range"
     queries: np.ndarray         # (R, 3) this unit's queries
     params: Dict[str, Any] = field(default_factory=dict)
+    windows: Tuple[int, ...] = ()
+    splits: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.windows:
+            object.__setattr__(self, "windows", (self.window,))
+            object.__setattr__(self, "splits", (len(self.queries),))
+        if self.windows[0] != self.window \
+                or len(self.splits) != len(self.windows):
+            raise ValidationError(
+                f"unit windows {self.windows} must start with its window "
+                f"{self.window} and carry one split each")
 
 
 @dataclass(frozen=True)
@@ -553,4 +571,4 @@ def _supervise(executor, supervision: Optional[SupervisionConfig]):
 # changes together with its benchmark.  This second name for the one
 # pool keeps the target resolving; it is not a registered backend and
 # not exported from ``repro.runtime``.
-from repro.runtime.shm import ShmShardPool as ProcessShardPool  # noqa: E402
+from repro.runtime.shm import ShmShardPool as ProcessShardPool  # noqa: E402,F401

@@ -34,7 +34,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ValidationError
 
@@ -92,13 +92,10 @@ class FaultSpec:
                 f"duration must be non-negative, got {self.duration}")
 
     def matches(self, unit) -> bool:
-        if self.window is None or unit.window == self.window:
-            return True
-        # A fused arena unit serves every member window it carries: a
-        # fault targeting any member hits the whole launch (and its
-        # retry re-runs the whole launch, bit-safe).
-        members = unit.params.get("windows")
-        return members is not None and self.window in members
+        # A fused unit serves every window it carries: a fault targeting
+        # any of them hits the whole launch (and its retry re-runs the
+        # whole launch, bit-safe).
+        return self.window is None or self.window in unit.windows
 
     def fires(self, count: int) -> bool:
         """Whether the rule fires on the *count*-th matching unit."""
@@ -207,12 +204,11 @@ class FaultyState:
     """Shard-state proxy routing every unit through a fault injector.
 
     Implements the same duck-typed surface executors rely on
-    (``run_unit`` plus attribute passthrough, so scheduler helpers like
-    ``window_is_empty`` — and the ``shm_export_window`` staging of
-    :class:`repro.runtime.ShmShardPool` — keep working).  Pool workers
-    serve units from attached segments, never from the state, so the
-    pool hands each worker ``state._injector`` and injected faults fire
-    inside the worker.
+    (``run_unit`` plus attribute passthrough, so the
+    ``shm_export_window`` staging of :class:`repro.runtime.ShmShardPool`
+    keeps working).  Pool workers serve units from attached segments,
+    never from the state, so the pool hands each worker
+    ``state._injector`` and injected faults fire inside the worker.
     """
 
     def __init__(self, state, injector: FaultInjector) -> None:

@@ -188,20 +188,11 @@ class _FleetState:
 
     def run_unit(self, unit: WorkUnit):
         state, window = self._route(int(unit.window))
-        if unit.kind in ("fused_knn", "fused_range"):
-            # Fused arena units carry every member window in params;
-            # denamespace them alongside the primary window so the
-            # tenant state sees only its local ids.
-            params = dict(unit.params)
-            params["windows"] = tuple(
-                split_namespaced(int(w))[1] for w in params["windows"])
-            return state.run_unit(
-                _replace_unit(unit, window=window, params=params))
-        return state.run_unit(_replace_unit(unit, window=window))
-
-    def window_is_empty(self, ns_window: int) -> bool:
-        state, window = self._route(int(ns_window))
-        return state.window_is_empty(window)
+        # A unit's windows all belong to one tenant; the tenant state
+        # sees only its local ids.
+        return state.run_unit(_replace_unit(
+            unit, window=window,
+            windows=tuple(split_namespaced(w)[1] for w in unit.windows)))
 
     def shm_export_window(self, ns_window: int):
         state, window = self._route(int(ns_window))
@@ -256,19 +247,10 @@ class FleetLease(Executor):
         deadline = math.inf
         ns_units = []
         for unit in units:
-            window = int(unit.window)
-            self._windows.add(window)
-            if unit.kind in ("fused_knn", "fused_range"):
-                members = [int(w) for w in unit.params["windows"]]
-                self._windows.update(members)
-                params = dict(unit.params)
-                params["windows"] = tuple(
-                    self.namespaced(w) for w in members)
-                ns_units.append(_replace_unit(
-                    unit, window=self.namespaced(window), params=params))
-            else:
-                ns_units.append(
-                    _replace_unit(unit, window=self.namespaced(window)))
+            self._windows.update(unit.windows)
+            ns_units.append(_replace_unit(
+                unit, window=self.namespaced(unit.window),
+                windows=tuple(self.namespaced(w) for w in unit.windows)))
             cap = unit.params.get("max_steps")
             if cap is not None:
                 deadline = min(deadline, float(cap))

@@ -2,16 +2,20 @@
 
 The scheduler owns the *shape* of per-window execution: it buckets a
 query batch by serving window, emits one :class:`WorkUnit` per non-empty
-window, and hands the units to its executor backend.  Callers iterate
-the returned ``(unit, result)`` pairs and scatter each result into
-their output arrays by ``unit.rows`` — never looping over windows
+window, fuses compatible same-slot units into multi-window units, and
+hands them to its executor backend.  Every neighbour search — the
+unsplit Base variant included, as a one-window
+:class:`~repro.spatial.neighbors.ChunkedIndex` — takes this one path:
+:meth:`WindowScheduler.schedule` then
+:meth:`WindowScheduler.execute_by_window`.  Callers scatter each result
+into their output arrays by ``unit.rows`` — never looping over windows
 themselves.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,18 +28,15 @@ from repro.spatial.kdtree import _LOCKSTEP_MIN_QUERIES, TraversalArena
 #: :func:`repro.runtime.shm._tree_layout`.
 _ARENA_NODE_BYTES = 49
 
-#: Fusable per-window unit kinds and their fused arena counterparts.
-_FUSED_KIND = {"knn": "fused_knn", "range": "fused_range"}
-
 
 class WeakShardState:
     """Shard-state adapter holding its target through a weak reference.
 
-    A state object that *owns* its scheduler (e.g.
-    :class:`repro.spatial.neighbors.ChunkedIndex`) would otherwise sit in
-    a reference cycle — state → scheduler → executor → state — that
+    The :class:`repro.spatial.neighbors.ChunkedIndex` *owns* its
+    scheduler, so binding the scheduler to the index itself would make
+    a reference cycle — index → scheduler → executor → index — that
     defeats prompt refcount teardown of executor workers.  Wrapping the
-    state in this adapter breaks the cycle: when the owner is dropped,
+    index in this adapter breaks the cycle: when the owner is dropped,
     the whole chain (and any forked worker pool, via its ``__del__``)
     is reclaimed immediately.
 
@@ -66,58 +67,47 @@ class WeakShardState:
         return self._state().shm_export_window(window)
 
     def window_size(self, window: int) -> int:
-        """Node count of *window*'s tree (0 when the target does not
-        report sizes) — arena-bytes accounting only, so the target may
-        leave it out."""
-        size = getattr(self._state(), "window_size", None)
-        return int(size(window)) if size is not None else 0
+        """Node count of *window*'s tree (arena-bytes accounting)."""
+        return self._state().window_size(window)
 
 
-def run_tree_unit(tree, unit: WorkUnit):
-    """Execute one work unit against a kd-tree (the standard kernel).
+def run_tree_unit(trees, unit: WorkUnit):
+    """Execute one work unit against its windows' kd-trees.
 
-    Shard states whose windows are backed by
-    :class:`repro.spatial.kdtree.KDTree` objects delegate here; the
-    ``params`` dict carries the batch-call keyword arguments.
+    *trees* holds one :class:`~repro.spatial.kdtree.KDTree` per entry
+    of ``unit.windows``, in order; ``unit.params`` carries the
+    batch-call keyword arguments.  A one-window unit runs its tree's
+    batch engine and returns one
+    :class:`~repro.spatial.kdtree.BatchQueryResult`.  A unit serving
+    several windows runs them as one
+    :class:`~repro.spatial.kdtree.TraversalArena` launch over
+    ``unit.splits`` and returns one result per window, bit-equal to
+    running each window's share on its own tree.
     """
     params = unit.params
+    if unit.kind not in ("knn", "range"):
+        raise ValidationError(f"unknown work-unit kind {unit.kind!r}")
+    if len(trees) > 1:
+        arena = TraversalArena(trees)
+        if unit.kind == "knn":
+            return arena.knn_fused(unit.queries, unit.splits, params["k"],
+                                   max_steps=params.get("max_steps"))
+        return arena.range_fused(unit.queries, unit.splits,
+                                 params["radius"], params.get("max_steps"),
+                                 max_results=params.get("max_results"))
+    [tree] = trees
     if unit.kind == "knn":
         return tree.knn_batch(
             unit.queries, params["k"],
             max_steps=params.get("max_steps"),
             engine=params.get("engine", "auto"),
             record_traces=params.get("record_traces", False))
-    if unit.kind == "range":
-        return tree.range_batch(
-            unit.queries, params["radius"],
-            max_steps=params.get("max_steps"),
-            max_results=params.get("max_results"),
-            engine=params.get("engine", "auto"),
-            record_traces=params.get("record_traces", False))
-    raise ValidationError(f"unknown work-unit kind {unit.kind!r}")
-
-
-def run_fused_unit(trees, unit: WorkUnit):
-    """Execute one fused arena unit against its member windows' trees.
-
-    *trees* holds one kd-tree per entry of ``unit.params["windows"]``
-    (in order); the unit's query block is partitioned by
-    ``unit.params["splits"]``.  Returns one
-    :class:`~repro.spatial.kdtree.BatchQueryResult` per member window,
-    bit-equal to running each member's per-window unit on its own tree.
-    """
-    params = unit.params
-    splits = params["splits"]
-    if unit.kind == "fused_knn":
-        arena = TraversalArena(trees)
-        return arena.knn_fused(unit.queries, splits, params["k"],
-                               max_steps=params.get("max_steps"))
-    if unit.kind == "fused_range":
-        arena = TraversalArena(trees)
-        return arena.range_fused(unit.queries, splits, params["radius"],
-                                 params.get("max_steps"),
-                                 max_results=params.get("max_results"))
-    raise ValidationError(f"unknown fused work-unit kind {unit.kind!r}")
+    return tree.range_batch(
+        unit.queries, params["radius"],
+        max_steps=params.get("max_steps"),
+        max_results=params.get("max_results"),
+        engine=params.get("engine", "auto"),
+        record_traces=params.get("record_traces", False))
 
 
 def fusion_signature(unit: WorkUnit):
@@ -132,7 +122,7 @@ def fusion_signature(unit: WorkUnit):
     hit buffers are unbounded).  The key folds in the full parameter
     set, so fused members share k / radius / cap / max_results exactly.
     """
-    if unit.kind not in _FUSED_KIND:
+    if unit.kind not in ("knn", "range"):
         return None
     params = unit.params
     if params.get("record_traces"):
@@ -149,51 +139,25 @@ def fusion_signature(unit: WorkUnit):
         return None
 
 
-class SingleWindowState:
-    """Adapter presenting one kd-tree as a single-window shard state.
-
-    Lets unsplit searches (the paper's **Base** variant) run through the
-    same scheduler/executor stack as windowed ones: every query maps to
-    window 0 and the whole batch is one work unit.
-    """
-
-    def __init__(self, tree) -> None:
-        self.tree = tree
-
-    def window_is_empty(self, window: int) -> bool:
-        return False
-
-    def run_unit(self, unit: WorkUnit):
-        if unit.kind in ("fused_knn", "fused_range"):
-            trees = [self.tree for _ in unit.params["windows"]]
-            return run_fused_unit(trees, unit)
-        return run_tree_unit(self.tree, unit)
-
-    def window_size(self, window: int) -> int:
-        return len(self.tree)
-
-    def shm_export_window(self, window: int):
-        """Packed tree arrays for the shared-memory backend."""
-        return self.tree.packed_arrays()
-
-
 class WindowScheduler:
     """Bucket a query batch by window and run it on an executor.
 
-    ``state`` is the shard state (it answers ``run_unit`` /
-    ``window_is_empty``); ``executor`` is anything
-    :func:`~repro.runtime.executor.resolve_executor` accepts.  Units are
-    emitted in ascending window order and results come back in unit
-    order, so scattering by ``unit.rows`` reassembles the batch in input
-    order regardless of backend.
+    ``state`` is the :class:`WeakShardState` of the
+    :class:`~repro.spatial.neighbors.ChunkedIndex` that owns this
+    scheduler (built in its ``_runtime``); ``executor`` is anything
+    :func:`~repro.runtime.executor.resolve_executor` accepts.
+    :meth:`schedule` emits units in ascending window order and
+    :meth:`execute_by_window` returns results in unit order, so
+    scattering by ``unit.rows`` reassembles the batch in input order
+    regardless of backend.
 
-    The window-grouped dispatch path (:meth:`execute_by_window` /
-    :meth:`run_ops`) fuses compatible per-window units that share an
-    executor dispatch slot into single multi-window **arena** units
-    (see :class:`~repro.spatial.kdtree.TraversalArena`) and scatters the
-    per-member results back, so callers — and the result cache and
-    fault supervision above them — observe exactly the per-window units
-    they submitted.  A group fuses only when it holds at least
+    :meth:`execute_by_window` fuses compatible per-window units that
+    share an executor dispatch slot into single multi-window units
+    (``unit.windows`` / ``unit.splits``, run as one
+    :class:`~repro.spatial.kdtree.TraversalArena` launch) and scatters
+    the per-window results back, so callers — and the result cache
+    above them — observe exactly the per-window units they submitted.
+    A group fuses only when it holds at least
     ``_LOCKSTEP_MIN_QUERIES`` queries in total, the rule
     :meth:`~repro.spatial.kdtree.KDTree.knn_batch` applies to one tree.
     A backend opts out through its ``fusion_slot`` (returning ``None``,
@@ -233,39 +197,28 @@ class WindowScheduler:
                                   dict(params)))
         return units
 
-    def execute(self, units: Sequence[WorkUnit]) -> List[Any]:
-        """Run *units* on the backend; results come back in unit order."""
-        return self.executor.run(units)
-
     def execute_by_window(self, units: Sequence[WorkUnit]) -> List[Any]:
         """Run *units* grouped by serving window; results in unit order.
 
-        The mixed-op execution primitive: units from *different* query
-        ops are submitted to the executor in ascending-window order
-        (stable within a window), so every op's work against window
-        ``w`` lands on ``w``'s shard back to back — one warm pass per
-        window instead of one per op.  The returned list is re-scattered
-        to the caller's unit order, so results are identical to
-        :meth:`execute` whichever order the backend ran them in.
-        Compatible units are fused into arena launches on the way down,
-        invisibly to the caller.
+        The one execution entry: units from *different* query ops are
+        submitted to the executor in ascending-window order (stable
+        within a window), so every op's work against window ``w`` lands
+        on ``w``'s shard back to back — one warm pass per window instead
+        of one per op.  The returned list is re-scattered to the
+        caller's unit order, whichever order the backend ran them in, so
+        the units of several ops in one call get exactly the results
+        each op's units would get alone.  Compatible units are fused
+        into arena launches on the way down, invisibly to the caller.
         """
         order = sorted(range(len(units)),
                        key=lambda i: (units[i].window, i))
         dispatch, plan = self._fuse_units([units[i] for i in order])
-        executed = self.executor.run(dispatch)
-        if plan is not None:
-            unfused: List[Any] = [None] * len(order)
-            for positions, result in zip(plan, executed):
-                if len(positions) == 1:
-                    unfused[positions[0]] = result
-                else:
-                    for pos, member_result in zip(positions, result):
-                        unfused[pos] = member_result
-            executed = unfused
         results: List[Any] = [None] * len(units)
-        for i, result in zip(order, executed):
-            results[i] = result
+        for positions, result in zip(plan, self.executor.run(dispatch)):
+            # A fused unit returns one result per window it serves.
+            member_results = result if len(positions) > 1 else [result]
+            for pos, member_result in zip(positions, member_results):
+                results[order[pos]] = member_result
         return results
 
     def _fuse_units(self, units: Sequence[WorkUnit]):
@@ -280,19 +233,18 @@ class WindowScheduler:
         :meth:`~repro.spatial.kdtree.KDTree.knn_batch`).
 
         Returns ``(dispatch, plan)``: the unit list to hand the
-        executor, and — when anything fused — one entry per dispatch
-        unit listing the input positions it serves (``plan is None``
-        means dispatch is the input, unchanged).  A fused unit sits at
-        its first member's position, so the dispatch list stays in
-        ascending-window order; its ``window`` is that first member's,
-        keeping slot affinity, fault targeting and the ticket protocol
-        byte-compatible with per-window dispatch.
+        executor, and one entry per dispatch unit listing the input
+        positions it serves.  A fused unit sits at its first member's
+        position, so the dispatch list stays in ascending-window order;
+        its ``window`` is that first member's, keeping slot affinity and
+        the ticket protocol exactly as in per-window dispatch.
         """
         # Backends that predate fusion have no fusion_slot: they opt
         # out, like the protocol's default of None.
         slot_of = getattr(self.executor, "fusion_slot", None)
+        unfused = (list(units), [[i] for i in range(len(units))])
         if slot_of is None or len(units) < 2:
-            return list(units), None
+            return unfused
         keys: List[Any] = []
         groups: Dict[Any, List[int]] = {}
         for i, unit in enumerate(units):
@@ -311,7 +263,7 @@ class WindowScheduler:
                 len(units[i].queries) for i in members)
             >= _LOCKSTEP_MIN_QUERIES}
         if not fused_groups:
-            return list(units), None
+            return unfused
         dispatch: List[WorkUnit] = []
         plan: List[List[int]] = []
         for i, unit in enumerate(units):
@@ -329,57 +281,25 @@ class WindowScheduler:
         return dispatch, plan
 
     def _build_fused(self, members: Sequence[WorkUnit]) -> WorkUnit:
-        """One arena unit covering *members* (same kind and params)."""
+        """One multi-window unit covering *members* (same kind and
+        params), in member order."""
         first = members[0]
-        params = dict(first.params)
-        params["windows"] = tuple(int(unit.window) for unit in members)
-        params["splits"] = tuple(len(unit.queries) for unit in members)
-        queries = np.concatenate([unit.queries for unit in members])
-        rows = np.concatenate([unit.rows for unit in members])
         self._account_fusion(members)
-        return WorkUnit(first.window, rows, _FUSED_KIND[first.kind],
-                        queries, params)
+        return WorkUnit(first.window,
+                        np.concatenate([unit.rows for unit in members]),
+                        first.kind,
+                        np.concatenate([unit.queries for unit in members]),
+                        dict(first.params),
+                        windows=tuple(unit.window for unit in members),
+                        splits=tuple(len(unit.queries) for unit in members))
 
     def _account_fusion(self, members: Sequence[WorkUnit]) -> None:
-        nodes = 0
-        size_of = getattr(self.state, "window_size", None)
-        if size_of is not None:
-            try:
-                nodes = sum(int(size_of(int(unit.window)))
-                            for unit in members)
-            except Exception:
-                nodes = 0
+        nodes = sum(self.state.window_size(unit.window)
+                    for unit in members)
         self.executor.stats.absorb({
             "arena_launches": 1,
             "arena_units_fused": {len(members): 1},
             "arena_bytes_viewed": nodes * _ARENA_NODE_BYTES})
-
-    def run(self, queries: np.ndarray, window_ids: np.ndarray, kind: str,
-            params: Dict[str, Any]) -> List[Tuple[WorkUnit, Any]]:
-        """Schedule + execute: ``(unit, result)`` pairs in unit order."""
-        units = self.schedule(queries, window_ids, kind, params)
-        return list(zip(units, self.execute(units)))
-
-    def run_ops(self, ops: Sequence[Tuple[np.ndarray, np.ndarray, str,
-                                          Dict[str, Any]]]
-                ) -> List[List[Tuple[WorkUnit, Any]]]:
-        """Schedule + execute several query ops as ONE executor dispatch.
-
-        ``ops`` is a sequence of ``(queries, window_ids, kind, params)``
-        tuples — e.g. a frame plan's kNN op and range op side by side.
-        Every op is bucketed into per-window units, the union of all
-        units runs through :meth:`execute_by_window` in a single
-        executor batch, and the outcomes come back as one
-        ``(unit, result)`` pair list per op, in op order — exactly what
-        :meth:`run` would have produced op by op, minus the extra
-        executor round-trips.
-        """
-        unit_groups = [self.schedule(queries, window_ids, kind, params)
-                       for queries, window_ids, kind, params in ops]
-        flat = [unit for group in unit_groups for unit in group]
-        results = iter(self.execute_by_window(flat))
-        return [[(unit, next(results)) for unit in group]
-                for group in unit_groups]
 
     def reset_workers(self) -> None:
         """Mark worker-visible state stale; the executor stays warm.

@@ -214,14 +214,6 @@ def _worker_tree(cache: Dict[int, tuple], descriptor, window: int
     return tree
 
 
-def _fused_windows(unit: WorkUnit) -> Optional[Tuple[int, ...]]:
-    """Member windows of a fused arena unit, or ``None`` for plain
-    units (which carry exactly one window in ``unit.window``)."""
-    if unit.kind in ("fused_knn", "fused_range"):
-        return tuple(int(w) for w in unit.params["windows"])
-    return None
-
-
 class _ResultPipe:
     """The workers' one result channel: a pipe each worker writes on its
     main thread, under one cross-process lock, so a result is whole
@@ -253,25 +245,16 @@ class _ResultPipe:
 
 
 def _run_shm_unit(trees, injector, payload):
-    """Execute one dispatched ``(unit, tree descriptor(s))`` payload
+    """Execute one dispatched ``(unit, tree descriptors)`` payload
     worker-side; returns the unit's result."""
-    from repro.runtime.scheduler import run_fused_unit, run_tree_unit
+    from repro.runtime.scheduler import run_tree_unit
 
-    unit, tree_desc = payload
-    members = _fused_windows(unit)
-    if members is not None:
-        # Fused arena unit: rebuild every member window's tree from its
-        # segment (descriptors ship in member order) and run the whole
-        # arena traversal worker-side.
-        tree = [_worker_tree(trees, desc, w)
-                for desc, w in zip(tree_desc, members)]
-    else:
-        tree = _worker_tree(trees, tree_desc, int(unit.window))
+    unit, tree_descs = payload
+    unit_trees = [_worker_tree(trees, desc, w)
+                  for desc, w in zip(tree_descs, unit.windows)]
     if injector is not None:
         injector.before_unit(unit)
-    if members is not None:
-        return run_fused_unit(tree, unit)
-    return run_tree_unit(tree, unit)
+    return run_tree_unit(unit_trees, unit)
 
 
 def _shm_worker_main(injector, inbox, outbox) -> None:
@@ -280,9 +263,8 @@ def _shm_worker_main(injector, inbox, outbox) -> None:
     Every message carries the dispatch *ticket* the parent issued;
     results echo it so the parent can discard late results from a
     killed worker (the re-dispatched unit got a fresh ticket).  A unit
-    rebuilds its window tree from the segment, runs with
-    :func:`~repro.runtime.scheduler.run_tree_unit` (or
-    :func:`~repro.runtime.scheduler.run_fused_unit`), and its whole
+    rebuilds its windows' trees from their segments, runs with
+    :func:`~repro.runtime.scheduler.run_tree_unit`, and its whole
     result rides the outbox.  A fault *injector* (the ``_injector``
     of a :class:`~repro.runtime.faults.FaultyState`) sees every unit
     *before* it runs, so crash / hang / raise / slow faults fire inside
@@ -512,20 +494,12 @@ class ShmShardPool(Executor):
 
         Runs entirely in the parent before any dispatch: each window's
         tree segment is refreshed at most once (in place when the new
-        layout fits).  Returns one ``(unit, tree descriptor)`` message
-        per unit — a fused unit carries its members' descriptors in
-        member order.
+        layout fits).  Returns one ``(unit, tree descriptors)`` message
+        per unit, one descriptor per entry of ``unit.windows``.
         """
-        messages: List[tuple] = []
-        for unit in units:
-            members = _fused_windows(unit)
-            if members is None:
-                tree_desc = self._export_window(int(unit.window)).descriptor
-            else:
-                tree_desc = tuple(self._export_window(w).descriptor
-                                  for w in members)
-            messages.append((unit, tree_desc))
-        return messages
+        return [(unit, tuple(self._export_window(w).descriptor
+                             for w in unit.windows))
+                for unit in units]
 
     def _export_window(self, window: int) -> _WindowSegment:
         """Refresh (or create) *window*'s segment from the live state.

@@ -20,7 +20,6 @@ from repro.dataflow.graph import Edge
 from repro.errors import SimulationError
 from repro.optimizer.schedule import (
     BufferSchedule,
-    MultiChunkSchedule,
     steady_interval,
 )
 from repro.sim.energy import EnergyModel

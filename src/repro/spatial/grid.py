@@ -78,6 +78,9 @@ class ChunkGrid:
     def cell_of(self, positions: np.ndarray) -> np.ndarray:
         """Per-point 3D grid coordinates, clipped into the grid."""
         positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+        if positions.ndim != 2 or positions.shape[1] != 3:
+            raise ValidationError(
+                f"positions must have shape (N, 3), got {positions.shape}")
         rel = (positions - self.lower) / self.cell_size
         cells = np.floor(rel).astype(np.int64)
         return np.clip(cells, 0, np.array(self.shape) - 1)

@@ -74,8 +74,11 @@ _SCAN_MAX_POINTS = 262_144
 _SCAN_BLOCK_ELEMS = 1 << 22
 # The lockstep engine pays a fixed numpy cost per traversal iteration;
 # below this many queries the scalar kernel amortizes better.  The same
-# threshold gates one tree's batch and the scheduler's multi-window
-# fusion (:meth:`repro.runtime.WindowScheduler._fuse_units`).
+# threshold gates a one-window unit's batch here and the scheduler's
+# fusion of same-slot units into one multi-window unit
+# (:meth:`repro.runtime.WindowScheduler._fuse_units`), so every search —
+# the unsplit Base variant's one window included — turns lockstep at
+# the same size.
 _LOCKSTEP_MIN_QUERIES = 32
 
 

@@ -43,7 +43,6 @@ from repro.runtime import (
     WeakShardState,
     WindowScheduler,
     WorkUnit,
-    run_fused_unit,
     run_tree_unit,
 )
 from repro.spatial.grid import ChunkGrid, ChunkWindow
@@ -785,24 +784,21 @@ class ChunkedIndex:
         return not len(self._members[window])
 
     def run_unit(self, unit: WorkUnit):
-        """Shard-state protocol: answer one window's work unit.
+        """Shard-state protocol: answer one work unit on the trees of
+        its ``unit.windows``.
 
         Runs in this process (the shm pool's workers run units on trees
         attached from :meth:`shm_export_window` instead); results are
         window-local — the parent remaps indices through the
-        window's member table when scattering.  Fused arena units carry
-        their member windows in ``params["windows"]`` and come back as
-        one window-local result per member.
+        window's member table when scattering.  A unit serving several
+        windows comes back as one window-local result per window.
         """
-        if unit.kind in ("fused_knn", "fused_range"):
-            trees = [self._tree_for(int(w))
-                     for w in unit.params["windows"]]
-            return run_fused_unit(trees, unit)
-        return run_tree_unit(self._tree_for(unit.window), unit)
+        return run_tree_unit([self._tree_for(w) for w in unit.windows],
+                             unit)
 
     def window_size(self, window: int) -> int:
-        """Shard-state protocol (optional): node count of *window*'s
-        tree — the scheduler's arena-bytes accounting hook."""
+        """Shard-state protocol: node count of *window*'s tree — the
+        scheduler's arena-bytes accounting hook."""
         return len(self._members[window])
 
     def shm_export_window(self, window: int):
@@ -823,20 +819,15 @@ class ChunkedIndex:
         would see them) is first looked up by (window content version,
         query digest, op kind + params) — the kind and parameters live
         in the key, so a kNN unit can never replay a range unit's
-        result.  Hits replay without touching the executor; the misses
-        of **all** ops run as one executor batch ordered by serving
-        window
+        result.  Hits replay without touching the executor; the
+        remaining units of **all** ops run as one executor batch ordered
+        by serving window
         (:meth:`~repro.runtime.scheduler.WindowScheduler.execute_by_window`)
-        and are stored.  Returns one ``(unit, window-local result)``
-        pair list per op, in unit order, exactly like
-        :meth:`~repro.runtime.scheduler.WindowScheduler.run_ops`.
+        and, when cacheable, are stored.  Returns one ``(unit,
+        window-local result)`` pair list per op, in unit order.
         """
         runtime = self._runtime()
         cache = self.result_cache
-        if cache is None:
-            return runtime.run_ops([(queries, widx, kind, params)
-                                    for queries, widx, kind, params, _
-                                    in specs])
         unit_groups = [runtime.schedule(queries, widx, kind, params)
                        for queries, widx, kind, params, _ in specs]
         outcomes: List[List] = [[None] * len(group)
@@ -844,7 +835,7 @@ class ChunkedIndex:
         to_run: List[WorkUnit] = []
         slots: List[tuple] = []
         for op_idx, (spec, group) in enumerate(zip(specs, unit_groups)):
-            cacheable = spec[4]
+            cacheable = cache is not None and spec[4]
             for unit_idx, unit in enumerate(group):
                 key = None
                 if cacheable:

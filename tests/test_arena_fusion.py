@@ -40,6 +40,7 @@ from repro.runtime import (
     SupervisionConfig,
     WorkUnit,
     fusion_signature,
+    namespaced_window,
 )
 from repro.spatial import (
     ChunkGrid,
@@ -306,14 +307,16 @@ def test_arena_stats_exact_on_serial(rng):
 # Fusion threshold: a group needs >= 32 queries in total
 # ----------------------------------------------------------------------
 class _RecordingSerial(SerialExecutor):
-    """The serial backend, recording the kind of every unit it runs."""
+    """The serial backend, recording ``(kind, window count)`` of every
+    unit it runs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.dispatched = []
 
     def run(self, units):
-        self.dispatched.extend(unit.kind for unit in units)
+        self.dispatched.extend((unit.kind, len(unit.windows))
+                               for unit in units)
         return super().run(units)
 
 
@@ -335,12 +338,12 @@ def test_fusion_needs_a_lockstep_sized_group(n_queries):
         _assert_batches_equal(got, want)
         per_window = plain._scheduler.executor.dispatched
         dispatched = fused._scheduler.executor.dispatched
-        assert len(per_window) >= 2 and set(per_window) == {"knn"}
+        assert len(per_window) >= 2 and set(per_window) == {("knn", 1)}
         if n_queries < 32:
             assert dispatched == per_window
             assert fused.stats.arena_launches == 0
         else:
-            assert dispatched == ["fused_knn"]
+            assert dispatched == [("knn", len(per_window))]
             assert fused.stats.arena_launches == 1
             assert fused.stats.arena_units_fused == {len(per_window): 1}
     finally:
@@ -413,6 +416,61 @@ def test_fused_unit_crash_respawns_bit_safe(rng):
         assert index.stats.respawns == 1
     finally:
         index.close()
+
+
+def test_fleet_fault_on_a_fused_units_later_window():
+    """A fault aimed at a fused unit's second window, in the second
+    tenant's namespace, fires once: the lease rewrites every window the
+    unit carries, not just its primary one.  Recovery is bit-safe and
+    lands on that tenant's counters only."""
+    shape, kernel = (4, 4, 1), (2, 2, 1)
+
+    def build(pts, executor):
+        grid = ChunkGrid.fit(pts, shape)
+        return ChunkedIndex(pts, grid.assign(pts),
+                            chunk_windows(shape, kernel),
+                            executor=executor,
+                            executor_workers=WORKERS), grid
+
+    clouds = [np.random.default_rng(seed).uniform(0, 1, size=(400, 3))
+              for seed in (21, 22)]
+    wants = []
+    for pts in clouds:
+        reference, grid = build(pts, "serial")
+        queries = pts[::3]
+        wants.append(reference.query_knn_batch(
+            queries, grid.assign(queries), 4, max_steps=18))
+        reference.close()
+    # Two workers: even windows share slot 0, so window 2 rides behind
+    # window 0 in tenant 1's fused slot-0 unit.
+    injector = FaultInjector([FaultSpec(
+        kind="crash", window=namespaced_window(1, 2))])
+    fleet = ShardFleet(FleetConfig(
+        backend=injector.executor("shm"), n_workers=WORKERS,
+        supervision=SupervisionConfig(unit_timeout=5.0)))
+    tenants = []
+    try:
+        for pts, want in zip(clouds, wants):
+            index, grid = build(pts, fleet)
+            tenants.append(index)
+            queries = pts[::3]
+            got = index.query_knn_batch(queries, grid.assign(queries), 4,
+                                        max_steps=18)
+            _assert_batches_equal(got, want)
+        if tenants[1].effective_executor != "fleet:shm":
+            pytest.skip("fork unavailable; inner pool fell back")
+        assert [index._runtime().executor.session_id
+                for index in tenants] == [0, 1]
+        assert injector.fire_counts == [1]
+        assert tenants[1].stats.arena_launches >= 1
+        assert (tenants[1].stats.retries, tenants[1].stats.respawns) \
+            == (1, 1)
+        assert (tenants[0].stats.retries, tenants[0].stats.respawns) \
+            == (0, 0)
+    finally:
+        for index in tenants:
+            index.close()
+        fleet.shutdown()
 
 
 # ----------------------------------------------------------------------

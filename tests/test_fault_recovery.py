@@ -29,13 +29,13 @@ from repro.runtime import (
     FaultyState,
     InjectedFaultError,
     RuntimeStats,
-    SingleWindowState,
     SupervisionConfig,
     WorkUnit,
     resolve_executor,
 )
 from repro.runtime.shm import _LIVE_POOLS, _terminate_orphaned_pools
-from repro.spatial import ChunkGrid, ChunkedIndex, KDTree, chunk_windows
+from repro.spatial import ChunkGrid, ChunkWindow, ChunkedIndex, KDTree, \
+    chunk_windows
 from repro.streaming import FramePlan, StreamSession
 
 WORKERS = 2
@@ -206,19 +206,21 @@ def test_degradation_ladder_exhausts_to_serial(rng):
 def _degrade_a_lone_unit(rng, backend, step):
     """Fail the only unit of a one-unit batch on ``backend`` and check
     the pool stepped down the ladder once and still answered exactly."""
-    tree = KDTree(rng.uniform(0, 1, size=(120, 3)))
+    pts = rng.uniform(0, 1, size=(120, 3))
     queries = rng.uniform(0, 1, size=(40, 3))
     injector = FaultInjector([FaultSpec(kind="raise", window=0)])
-    executor = resolve_executor(injector.executor(backend),
-                                SingleWindowState(tree), WORKERS,
-                                SupervisionConfig(max_retries=0))
+    one_window = ChunkedIndex(pts, np.zeros(len(pts), dtype=np.int64),
+                              [ChunkWindow((0, 0, 0), (0,))])
+    executor = resolve_executor(injector.executor(backend), one_window,
+                                WORKERS, SupervisionConfig(max_retries=0))
     unit = WorkUnit(0, np.arange(len(queries)), "knn", queries,
                     {"k": 4, "max_steps": 20})
     try:
         [got] = executor.run([unit])
     finally:
         executor.close()
-    _assert_batches_equal(got, tree.knn_batch(queries, 4, max_steps=20))
+    _assert_batches_equal(got, KDTree(pts).knn_batch(queries, 4,
+                                                     max_steps=20))
     assert injector.fire_counts == [1]
     assert executor.stats.degradations == [step]
 

@@ -28,13 +28,11 @@ from repro.errors import ValidationError
 from repro.runtime import (
     SerialExecutor,
     ShmShardPool,
-    SingleWindowState,
     ThreadExecutor,
-    WindowScheduler,
     WorkUnit,
     resolve_executor,
 )
-from repro.spatial import ChunkedIndex, ChunkGrid, ChunkWindow, KDTree, \
+from repro.spatial import ChunkedIndex, ChunkGrid, ChunkWindow, \
     WindowedOp, chunk_windows
 
 BACKENDS = ["serial", "thread", "shm"]
@@ -200,6 +198,8 @@ def test_mixed_batch_matches_single_ops(rng, backend):
 
 
 def test_scheduler_run_ops_matches_sequential_runs(rng):
+    """``execute_by_window`` over every op's units at once returns, per
+    unit, exactly what that op's units get when executed alone."""
     pts = rng.uniform(0, 1, size=(140, 3))
     grid = ChunkGrid.fit(pts, (3, 3, 1))
     windows = chunk_windows((3, 3, 1), (2, 2, 1))
@@ -210,15 +210,22 @@ def test_scheduler_run_ops_matches_sequential_runs(rng):
     w2 = index.window_of_queries(grid.assign(q2))
     ops = [(q1, w1, "knn", {"k": 3, "max_steps": 9}),
            (q2, w2, "range", {"radius": 0.25, "max_results": 4})]
-    grouped = scheduler.run_ops(ops)
-    assert len(grouped) == 2
-    for (queries, widx, kind, params), outcomes in zip(ops, grouped):
-        want = scheduler.run(queries, widx, kind, params)
-        assert len(outcomes) == len(want)
-        for (gu, gr), (wu, wr) in zip(outcomes, want):
-            assert gu.window == wu.window
-            np.testing.assert_array_equal(gu.rows, wu.rows)
-            _assert_batches_equal(gr, wr)
+    groups = [scheduler.schedule(*op) for op in ops]
+    grouped = scheduler.execute_by_window(
+        [unit for group in groups for unit in group])
+    assert len(grouped) == sum(len(group) for group in groups)
+    start = 0
+    for op, group in zip(ops, groups):
+        alone_units = scheduler.schedule(*op)
+        alone = scheduler.execute_by_window(alone_units)
+        assert len(alone) == len(group)
+        for unit, got, alone_unit, want in zip(
+                group, grouped[start:start + len(group)], alone_units,
+                alone):
+            assert unit.window == alone_unit.window
+            np.testing.assert_array_equal(unit.rows, alone_unit.rows)
+            _assert_batches_equal(got, want)
+        start += len(group)
     index.close()
 
 
@@ -265,23 +272,15 @@ def test_scheduler_emits_one_unit_per_nonempty_window(rng):
         np.testing.assert_array_equal(unit.queries, queries[unit.rows])
 
 
-def test_scheduler_single_tree_adapter_matches_direct_batch(rng):
-    pts = rng.normal(size=(80, 3))
-    tree = KDTree(pts)
-    scheduler = WindowScheduler(SingleWindowState(tree), "serial")
-    queries = rng.normal(size=(9, 3))
-    outcomes = scheduler.run(queries, np.zeros(9, dtype=np.int64), "knn",
-                             {"k": 4, "max_steps": 15})
-    assert len(outcomes) == 1
-    unit, local = outcomes[0]
-    want = tree.knn_batch(queries, 4, max_steps=15)
-    _assert_batches_equal(local, want)
-    np.testing.assert_array_equal(unit.rows, np.arange(9))
+def _one_window_index(pts):
+    """A one-window index: every point in chunk 0, one window over it."""
+    return ChunkedIndex(pts, np.zeros(len(pts), dtype=np.int64),
+                        [ChunkWindow((0, 0, 0), (0,))])
 
 
 def test_workunit_kind_validation(rng):
     pts = rng.normal(size=(20, 3))
-    state = SingleWindowState(KDTree(pts))
+    state = _one_window_index(pts)
     unit = WorkUnit(0, np.arange(2), "sort", pts[:2], {})
     with pytest.raises(ValidationError):
         state.run_unit(unit)
@@ -292,7 +291,7 @@ def test_workunit_kind_validation(rng):
 # ----------------------------------------------------------------------
 def test_shm_pool_falls_back_on_single_worker(rng, caplog):
     pts = rng.normal(size=(40, 3))
-    state = SingleWindowState(KDTree(pts))
+    state = _one_window_index(pts)
     with caplog.at_level("WARNING", logger="repro.runtime"):
         pool = ShmShardPool(state, n_workers=1)
     assert pool.effective == "serial"
@@ -310,7 +309,7 @@ def test_shm_pool_falls_back_without_fork(rng, caplog, monkeypatch):
     monkeypatch.setattr(shm_mod.multiprocessing,
                         "get_all_start_methods", lambda: ["spawn"])
     pts = rng.normal(size=(30, 3))
-    state = SingleWindowState(KDTree(pts))
+    state = _one_window_index(pts)
     with caplog.at_level("WARNING", logger="repro.runtime"):
         pool = ShmShardPool(state, n_workers=4)
     assert pool.effective == "serial"
@@ -318,7 +317,7 @@ def test_shm_pool_falls_back_without_fork(rng, caplog, monkeypatch):
 
 
 def test_resolve_executor_rejects_unknown_backend(rng):
-    state = SingleWindowState(KDTree(rng.normal(size=(10, 3))))
+    state = _one_window_index(rng.normal(size=(10, 3)))
     for name in ("warp-drive", "process"):
         with pytest.raises(ValidationError):
             resolve_executor(name, state)

@@ -258,6 +258,52 @@ def test_empty_window_batch_matches_per_query():
     assert (rbatch.steps == 0).all()
 
 
+_ROUTED_ENTRIES = ("knn_batch", "range_batch", "knn", "chunk_of_queries",
+                   "knn_group", "ball_group")
+
+
+@pytest.mark.parametrize("mode,entry", [
+    *((mode, entry) for mode in ("spatial", "serial")
+      for entry in _ROUTED_ENTRIES),
+    ("spatial", "chunked_knn_search"), ("spatial", "chunked_range_search"),
+    ("base", "knn_group"), ("base", "ball_group"),
+])
+def test_malformed_query_block_raises_validation_error(rng, mode, entry):
+    """A ``(Q, 2)`` query block is a ValidationError on every entry
+    point that routes queries — spatial grid lookup, serial
+    nearest-point routing and the Base variant alike."""
+    pts = rng.uniform(0, 1, size=(80, 3))
+    bad = pts[::8, :2]
+    shape, kernel = (3, 3, 1), (2, 2, 1)
+    splitting = SplittingConfig(shape=shape, kernel=kernel) \
+        if mode != "serial" else \
+        SplittingConfig(shape=(4, 1, 1), kernel=(2, 1, 1), mode="serial")
+    config = baseline_config() if mode == "base" \
+        else cs_config(StreamGridConfig(splitting=splitting))
+    splitter = CompulsorySplitter(pts, splitting)
+    ctx = GroupingContext(pts, config)
+    grid = ChunkGrid.fit(pts, shape)
+    windows = chunk_windows(shape, kernel)
+    calls = {
+        "knn_batch": lambda: splitter.knn_batch(bad, 3),
+        "range_batch": lambda: splitter.range_batch(bad, 0.3),
+        "knn": lambda: splitter.knn(bad[0], 3),
+        "chunk_of_queries": lambda: splitter.chunk_of_queries(bad),
+        "chunked_knn_search": lambda: chunked_knn_search(
+            pts, bad, 3, grid, windows),
+        "chunked_range_search": lambda: chunked_range_search(
+            pts, bad, 0.3, grid, windows),
+        "knn_group": lambda: ctx.knn_group(bad, 3),
+        "ball_group": lambda: ctx.ball_group(bad, 0.3, 4),
+    }
+    try:
+        with pytest.raises(ValidationError):
+            calls[entry]()
+    finally:
+        splitter.close()
+        ctx.close()
+
+
 # ----------------------------------------------------------------------
 # GroupingContext batch vs the per-query reference semantics
 # ----------------------------------------------------------------------
@@ -273,29 +319,39 @@ def _reference_pad(positions, indices, size, query):
     return np.concatenate([indices, pad])
 
 
+def _reference_tree(ctx):
+    """Base's independent reference: a fresh whole-cloud tree (the
+    context itself runs Base as a one-window index), or ``None`` for
+    the splitting variants, which check against per-query windowed
+    searches."""
+    return None if ctx.config.use_splitting else KDTree(ctx.positions)
+
+
 def _reference_knn_group(ctx, queries, k):
+    tree = _reference_tree(ctx)
     groups = []
     for query in queries:
-        if ctx._splitter is not None:
+        if tree is None:
             result = ctx._splitter.knn(query, k, max_steps=ctx._deadline)
         else:
-            result = ctx._tree.knn(query, k, max_steps=ctx._deadline)
+            result = tree.knn(query, k, max_steps=ctx._deadline)
         groups.append(_reference_pad(ctx.positions, result.indices,
                                      k, query))
     return np.stack(groups)
 
 
 def _reference_ball_group(ctx, queries, radius, max_results):
+    tree = _reference_tree(ctx)
     groups = []
     for query in queries:
-        if ctx._splitter is not None:
+        if tree is None:
             result = ctx._splitter.range(query, radius,
                                          max_steps=ctx._deadline,
                                          max_results=max_results)
         else:
-            result = ctx._tree.range_search(query, radius,
-                                            max_steps=ctx._deadline,
-                                            max_results=max_results)
+            result = tree.range_search(query, radius,
+                                       max_steps=ctx._deadline,
+                                       max_results=max_results)
         groups.append(_reference_pad(ctx.positions, result.indices,
                                      max_results, query))
     return np.stack(groups)
