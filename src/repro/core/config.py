@@ -115,10 +115,10 @@ class StreamingSessionConfig:
     the drift check every N-th frame *since the last calibration* (a
     re-calibration restarts the cadence).  ``reuse_index`` enables the
     warm :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`
-    path, which rebuilds only the windows whose coordinates moved,
-    inline, before the frame's queries dispatch (False rebuilds the
-    index cold every frame — the reference behaviour the equivalence
-    tests compare against).
+    path, which rebuilds only the windows whose coordinates moved —
+    as ``build`` work units on the session's executor, before the
+    frame's queries route (False rebuilds the index cold every frame —
+    the reference behaviour the equivalence tests compare against).
 
     ``result_cache`` enables the cross-frame result cache: per-window
     batch results are keyed by the window's coordinate content version

@@ -15,7 +15,11 @@ A unit carries ``windows`` — every window it serves, its affinity key
 ``window`` first — and ``splits``, its query count per window.  A
 per-window unit has one window; a fused unit has several and runs as
 one arena launch.  Staging, execution, namespacing and fault matching
-all read ``unit.windows``; no layer branches on a unit's kind.
+all read ``unit.windows``.  A ``build`` unit carries one window's
+points and returns its kd-tree's node arrays; only the runner
+(:func:`~repro.runtime.scheduler.run_tree_unit`) and the shm pool's
+staging (a build reads no tree, so it stages no segment) tell it
+apart, and it never fuses or meets the result cache.
 
 The Executor protocol
 ---------------------
@@ -78,11 +82,18 @@ and the retry/ticket supervision are untouched.
 :class:`~repro.runtime.executor.RuntimeStats` counts
 ``arena_launches`` / ``arena_units_fused`` / ``arena_bytes_viewed``.
 
-Window trees arrive finished: a streaming
-:class:`~repro.spatial.neighbors.ChunkedIndex` rebuilds its dirty
-windows inline (level-synchronous :class:`~repro.spatial.kdtree.KDTree`
-build) before the frame's units dispatch, so every batch is one
-dispatch and no worker waits on a rebuild.
+Window trees are built by the runtime too, before any query routes:
+a :class:`~repro.spatial.neighbors.ChunkedIndex` sends every tree it
+needs — all of them at construction or after an occupancy change, the
+dirty ones on a warm frame — as one batch of ``build`` units through
+:meth:`~repro.runtime.scheduler.WindowScheduler.execute_by_window`
+and adopts the returned node arrays, array-identical to
+``KDTree(points)``.  ``serial`` builds inline, ``thread`` on its pool,
+and ``shm`` in the worker that owns the window's slot: a build unit's
+points ride that slot's inbox, its node arrays ride the slot's result
+pipe, and it stages no segment.  Tickets, retries, respawn, the ladder
+and fault injection cover builds like any unit.  This is a fork-join
+inside the ingest, so no query ever waits on a rebuild.
 
 Four interchangeable backends ship with the runtime:
 
@@ -96,8 +107,9 @@ Four interchangeable backends ship with the runtime:
   affinity rule below, that never read the shard state itself.  Window
   kd-trees live in ``multiprocessing.shared_memory`` segments under a
   versioned registry, workers **attach** them (and keep running when
-  state changes), and each work unit and its result ride the pool's
-  queues — the window segments are its only shared memory.
+  state changes), and each work unit rides its slot's inbox and its
+  result the slot's own result pipe — the window segments are the
+  pool's only shared memory.
   ``reset_workers`` / ``invalidate_windows`` are registry version
   bumps (dirty windows are rewritten in place;
   :class:`~repro.runtime.executor.RuntimeStats`

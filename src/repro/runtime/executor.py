@@ -43,7 +43,7 @@ _DEFAULT_MAX_WORKERS = 8
 @dataclass(frozen=True)
 class WorkUnit:
     """The share of a query batch served by one window — or, fused, by
-    several windows on one dispatch slot.
+    several windows on one dispatch slot — or one window's tree build.
 
     ``rows`` are the positions of this unit's queries in the original
     batch (input order); executors never reorder results, so the
@@ -54,14 +54,18 @@ class WorkUnit:
     order.  Both default to the one-window unit ``(window,)`` /
     ``(len(queries),)``; a unit with several windows runs as one
     :class:`~repro.spatial.kdtree.TraversalArena` launch and returns
-    one result per window.  The whole unit must stay picklable — the
-    pooled backend ships each unit to its workers through a queue.
+    one result per window.  A ``build`` unit carries its window's
+    points as ``queries`` (and their frame rows as ``rows``) and
+    returns the node arrays of the window's kd-tree; it never fuses and
+    never touches the result cache.  The whole unit must stay
+    picklable — the pooled backend ships each unit to its workers
+    through a queue.
     """
 
     window: int                 # serving window id (shard affinity key)
     rows: np.ndarray            # (R,) input-order row positions
-    kind: str                   # "knn" | "range"
-    queries: np.ndarray         # (R, 3) this unit's queries
+    kind: str                   # "knn" | "range" | "build"
+    queries: np.ndarray         # (R, 3) this unit's queries (or points)
     params: Dict[str, Any] = field(default_factory=dict)
     windows: Tuple[int, ...] = ()
     splits: Tuple[int, ...] = ()

@@ -30,7 +30,8 @@ sharing safe and fair:
 - **Per-tenant attribution.**  Batches run one at a time on the inner
   backend, so the fleet snapshots the inner
   :class:`~repro.runtime.executor.RuntimeStats` block around each
-  batch (and each invalidation) and absorbs the delta into the owning
+  batch (a tenant's invalidations are applied at the start of its next
+  batch, inside that bracket) and absorbs the delta into the owning
   lease's own block — the one :class:`~repro.streaming.StreamSession`
   folds into its per-frame / per-session accounting.  A retry, respawn,
   or degradation triggered by tenant A's units lands on tenant A's
@@ -206,12 +207,13 @@ class FleetLease(Executor):
     :class:`~repro.runtime.scheduler.WindowScheduler` binds it exactly
     like a dedicated backend.  ``run`` rewrites unit windows into the
     tenant's namespace and submits through the fleet's EDF queue;
-    ``invalidate_windows`` / ``reset_workers`` translate the same way,
-    quiesced against other tenants' running batches so counters stay
-    attributable.  ``stats`` holds **this tenant's share** of the inner
-    backend's counter block.  ``close`` (and
-    garbage collection of an abandoned lease) releases the lease
-    exactly once.
+    ``invalidate_windows`` / ``reset_workers`` only record the stale
+    windows, and the fleet applies them to the inner backend at the
+    start of this tenant's next batch, inside its dispatch slot — so
+    counters stay attributable and an invalidation never waits out
+    another tenant's batch.  ``stats`` holds **this tenant's share** of
+    the inner backend's counter block.  ``close`` (and garbage
+    collection of an abandoned lease) releases the lease exactly once.
     """
 
     name = "fleet"
@@ -225,6 +227,8 @@ class FleetLease(Executor):
         #: Local window ids this lease ever dispatched or invalidated —
         #: the retirement set released back to the inner registry.
         self._windows: Set[int] = set()
+        #: Local window ids invalidated since this tenant's last batch.
+        self._stale: Set[int] = set()
         self._released = False
 
     @property
@@ -260,16 +264,18 @@ class FleetLease(Executor):
         if self._released:
             return
         windows = [int(w) for w in windows]
-        self._windows.update(windows)
-        self._fleet._invalidate(self, windows)
+        with self._fleet._cond:
+            self._windows.update(windows)
+            self._stale.update(windows)
 
     def reset_workers(self) -> None:
         """Invalidate every window this tenant ever dispatched — the
         whole-state mutation signal, scoped to the tenant so other
         tenants' warm segments survive."""
-        if self._released or not self._windows:
+        if self._released:
             return
-        self._fleet._invalidate(self, sorted(self._windows))
+        with self._fleet._cond:
+            self._stale.update(self._windows)
 
     def release_windows(self, windows: Sequence[int]) -> None:
         if self._released:
@@ -452,6 +458,7 @@ class ShardFleet:
             self._inflight.pop(session_id, None)
             self._cond.notify_all()
         lease._windows.clear()
+        lease._stale.clear()
         logger.debug("ShardFleet: released session %d", session_id)
 
     # -- executor-spec compatibility ------------------------------------
@@ -470,7 +477,9 @@ class ShardFleet:
         ties break by arrival order.  The batch itself runs outside the
         lock (other submitters keep queueing), bracketed by one inner
         block snapshot whose delta the owning lease absorbs — every
-        recovery and data-movement counter lands on that tenant.
+        recovery and data-movement counter lands on that tenant.  The
+        windows the tenant invalidated since its last batch are marked
+        stale on the inner backend first, inside the same bracket.
         """
         config = self.config
         session_id = lease.session_id
@@ -500,9 +509,13 @@ class ShardFleet:
             inner = self._inner_executor()
             self.dispatch_count += 1
             self.dispatch_log.append((session_id, deadline))
+            stale = [lease.namespaced(w) for w in sorted(lease._stale)]
+            lease._stale.clear()
         try:
             before = inner.stats.snapshot()
             try:
+                if stale:
+                    inner.invalidate_windows(stale)
                 return inner.run(units)
             finally:
                 lease.stats.absorb(inner.stats.delta(before))
@@ -517,10 +530,10 @@ class ShardFleet:
     def _exclusive(self):
         """Quiesce dispatch: wait out the running batch, hold the slot.
 
-        Used for tenant invalidation / attach / release so the inner
-        backend's registries and stats are never mutated concurrently
-        with another tenant's batch — this is what keeps per-tenant
-        attribution exact and worker teardown off other tenants' units.
+        Used for tenant attach / release so the inner backend's
+        registries and stats are never mutated concurrently with another
+        tenant's batch — this is what keeps per-tenant attribution exact
+        and worker teardown off other tenants' units.
         """
         with self._cond:
             while self._busy:
@@ -543,19 +556,6 @@ class ShardFleet:
                 "ShardFleet: inner backend %s (effective %s)",
                 getattr(self._inner, "name", "?"), self._inner.effective)
         return self._inner
-
-    def _invalidate(self, lease: FleetLease,
-                    windows: Sequence[int]) -> None:
-        ns_windows = [lease.namespaced(w) for w in windows]
-        with self._exclusive():
-            inner = self._inner
-            if inner is None:
-                return
-            before = inner.stats.snapshot()
-            try:
-                inner.invalidate_windows(ns_windows)
-            finally:
-                lease.stats.absorb(inner.stats.delta(before))
 
     def _release_windows(self, lease: FleetLease,
                          windows: Sequence[int]) -> None:

@@ -21,7 +21,11 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.runtime.executor import Executor, WorkUnit, resolve_executor
-from repro.spatial.kdtree import _LOCKSTEP_MIN_QUERIES, TraversalArena
+from repro.spatial.kdtree import (
+    _LOCKSTEP_MIN_QUERIES,
+    KDTree,
+    TraversalArena,
+)
 
 #: Packed bytes per arena node — 24 (xyz) + 8 (left) + 8 (right) +
 #: 8 (point index) + 1 (axis); mirrors
@@ -82,9 +86,16 @@ def run_tree_unit(trees, unit: WorkUnit):
     several windows runs them as one
     :class:`~repro.spatial.kdtree.TraversalArena` launch over
     ``unit.splits`` and returns one result per window, bit-equal to
-    running each window's share on its own tree.
+    running each window's share on its own tree.  A ``build`` unit
+    reads no tree (*trees* is empty): it builds ``KDTree(unit.queries)``
+    and returns its node arrays ``(axis, left, right, point_index)``,
+    which :meth:`~repro.spatial.kdtree.KDTree.from_arrays` adopts with
+    the same points as an array-identical tree.
     """
     params = unit.params
+    if unit.kind == "build":
+        tree = KDTree(unit.queries)
+        return tree.axis, tree.left, tree.right, tree.point_index
     if unit.kind not in ("knn", "range"):
         raise ValidationError(f"unknown work-unit kind {unit.kind!r}")
     if len(trees) > 1:

@@ -7,7 +7,8 @@ rule), and every batch runs **supervised** — per-dispatch tickets,
 per-slot FIFOs, crash / hang detection with slot respawn, bounded
 retries, and the ``shm → thread → serial`` degradation ladder of
 :class:`~repro.runtime.executor.SupervisionConfig`.  Window state lives
-in shared memory; everything else rides the queues:
+in shared memory; everything else rides each slot's inbox and result
+pipe:
 
 - **Window state lives in shared segments.**  Each serving window's
   packed kd-tree arrays (points, child links, point index, split axes)
@@ -23,13 +24,22 @@ in shared memory; everything else rides the queues:
   processes stay alive (``RuntimeStats.forks_avoided`` counts the slots
   that survived).  Clean windows' segments are never rewritten, so a
   warm frame ships zero state bytes.
-- **Units and results ride the queues.**  A dispatch message carries
-  the :class:`~repro.runtime.executor.WorkUnit` itself (query block,
-  row map, params) plus the descriptor(s) of the window segment(s) it
-  reads, through the slot's inbox; every result — plain, traced,
-  uncapped-range or fused — comes back whole through one shared
-  :class:`_ResultPipe`.  The window segments are the pool's only
+- **Units and results ride per-slot channels.**  A dispatch message
+  carries the :class:`~repro.runtime.executor.WorkUnit` itself (query
+  block, row map, params) plus the descriptor(s) of the window
+  segment(s) it reads, through the slot's inbox; every result — plain,
+  traced, uncapped-range, fused or a tree build — comes back whole
+  through the slot's own result pipe, which its worker alone writes,
+  on its main thread.  A worker that dies (even mid-write) can only
+  break its own pipe: the parent drops it and respawns the slot with a
+  fresh inbox and pipe.  The window segments are the pool's only
   shared memory.
+- **Window trees are built in the workers.**  A ``build`` unit (see
+  :meth:`repro.spatial.neighbors.ChunkedIndex.update_frame`) carries
+  its window's points through the inbox of the worker that owns the
+  window's slot, stages no segment, and returns the tree's node arrays
+  through that slot's result pipe; the parent adopts them and exports
+  the window's segment on the next query batch.
 
 The shard state must expose ``shm_export_window(window) -> (points,
 axis, left, right, point_index, root)`` (see
@@ -64,7 +74,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from multiprocessing import shared_memory
+from multiprocessing import connection, resource_tracker, shared_memory
 
 from repro.errors import ExecutionError, ValidationError, WorkerTimeoutError
 from repro.runtime.executor import (
@@ -214,39 +224,11 @@ def _worker_tree(cache: Dict[int, tuple], descriptor, window: int
     return tree
 
 
-class _ResultPipe:
-    """The workers' one result channel: a pipe each worker writes on its
-    main thread, under one cross-process lock, so a result is whole
-    before the worker runs its next unit.  (A ``multiprocessing.Queue``
-    writes from a feeder thread; a worker crashing on its next unit
-    could die mid-write, leaving the shared write lock held and a
-    truncated message the parent blocks on.)
-    """
-
-    def __init__(self, context) -> None:
-        self._reader, self._writer = context.Pipe(duplex=False)
-        self._lock = context.Lock()
-
-    def put(self, message) -> None:
-        with self._lock:
-            self._writer.send(message)
-
-    def get(self, timeout: float = 0.0):
-        """The next message; ``queue.Empty`` after *timeout* seconds."""
-        if not self._reader.poll(timeout):
-            raise queue_mod.Empty
-        return self._reader.recv()
-
-    get_nowait = get
-
-    def close(self) -> None:
-        self._reader.close()
-        self._writer.close()
-
-
 def _run_shm_unit(trees, injector, payload):
     """Execute one dispatched ``(unit, tree descriptors)`` payload
-    worker-side; returns the unit's result."""
+    worker-side; returns the unit's result.  A ``build`` unit comes
+    with no descriptor: it builds its tree from the points it
+    carries."""
     from repro.runtime.scheduler import run_tree_unit
 
     unit, tree_descs = payload
@@ -265,7 +247,10 @@ def _shm_worker_main(injector, inbox, outbox) -> None:
     killed worker (the re-dispatched unit got a fresh ticket).  A unit
     rebuilds its windows' trees from their segments, runs with
     :func:`~repro.runtime.scheduler.run_tree_unit`, and its whole
-    result rides the outbox.  A fault *injector* (the ``_injector``
+    result goes out on *outbox*, the write end of this slot's own
+    result pipe, sent on this main thread before the next unit runs
+    (no lock: the worker is the pipe's only writer, so its death can
+    block no other slot).  A fault *injector* (the ``_injector``
     of a :class:`~repro.runtime.faults.FaultyState`) sees every unit
     *before* it runs, so crash / hang / raise / slow faults fire inside
     the worker.  In-unit failures ship a ``(type name, message,
@@ -280,12 +265,12 @@ def _shm_worker_main(injector, inbox, outbox) -> None:
             return
         ticket, seq, payload = message
         try:
-            outbox.put((ticket, seq, True,
-                        _run_shm_unit(trees, injector, payload)))
+            outbox.send((ticket, seq, True,
+                         _run_shm_unit(trees, injector, payload)))
         except BaseException as exc:
-            outbox.put((ticket, seq, False,
-                        (type(exc).__name__, str(exc),
-                         not _non_retryable(exc))))
+            outbox.send((ticket, seq, False,
+                         (type(exc).__name__, str(exc),
+                          not _non_retryable(exc))))
 
 
 #: Live pools, swept at interpreter exit so an un-``close()``-d session
@@ -315,6 +300,34 @@ def _drain_queue(queue) -> int:
             drained += 1
         except (queue_mod.Empty, OSError, ValueError):
             return drained
+
+
+def _abandon_queue(queue) -> None:
+    """Close an inbox whose undelivered units are discarded on purpose.
+
+    Its feeder thread may be blocked on a full pipe that no live worker
+    reads (build units carry whole windows, so a dead slot's backlog can
+    exceed the pipe buffer); interpreter exit must not wait for it.
+    """
+    queue.cancel_join_thread()
+    try:
+        queue.close()
+    except (OSError, ValueError):
+        pass
+
+
+def _drain_pipe(reader) -> int:
+    """Discard every whole message left in a result pipe and close it;
+    returns the count."""
+    drained = 0
+    try:
+        while reader.poll():
+            reader.recv()
+            drained += 1
+    except (EOFError, OSError):
+        pass
+    reader.close()
+    return drained
 
 
 class ShmShardPool(Executor):
@@ -358,7 +371,9 @@ class ShmShardPool(Executor):
         self._n_workers = resolve_worker_count(n_workers)
         self._procs: Optional[List] = None
         self._inboxes = None
-        self._outbox = None
+        #: Per-slot read ends of the workers' result pipes (``None``
+        #: once a slot's pipe read EOF or its worker was killed).
+        self._results = None
         self._context = None
         self._fallback: Optional[SerialExecutor] = None
         self._degraded: Optional[Executor] = None
@@ -421,14 +436,33 @@ class ShmShardPool(Executor):
 
     # -- worker lifecycle -----------------------------------------------
     def _spawn_worker(self, slot: int) -> None:
-        """Fork one worker for *slot*."""
+        """Fork one worker for *slot*, on a fresh result pipe.
+
+        The parent closes its copy of the write end once the worker
+        runs, so the worker is the pipe's only writer: when it dies
+        the read end reports EOF — or an error, mid-message — instead
+        of waiting for bytes that can never come.
+        """
+        # The worker must inherit the parent's resource tracker: a pool
+        # may fork (to build trees) before its first segment exists, and
+        # a worker left to start its own tracker would unlink the
+        # parent's segments when it exits.
+        resource_tracker.ensure_running()
+        reader, writer = self._context.Pipe(duplex=False)
         proc = self._context.Process(
             target=_shm_worker_main,
             args=(getattr(self._state, "_injector", None),
-                  self._inboxes[slot], self._outbox),
+                  self._inboxes[slot], writer),
             daemon=True)
-        proc.start()
+        try:
+            proc.start()
+        except BaseException:
+            reader.close()
+            raise
+        finally:
+            writer.close()
         self._procs[slot] = proc
+        self._results[slot] = reader
         self.spawn_count += 1
 
     def _kill_worker(self, slot: int) -> None:
@@ -437,7 +471,9 @@ class ShmShardPool(Executor):
         The dead slot's inbox may still hold queued units (and a hung
         worker never consumed them), so it is replaced wholesale — a
         respawned worker must start from an empty queue or it would
-        replay stale dispatches.
+        replay stale dispatches.  Its result pipe is dropped unread: a
+        killed worker may have left half a message in it, and the
+        respawned worker gets a pipe of its own.
         """
         proc = self._procs[slot]
         if proc is not None:
@@ -448,10 +484,10 @@ class ShmShardPool(Executor):
                 proc.kill()
                 proc.join(timeout=1.0)
         self._procs[slot] = None
-        try:
-            self._inboxes[slot].close()
-        except (OSError, ValueError):
-            pass
+        if self._results[slot] is not None:
+            self._results[slot].close()
+            self._results[slot] = None
+        _abandon_queue(self._inboxes[slot])
         self._inboxes[slot] = self._context.Queue()
 
     def _ensure_workers(self, slots) -> bool:
@@ -459,25 +495,20 @@ class ShmShardPool(Executor):
         try:
             if self._procs is None:
                 context = multiprocessing.get_context("fork")
-                queues = []
+                inboxes = []
                 try:
-                    outbox = _ResultPipe(context)
-                    queues.append(outbox)
-                    inboxes = []
                     for _ in range(self._n_workers):
-                        inbox = context.Queue()
-                        queues.append(inbox)
-                        inboxes.append(inbox)
+                        inboxes.append(context.Queue())
                 except OSError:
                     # Partial queue creation (e.g. EMFILE): release what
                     # exists before falling back — close() below would
                     # skip the queues with _procs still None.
-                    for queue in queues:
+                    for queue in inboxes:
                         queue.close()
                     raise
                 self._context = context
-                self._outbox = outbox
                 self._inboxes = inboxes
+                self._results = [None] * self._n_workers
                 self._procs = [None] * self._n_workers
             for slot in slots:
                 if self._procs[slot] is None:
@@ -495,10 +526,12 @@ class ShmShardPool(Executor):
         Runs entirely in the parent before any dispatch: each window's
         tree segment is refreshed at most once (in place when the new
         layout fits).  Returns one ``(unit, tree descriptors)`` message
-        per unit, one descriptor per entry of ``unit.windows``.
+        per unit, one descriptor per entry of ``unit.windows`` — none
+        for a ``build`` unit, which reads no tree and stages nothing.
         """
-        return [(unit, tuple(self._export_window(w).descriptor
-                             for w in unit.windows))
+        return [(unit, () if unit.kind == "build" else
+                 tuple(self._export_window(w).descriptor
+                       for w in unit.windows))
                 for unit in units]
 
     def _export_window(self, window: int) -> _WindowSegment:
@@ -578,15 +611,15 @@ class ShmShardPool(Executor):
 
         remaining = len(units)
         while remaining:
-            try:
-                ticket, seq, ok, payload = self._outbox.get(timeout=poll)
-            except queue_mod.Empty:
+            message = self._receive(poll)
+            if message is None:
                 exhausted = self._check_slots(units, attempts, tickets,
                                               slot_fifo, last_progress,
                                               dispatch)
                 if exhausted is not None:
                     return self._exhaust(units, results, *exhausted)
                 continue
+            ticket, seq, ok, payload = message
             if tickets[seq] != ticket:
                 # Stale: a killed worker's late result, or a leftover
                 # from a previous batch — the re-dispatch owns the unit.
@@ -623,6 +656,25 @@ class ShmShardPool(Executor):
                 ExecutionError)
         return results
 
+    def _receive(self, timeout: float):
+        """The next whole result from any slot's pipe; ``None`` after
+        *timeout* seconds without one, or as soon as a pipe breaks.
+
+        Waits on every open read end at once.  A pipe that reads EOF —
+        or breaks off mid-message — belongs to a worker that died after
+        everything it finished was read: the pipe is dropped, and the
+        caller's liveness sweep respawns the slot.
+        """
+        readers = [r for r in self._results if r is not None]
+        for reader in connection.wait(readers, timeout):
+            try:
+                return reader.recv()
+            except (EOFError, OSError):
+                self._results[self._results.index(reader)] = None
+                reader.close()
+                return None
+        return None
+
     def _check_slots(self, units, attempts, tickets, slot_fifo,
                      last_progress, dispatch):
         """Death / hang sweep over every slot with outstanding units.
@@ -637,7 +689,12 @@ class ShmShardPool(Executor):
             if not fifo:
                 continue
             proc = self._procs[slot]
-            dead = proc is None or not proc.is_alive()
+            reader = self._results[slot]
+            # A worker is dead once its pipe broke — or once its process
+            # is gone and its pipe holds nothing left to read (a readable
+            # pipe is drained, up to its EOF, by _receive first).
+            dead = proc is None or reader is None or (
+                not proc.is_alive() and not reader.poll())
             hung = (not dead and sup.unit_timeout is not None
                     and now - last_progress[slot] > sup.unit_timeout)
             if not dead and not hung:
@@ -808,20 +865,17 @@ class ShmShardPool(Executor):
         self._unlink_segments()
 
     def _drop_queues(self) -> int:
-        """Drain and close every queue; returns the stale results
-        discarded.  Results from live workers may still sit in the
-        outbox (and unread dispatches in the inboxes): everything goes
-        so a later re-fork can never consume a stale ``(ticket, seq,
-        ...)`` from a previous batch."""
+        """Drain and close every queue and result pipe; returns the
+        stale results discarded.  Results from live workers may still
+        sit in the pipes (and unread dispatches in the inboxes):
+        everything goes so a later re-fork can never consume a stale
+        ``(ticket, seq, ...)`` from a previous batch."""
         for inbox in self._inboxes:
             _drain_queue(inbox)
-        stale = _drain_queue(self._outbox)
-        for queue in [*self._inboxes, self._outbox]:
-            try:
-                queue.close()
-            except (OSError, ValueError):
-                pass
-        self._procs = self._inboxes = self._outbox = self._context = None
+            _abandon_queue(inbox)
+        stale = sum(_drain_pipe(reader) for reader in self._results
+                    if reader is not None)
+        self._procs = self._inboxes = self._results = self._context = None
         return stale
 
     def __del__(self) -> None:

@@ -370,7 +370,6 @@ class KDTree:
         # lockstep kernels.
         self._node_xyz = node_points
         self._node_split = node_points[np.arange(n), self.axis]
-        self._depth_cache: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -404,7 +403,6 @@ class KDTree:
         tree._col_z = points[:, 2]
         tree._node_xyz = node_points
         tree._node_split = node_points[np.arange(n), tree.axis]
-        tree._depth_cache = None
         return tree
 
     def packed_arrays(self):
@@ -730,20 +728,15 @@ class KDTree:
         return self.knn_batch(queries, k, engine="traverse").steps
 
     def depth(self) -> int:
-        """Maximum node depth (root = 1); memoized — trees are
-        immutable once built."""
-        if self._depth_cache is None:
-            best = 0
-            stack = [(self.root, 1)]
-            while stack:
-                node, d = stack.pop()
-                if node == -1:
-                    continue
-                best = max(best, d)
-                stack.append((int(self.left[node]), d + 1))
-                stack.append((int(self.right[node]), d + 1))
-            self._depth_cache = best
-        return self._depth_cache
+        """Maximum node depth (root = 1), in closed form.
+
+        The median split puts ``n // 2`` points left of a node and
+        ``n - n // 2 - 1`` right, so the left subtree is never the
+        shallower one and an ``n``-point tree is ``n.bit_length()``
+        levels deep (``tests/test_kdtree_build.py`` checks this against
+        a node walk).
+        """
+        return len(self.points).bit_length()
 
     def _check_query(self, query: np.ndarray) -> np.ndarray:
         query = np.asarray(query, dtype=np.float64)
@@ -1002,13 +995,10 @@ class TraversalArena:
         split = np.concatenate(
             [tree._node_split for tree in self.trees])
         self._arrays = (axis, left, right, pidx, xyz, split)
-        self._max_depth: Optional[int] = None
 
     def max_depth(self) -> int:
-        """Deepest member tree (memoized; members are immutable)."""
-        if self._max_depth is None:
-            self._max_depth = max(tree.depth() for tree in self.trees)
-        return self._max_depth
+        """Deepest member tree."""
+        return max(tree.depth() for tree in self.trees)
 
     def _lane_layout(self, splits) -> np.ndarray:
         splits = np.asarray(splits, dtype=np.int64)

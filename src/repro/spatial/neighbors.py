@@ -354,13 +354,15 @@ class ChunkedIndex:
     back in input order whichever backend runs them.
 
     The chunk→window LUT, per-window membership, and per-window kd-trees
-    are built lazily and invalidated on any mutation of chunk membership
-    (:meth:`reassign_points` / :meth:`set_assignment` /
-    :meth:`invalidate`), so cached worker state can never go stale: a
-    mutation tears down the runtime and the next batch rebuilds — and
-    re-ships — fresh shard state.  Frame streams use
+    are computed eagerly whenever chunk membership is set — at
+    construction, and on :meth:`reassign_points` / :meth:`set_assignment`
+    / :meth:`invalidate`, which also tear the runtime down so worker
+    state can never go stale.  Every tree comes from one build step
+    (:meth:`_build_trees`), which runs each window's build as a
+    ``build`` work unit on the selected backend, so routing and
+    dispatch only ever read finished state.  Frame streams use
     :meth:`update_frame` instead: it detects the *dirty* windows (those
-    whose member coordinates actually moved), repairs only them, and
+    whose member coordinates actually moved), rebuilds only them, and
     invalidates only their workers.  Every window carries a coordinate
     content *version* (:meth:`window_version`); attaching a
     :class:`WindowResultCache` as :attr:`result_cache` replays batch
@@ -373,7 +375,9 @@ class ChunkedIndex:
                  windows: Sequence[ChunkWindow],
                  executor="serial",
                  executor_workers: Optional[int] = None,
-                 supervision=None) -> None:
+                 supervision=None,
+                 result_cache: Optional["WindowResultCache"] = None
+                 ) -> None:
         positions = np.asarray(positions, dtype=np.float64)
         chunk_assignment = np.asarray(chunk_assignment, dtype=np.int64)
         if positions.ndim != 2 or positions.shape[1] != 3:
@@ -382,37 +386,42 @@ class ChunkedIndex:
             raise ValidationError("one chunk id per point required")
         if not windows:
             raise ValidationError("at least one window required")
-        self.positions = positions
-        self.assignment = chunk_assignment
-        self.windows = list(windows)
         self.executor = executor
         self.executor_workers = executor_workers
         #: Optional :class:`repro.runtime.SupervisionConfig` applied to
         #: the executor backend (retries / unit timeout / degradation).
         self.supervision = supervision
-        self._window_of_chunk_cache: Optional[Dict[int, tuple]] = None
-        self._window_lut_cache: Optional[np.ndarray] = None
-        self._members_cache: Optional[List[np.ndarray]] = None
-        self._trees_cache: Optional[List[Optional[KDTree]]] = None
-        self._versions_cache: Optional[List[int]] = None
         self._scheduler: Optional[WindowScheduler] = None
         #: Optional :class:`WindowResultCache` consulted per work unit
-        #: before dispatch (attached by streaming sessions).
-        self.result_cache: Optional[WindowResultCache] = None
+        #: before dispatch (attached by streaming sessions).  Pass it
+        #: here when it is content addressed: window versions are drawn
+        #: when the trees are built, at construction.
+        self.result_cache: Optional[WindowResultCache] = result_cache
         #: Trees carried over by the last :meth:`update_frame` call.
         self.last_reused_trees = 0
         #: Windows left untouched / rebuilt by the last frame ingest.
         self.last_clean_windows = 0
-        self.last_dirty_windows = len(self.windows)
+        self.last_dirty_windows = len(windows)
+        try:
+            self._rebuild(positions, chunk_assignment, list(windows))
+        except BaseException:
+            # A failed build must not strand the runtime it started.
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
-    # Lazy chunk→window state (invalidated on membership mutation)
+    # Window state: membership, routing, and the one build step
     # ------------------------------------------------------------------
-    def _ensure_built(self) -> None:
-        if self._trees_cache is not None:
-            return
+    def _rebuild(self, positions: np.ndarray, assignment: np.ndarray,
+                 windows: List[ChunkWindow]) -> None:
+        """Replace all window state: membership, the chunk→window LUT,
+        and every window's tree (built through :meth:`_build_trees`).
+
+        Everything is computed before anything is assigned, so a build
+        that fails leaves the index on its previous state.
+        """
         window_of_chunk: Dict[int, tuple] = {}
-        for widx, window in enumerate(self.windows):
+        for widx, window in enumerate(windows):
             for rank, chunk in enumerate(window.chunk_ids):
                 # Prefer the window holding the chunk closest to its middle.
                 centrality = abs(rank - (len(window.chunk_ids) - 1) / 2.0)
@@ -420,35 +429,82 @@ class ChunkedIndex:
                 if best is None or centrality < best[0]:
                     window_of_chunk[chunk] = (centrality, widx)
         # Flat chunk -> window LUT for vectorized query routing.
-        max_chunk = max(window_of_chunk)
-        window_lut = np.full(max_chunk + 1, -1, dtype=np.int64)
+        window_lut = np.full(max(window_of_chunk) + 1, -1, dtype=np.int64)
         for chunk, (_, widx) in window_of_chunk.items():
             window_lut[chunk] = widx
         # Window membership via one argsort of the chunk assignment plus
         # searchsorted slices per chunk (replaces per-window isin scans).
-        order = np.argsort(self.assignment, kind="stable")
-        sorted_chunks = self.assignment[order]
-        trees: List[Optional[KDTree]] = []
+        order = np.argsort(assignment, kind="stable")
+        sorted_chunks = assignment[order]
         members_per_window: List[np.ndarray] = []
-        for window in self.windows:
+        for window in windows:
             ids = np.asarray(window.chunk_ids, dtype=np.int64)
             starts = np.searchsorted(sorted_chunks, ids, side="left")
             stops = np.searchsorted(sorted_chunks, ids, side="right")
             runs = [order[s:e] for s, e in zip(starts, stops)]
-            members = np.sort(np.concatenate(runs)) if runs else \
-                np.zeros(0, dtype=np.int64)
-            members_per_window.append(members)
-            tree = KDTree(self.positions[members]) if len(members) else None
-            trees.append(tree)
-        self._window_of_chunk_cache = window_of_chunk
-        self._window_lut_cache = window_lut
-        self._members_cache = members_per_window
-        self._trees_cache = trees
-        self._versions_cache = [self._next_version(members)
-                                for members in members_per_window]
+            members_per_window.append(
+                np.sort(np.concatenate(runs)) if runs
+                else np.zeros(0, dtype=np.int64))
+        trees, versions = self._build_trees(
+            positions, members_per_window,
+            np.ones(len(windows), dtype=bool))
+        self.positions = positions
+        self.assignment = assignment
+        self.windows = windows
+        self._window_of_chunk = window_of_chunk
+        self._window_lut = window_lut
+        self._members = members_per_window
+        self._trees = trees
+        self._versions = versions
 
-    def _next_version(self, members: np.ndarray) -> int:
-        """A content version for the window holding *members*.
+    def _build_trees(self, positions: np.ndarray,
+                     members: List[np.ndarray], dirty: np.ndarray,
+                     old_trees: Sequence[Optional[KDTree]] = (),
+                     old_versions: Sequence[int] = ()):
+        """The one build step: ``(trees, versions)`` for every window.
+
+        A clean window keeps its old tree and version.  A dirty window
+        whose new coordinates equal one of *old_trees* exactly (the
+        rolling-stream rotation) takes that tree and its version; an
+        empty one gets no tree.  Every other dirty window becomes one
+        ``build`` :class:`~repro.runtime.executor.WorkUnit` (its points
+        as ``queries``, its members as ``rows``), and all of them run as
+        one batch through the scheduler's
+        :meth:`~repro.runtime.scheduler.WindowScheduler.execute_by_window`
+        — inline on ``serial``, on the pool on ``thread``, in the
+        window's own worker on ``shm`` and ``fleet``, supervised like
+        any unit.  Each result, the node arrays of ``KDTree(points)``,
+        is adopted with :meth:`~repro.spatial.kdtree.KDTree.from_arrays`,
+        so every tree exists, array-identical, before this returns.
+        """
+        trees: List[Optional[KDTree]] = [None] * len(members)
+        versions: List[int] = [0] * len(members)
+        units: List[WorkUnit] = []
+        for widx, window_members in enumerate(members):
+            if not dirty[widx]:
+                trees[widx] = old_trees[widx]
+                versions[widx] = old_versions[widx]
+                continue
+            points = positions[window_members]
+            source = self._probe_reuse(points, widx, old_trees) \
+                if len(points) and old_trees else None
+            if source is not None:
+                trees[widx] = old_trees[source]
+                versions[widx] = old_versions[source]
+                continue
+            versions[widx] = self._next_version(points)
+            if len(points):
+                units.append(WorkUnit(widx, window_members, "build",
+                                      points))
+        if units:
+            built = self._runtime().execute_by_window(units)
+            for unit, (axis, left, right, point_index) in zip(units, built):
+                trees[unit.window] = KDTree.from_arrays(
+                    unit.queries, axis, left, right, point_index, 0)
+        return trees, versions
+
+    def _next_version(self, points: np.ndarray) -> int:
+        """A content version for a window holding *points*.
 
         Counter-allocated normally (unique per build — free); interned
         by coordinate digest when the attached cache is content
@@ -458,33 +514,8 @@ class ChunkedIndex:
         cache = self.result_cache
         if cache is not None and getattr(cache, "content_addressed",
                                          False):
-            return _content_version(self.positions[members])
+            return _content_version(points)
         return next(_WINDOW_VERSION_COUNTER)
-
-    @property
-    def _window_of_chunk(self) -> Dict[int, tuple]:
-        self._ensure_built()
-        return self._window_of_chunk_cache
-
-    @property
-    def _window_lut(self) -> np.ndarray:
-        self._ensure_built()
-        return self._window_lut_cache
-
-    @property
-    def _members(self) -> List[np.ndarray]:
-        self._ensure_built()
-        return self._members_cache
-
-    @property
-    def _trees(self) -> List[Optional[KDTree]]:
-        self._ensure_built()
-        return self._trees_cache
-
-    @property
-    def _versions(self) -> List[int]:
-        self._ensure_built()
-        return self._versions_cache
 
     def window_version(self, window: int) -> int:
         """The window's coordinate-content version.
@@ -499,22 +530,18 @@ class ChunkedIndex:
         return self._versions[window]
 
     def invalidate(self) -> None:
-        """Drop the LUT / membership / tree caches and the runtime.
+        """Shut down the runtime and rebuild all window state.
 
         Any executor workers (and their shared-memory window segments)
-        are shut down; the next batch call rebuilds everything from the
-        current chunk assignment.
+        are shut down; membership, the LUT and every tree are rebuilt
+        from the current chunk assignment, through a fresh runtime.
         """
         self.close()
-        self._window_of_chunk_cache = None
-        self._window_lut_cache = None
-        self._members_cache = None
-        self._trees_cache = None
-        self._versions_cache = None
+        self._rebuild(self.positions, self.assignment, self.windows)
 
     def reassign_points(self, point_ids: np.ndarray,
                         chunk_ids: np.ndarray) -> None:
-        """Move points to new chunks, invalidating all cached state."""
+        """Move points to new chunks, rebuilding all window state."""
         point_ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
         chunk_ids = np.atleast_1d(np.asarray(chunk_ids, dtype=np.int64))
         if point_ids.size and (point_ids.min() < 0
@@ -522,16 +549,17 @@ class ChunkedIndex:
             raise ValidationError("point_ids out of range")
         assignment = self.assignment.copy()
         assignment[point_ids] = chunk_ids
-        self.assignment = assignment
-        self.invalidate()
+        self.close()
+        self._rebuild(self.positions, assignment, self.windows)
 
     def set_assignment(self, chunk_assignment: np.ndarray) -> None:
-        """Replace the chunk assignment wholesale (invalidates caches)."""
+        """Replace the chunk assignment wholesale (rebuilds all window
+        state)."""
         chunk_assignment = np.asarray(chunk_assignment, dtype=np.int64)
         if chunk_assignment.shape != (len(self.positions),):
             raise ValidationError("one chunk id per point required")
-        self.assignment = chunk_assignment
-        self.invalidate()
+        self.close()
+        self._rebuild(self.positions, chunk_assignment, self.windows)
 
     def update_frame(self, positions: np.ndarray,
                      chunk_assignment: np.ndarray,
@@ -542,11 +570,13 @@ class ChunkedIndex:
         The warm path of :class:`repro.streaming.StreamSession`: unlike
         :meth:`set_assignment` (which tears the whole runtime down),
         this keeps the :class:`~repro.runtime.scheduler.WindowScheduler`
-        — and any live thread pool — alive for the session's lifetime
+        — and any live worker pool — alive for the session's lifetime
         and only asks the executor to mark the changed windows stale
         (the shm pool re-exports their segments on the next batch;
         serial and thread backends read live state and keep running
-        untouched).
+        untouched).  Every tree the frame needs is built before this
+        call returns, through the one build step
+        (:meth:`_build_trees`): routing and dispatch only read state.
 
         When the new frame's chunk occupancy matches the previous
         frame's (same point count, identical chunk assignment, same
@@ -554,10 +584,11 @@ class ChunkedIndex:
         reused and the per-window kd-trees are repaired *incrementally*:
         a vectorized dirty-window detector (per-point change mask →
         per-chunk rollup → per-window membership test) finds the windows
-        whose member coordinates actually moved, and only those rebuild,
-        inline, before this call returns.  Clean windows keep their
-        kd-tree objects, content versions, and — on the shm backend —
-        their shared-memory segments
+        whose member coordinates actually moved, and only those are
+        rebuilt, as ``build`` units on the session's executor (on
+        ``shm``, each in the worker that owns the window's slot).  Clean
+        windows keep their kd-tree objects, content versions, and — on
+        the shm backend — their shared-memory segments
         (:meth:`~repro.runtime.scheduler.WindowScheduler.invalidate_windows`
         marks only the dirty windows stale).  A dirty window whose
         new coordinates are *identical* to some previous window's (the
@@ -565,10 +596,12 @@ class ChunkedIndex:
         shifts window ``w``'s content into window ``w - 1``) reuses that
         window's tree object — and content version — outright.  Tree
         construction is a deterministic function of the coordinates, so
-        both reuse paths are bit-exact.  Returns ``True`` when the
-        occupancy fast path fired; :attr:`last_clean_windows` /
-        :attr:`last_dirty_windows` record the dirty split and
-        :attr:`last_reused_trees` counts rotation-reused trees.
+        both reuse paths are bit-exact.  When occupancy changed,
+        membership and the LUT are recomputed and every window is
+        rebuilt.  Returns ``True`` when the occupancy fast path fired;
+        :attr:`last_clean_windows` / :attr:`last_dirty_windows` record
+        the dirty split and :attr:`last_reused_trees` counts
+        rotation-reused trees.
         """
         positions = np.asarray(positions, dtype=np.float64)
         chunk_assignment = np.asarray(chunk_assignment, dtype=np.int64)
@@ -581,60 +614,37 @@ class ChunkedIndex:
         if not new_windows:
             raise ValidationError("at least one window required")
         same_occupancy = (
-            self._members_cache is not None
-            and len(positions) == len(self.positions)
+            len(positions) == len(self.positions)
             and new_windows == self.windows
             and np.array_equal(chunk_assignment, self.assignment))
         self.last_reused_trees = 0
+        # Worker state is marked stale before the build, so a fleet
+        # lease, which applies stale marks with its next batch, applies
+        # them with this frame's builds.  A build that fails leaves the
+        # old trees, which re-export unchanged.
         if same_occupancy:
             # Membership pattern unchanged — the LUT / members survive,
             # and only windows whose member coordinates moved rebuild.
             dirty = self._dirty_windows(positions)
+            dirty_ids = [int(w) for w in np.nonzero(dirty)[0]]
+            if self._scheduler is not None and dirty_ids:
+                self._scheduler.invalidate_windows(dirty_ids)
+            trees, versions = self._build_trees(
+                positions, self._members, dirty, self._trees,
+                self._versions)
             self.positions = positions
             self.assignment = chunk_assignment
-            self.windows = new_windows
-            old_trees = self._trees_cache
-            old_versions = self._versions_cache
-            new_trees: List[Optional[KDTree]] = []
-            new_versions: List[int] = []
-            for widx, members in enumerate(self._members_cache):
-                if not dirty[widx]:
-                    new_trees.append(old_trees[widx])
-                    new_versions.append(old_versions[widx])
-                    continue
-                points = positions[members]
-                if not len(points):
-                    new_trees.append(None)
-                    new_versions.append(self._next_version(members))
-                    continue
-                source = self._probe_reuse(points, widx, old_trees)
-                if source is not None:
-                    new_trees.append(old_trees[source])
-                    new_versions.append(old_versions[source])
-                    continue
-                new_versions.append(self._next_version(members))
-                new_trees.append(KDTree(points))
-            self._trees_cache = new_trees
-            self._versions_cache = new_versions
-            dirty_ids = [int(w) for w in np.nonzero(dirty)[0]]
+            self._trees = trees
+            self._versions = versions
             self.last_dirty_windows = len(dirty_ids)
             self.last_clean_windows = \
                 len(new_windows) - self.last_dirty_windows
-            if self._scheduler is not None and dirty_ids:
-                self._scheduler.invalidate_windows(dirty_ids)
         else:
-            self.positions = positions
-            self.assignment = chunk_assignment
-            self.windows = new_windows
-            self._window_of_chunk_cache = None
-            self._window_lut_cache = None
-            self._members_cache = None
-            self._trees_cache = None
-            self._versions_cache = None
-            self.last_clean_windows = 0
-            self.last_dirty_windows = len(new_windows)
             if self._scheduler is not None:
                 self._scheduler.reset_workers()
+            self._rebuild(positions, chunk_assignment, new_windows)
+            self.last_clean_windows = 0
+            self.last_dirty_windows = len(new_windows)
         return same_occupancy
 
     def _dirty_windows(self, new_positions: np.ndarray) -> np.ndarray:
@@ -690,8 +700,9 @@ class ChunkedIndex:
         """The window's kd-tree (``None`` for an empty window).
 
         The one place unit runs, shared-memory exports and per-query
-        paths resolve a window's tree; dirty windows were rebuilt inline
-        by :meth:`update_frame`, so this is a plain lookup.
+        paths resolve a window's tree — a plain lookup, because the
+        ingest that set the window's state already built its tree
+        (:meth:`_build_trees`).
         """
         return self._trees[window]
 
@@ -712,14 +723,13 @@ class ChunkedIndex:
     # Window-shard runtime plumbing
     # ------------------------------------------------------------------
     def _runtime(self) -> WindowScheduler:
-        """The scheduler bound to the current built state (lazy).
+        """The scheduler bound to this index (created on first use).
 
         The scheduler sees this index through a :class:`WeakShardState`
         so dropping the index refcount-collects the whole runtime
         (closing any worker pool) without waiting for cyclic GC.
         """
         if self._scheduler is None:
-            self._ensure_built()
             self._scheduler = WindowScheduler(WeakShardState(self),
                                               self.executor,
                                               self.executor_workers,
@@ -745,8 +755,8 @@ class ChunkedIndex:
     # ------------------------------------------------------------------
     _SNAPSHOT_ATTRS = (
         "positions", "assignment", "windows",
-        "_window_of_chunk_cache", "_window_lut_cache", "_members_cache",
-        "_trees_cache", "_versions_cache",
+        "_window_of_chunk", "_window_lut", "_members", "_trees",
+        "_versions",
         "last_reused_trees", "last_clean_windows", "last_dirty_windows",
     )
 
@@ -754,8 +764,8 @@ class ChunkedIndex:
         """Capture the index's frame state for failure rollback.
 
         A *shallow* attribute capture is a true snapshot here because
-        :meth:`update_frame` replaces the cache lists wholesale (it
-        never mutates them in place), and kd-trees / member arrays are
+        every ingest replaces the state lists wholesale (it never
+        mutates them in place), and kd-trees / member arrays are
         immutable once built.  The attached :attr:`result_cache` is
         deliberately not captured: its keys embed content versions from
         a process-global counter that is never reused, so entries
@@ -791,8 +801,12 @@ class ChunkedIndex:
         attached from :meth:`shm_export_window` instead); results are
         window-local — the parent remaps indices through the
         window's member table when scattering.  A unit serving several
-        windows comes back as one window-local result per window.
+        windows comes back as one window-local result per window.  A
+        ``build`` unit reads no tree: it builds its window's from the
+        points it carries.
         """
+        if unit.kind == "build":
+            return run_tree_unit((), unit)
         return run_tree_unit([self._tree_for(w) for w in unit.windows],
                              unit)
 

@@ -28,8 +28,9 @@ frame over frame:
   membership, and rebuild *only the windows whose member coordinates
   actually moved* (a vectorized per-window change detector in
   :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`, which
-  rebuilds the dirty trees inline with the level-synchronous
-  :class:`~repro.spatial.kdtree.KDTree` build); clean
+  rebuilds the dirty trees before the frame's queries route, as
+  ``build`` work units on the session's executor — on ``shm`` and
+  ``fleet`` in the pool worker that owns each window); clean
   windows keep their kd-tree objects — and, on the shm backend,
   their shared-memory segments — while a dirty window whose
   coordinates are *identical* to some previous window's (a rolling
@@ -772,29 +773,28 @@ class StreamSession:
                 windows) -> bool:
         """Route the frame into the session index; True on the fast path.
 
-        The session-owned result cache is (re)attached after every warm
-        ingest.  The cold rebuild-per-frame reference mode skips it:
+        Either way every window tree the frame needs is built before
+        this returns.  The session's result cache is attached when the
+        index is constructed — before its first build, so frame 0's
+        window versions are already content-addressed under a shared
+        cache.  The cold rebuild-per-frame reference mode attaches none:
         each rebuild assigns fresh process-global window versions, so
         every lookup would miss — pure digest-and-store overhead.
         """
         if self._index is not None and self.session_config.reuse_index:
-            reused = self._index.update_frame(positions, assignment,
-                                              windows)
-        else:
-            if self._index is not None:
-                # Cold reference mode: rebuild the index (and its
-                # runtime) from scratch every frame, like one-shot
-                # callers do.
-                self._index.close()
-            self._index = ChunkedIndex(
-                positions, assignment, windows,
-                executor=self.config.executor,
-                executor_workers=self.config.executor_workers,
-                supervision=self.session_config.supervision())
-            reused = False
-        if self.session_config.reuse_index:
-            self._index.result_cache = self._result_cache
-        return reused
+            return self._index.update_frame(positions, assignment, windows)
+        if self._index is not None:
+            # Cold reference mode: rebuild the index (and its runtime)
+            # from scratch every frame, like one-shot callers do.
+            self._index.close()
+        self._index = ChunkedIndex(
+            positions, assignment, windows,
+            executor=self.config.executor,
+            executor_workers=self.config.executor_workers,
+            supervision=self.session_config.supervision(),
+            result_cache=self._result_cache
+            if self.session_config.reuse_index else None)
+        return False
 
     def _frame_deadline(self, positions: np.ndarray,
                         assignment: np.ndarray):

@@ -331,6 +331,11 @@ def test_fusion_needs_a_lockstep_sized_group(n_queries):
     queries = rng.uniform(0, 1, size=(n_queries, 3))
     fused, grid = _windowed_index(pts, _RecordingSerial)
     plain, _ = _windowed_index(pts, _per_window(_RecordingSerial))
+    # Construction ran one unfused build unit per window; from here on
+    # the record holds the query dispatch alone.
+    for index in (fused, plain):
+        assert set(index._scheduler.executor.dispatched) == {("build", 1)}
+        index._scheduler.executor.dispatched.clear()
     chunks = grid.assign(queries)
     try:
         got = fused.query_knn_batch(queries, chunks, 4, max_steps=18)

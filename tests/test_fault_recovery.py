@@ -11,6 +11,9 @@ frame rolls the warm session back to the last good frame, and
 import errno
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -146,7 +149,8 @@ def test_exact_counter_accounting_shm(rng):
 @pytest.mark.parametrize("trial", range(3))
 def test_crash_right_after_a_large_result_loses_nothing(trial):
     """Each worker hands over a large uncapped result (window 0 / 1)
-    and crashes on its very next unit (window 2 / 3).  The handed-over
+    and crashes on its very next unit (window 2 / 3; ``nth=2`` skips
+    those windows' tree builds at construction).  The handed-over
     result must arrive whole and the result channel stay usable: two
     respawns and two retries, no timeout, no ladder step."""
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -155,8 +159,8 @@ def test_crash_right_after_a_large_result_loses_nothing(trial):
     want = index.query_knn_batch(pts[::3], assignment[::3], 64,
                                  engine="scan")
     index.close()
-    injector = FaultInjector([FaultSpec(kind="crash", window=2),
-                              FaultSpec(kind="crash", window=3)])
+    injector = FaultInjector([FaultSpec(kind="crash", window=2, nth=2),
+                              FaultSpec(kind="crash", window=3, nth=2)])
     index, pts, assignment = _index(
         np.random.default_rng(3), executor=injector.executor("shm"),
         supervision=SupervisionConfig(unit_timeout=2.0), n=6000)
@@ -172,6 +176,140 @@ def test_crash_right_after_a_large_result_loses_nothing(trial):
         index.close()
 
 
+def test_worker_killed_right_after_a_batch_never_wedges_the_pool():
+    """A worker SIGKILLed the moment its batch returns — it may still be
+    finishing its last result send — costs exactly one respawn on the
+    next batch.  Each slot writes its own result pipe, so a dead writer
+    can block no other slot: thirty back-to-back trials, each bit-equal
+    with no timeout and no ladder step."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork unavailable; the pool runs inline")
+    want = _reference(np.random.default_rng(5))
+    index, pts, assignment = _index(
+        np.random.default_rng(5), executor="shm",
+        supervision=SupervisionConfig(unit_timeout=2.0))
+    try:
+        got = index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                    max_steps=20)
+        _assert_batches_equal(got, want)
+        pool = index._scheduler.executor
+        for trial in range(30):
+            pool._procs[trial % WORKERS].kill()
+            before = index.stats.snapshot()
+            got = index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                        max_steps=20)
+            _assert_batches_equal(got, want)
+            moved = index.stats.delta(before)
+            assert (moved["respawns"], moved["timeouts"],
+                    moved["degradations"]) == (1, 0, []), trial
+    finally:
+        index.close()
+
+
+def test_worker_killed_mid_write_never_wedges_the_pool():
+    """A worker killed halfway through sending a result leaves a
+    truncated message in its own pipe only: the parent reads it as a
+    broken pipe, never blocks on it, and respawns the slot."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork unavailable; the pool runs inline")
+    want = _reference(np.random.default_rng(5))
+    index, pts, assignment = _index(
+        np.random.default_rng(5), executor="shm",
+        supervision=SupervisionConfig(unit_timeout=2.0))
+    try:
+        pool = index._scheduler.executor
+        if pool.effective != "shm":
+            pytest.skip("fork unavailable; the pool fell back")
+        # A stale dispatch whose result (~0.5 MB of node arrays) cannot
+        # fit the pipe: nobody reads it, so slot 0 blocks mid-write.
+        big = np.random.default_rng(6).uniform(0, 1, size=(20_000, 3))
+        build = WorkUnit(0, np.arange(len(big)), "build", big)
+        pool._inboxes[0].put((999_999_999, 0, (build, ())))
+        reader = pool._results[0]
+        assert reader.poll(30.0)        # the send has started
+        time.sleep(0.2)
+        pool._procs[0].kill()
+        pool._procs[0].join()
+        got = index.query_knn_batch(pts[::3], assignment[::3], 4,
+                                    max_steps=20)
+        _assert_batches_equal(got, want)
+        stats = index.stats
+        assert (stats.respawns, stats.timeouts, stats.degradations) == \
+            (1, 0, [])
+    finally:
+        index.close()
+
+
+def test_crash_in_a_warm_build_recovers_bit_equal():
+    """A crash aimed at a dirty window's build unit during a warm
+    ``shm`` frame: one retry, one respawn, and the frame's trees and
+    results match a serial rebuild."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork unavailable; the pool runs inline")
+    # Window 5's first matching unit is its build at construction; the
+    # second is its build in the warm frame below.
+    injector = FaultInjector([FaultSpec(kind="crash", window=5, nth=2)])
+    index, pts, assignment = _index(
+        np.random.default_rng(13), executor=injector.executor("shm"),
+        supervision=SupervisionConfig(unit_timeout=2.0))
+    try:
+        if index.effective_executor != "shm":
+            pytest.skip("fork unavailable; the pool fell back")
+        moved = pts + 1e-3
+        before = index.stats.snapshot()
+        assert index.update_frame(moved, assignment) is True
+        recovery = index.stats.delta(before)
+        assert injector.fire_counts == [1]
+        assert (recovery["retries"], recovery["respawns"],
+                recovery["timeouts"], recovery["degradations"]) == \
+            (1, 1, 0, [])
+        reference = ChunkedIndex(moved, assignment, index.windows)
+        for tree, want in zip(index._trees, reference._trees):
+            for name in ("axis", "left", "right", "point_index"):
+                np.testing.assert_array_equal(getattr(tree, name),
+                                              getattr(want, name))
+        got = index.query_knn_batch(moved[::3], assignment[::3], 4,
+                                    max_steps=20)
+        _assert_batches_equal(got, reference.query_knn_batch(
+            moved[::3], assignment[::3], 4, max_steps=20))
+    finally:
+        index.close()
+
+
+def test_crash_behind_a_large_backlog_lets_the_process_exit():
+    """A worker that dies with more queued build units than its inbox
+    pipe holds leaves that inbox's feeder thread blocked on the pipe;
+    the pool abandons the inbox, so the interpreter still exits."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork unavailable; the pool runs inline")
+    import repro
+
+    script = """
+import numpy as np
+from repro.runtime import FaultInjector, FaultSpec, SupervisionConfig
+from repro.spatial import ChunkGrid, ChunkedIndex, chunk_windows
+pts = np.random.default_rng(3).uniform(0, 1, size=(6000, 3))
+grid = ChunkGrid.fit(pts, (4, 4, 1))
+# Window 2's build is slot 0's second unit; three more builds of
+# ~50 KB each queue behind it.
+injector = FaultInjector([FaultSpec(kind="crash", window=2)])
+index = ChunkedIndex(pts, grid.assign(pts),
+                     chunk_windows((4, 4, 1), (2, 2, 1)),
+                     executor=injector.executor("shm"), executor_workers=2,
+                     supervision=SupervisionConfig(unit_timeout=5.0))
+assert injector.fire_counts == [1] and index.stats.respawns == 1
+index.close()
+print("closed")
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["closed"]
+
+
 def test_degradation_ladder_exhausts_to_serial(rng):
     """A persistent fault walks shm → thread → serial, bit-equal.
 
@@ -179,10 +317,12 @@ def test_degradation_ladder_exhausts_to_serial(rng):
     twice burns the shm and thread rungs and the serial rung
     completes.  The ladder steps are recorded in order and the pool
     stays on the last rung for later batches (permanent fallback only
-    after exhaustion — and here it *was* exhausted).
+    after exhaustion — and here it *was* exhausted).  The fault skips
+    window 4's first matching unit, its tree build at construction.
     """
     want = _reference(np.random.default_rng(7))
-    injector = FaultInjector([FaultSpec(kind="raise", window=4, times=2)])
+    injector = FaultInjector([FaultSpec(kind="raise", window=4, nth=2,
+                                        times=2)])
     index, pts, assignment = _index(
         np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, unit_timeout=5.0))
@@ -286,8 +426,10 @@ def test_shm_staging_failure_takes_the_ladder(monkeypatch, degradation):
 
 
 def test_exhausted_serial_rung_raises_execution_error(rng):
-    """A fault outliving every rung surfaces as ExecutionError."""
-    injector = FaultInjector([FaultSpec(kind="raise", window=4, times=50)])
+    """A fault outliving every rung surfaces as ExecutionError.  (It
+    spares window 4's tree build at construction, its first match.)"""
+    injector = FaultInjector([FaultSpec(kind="raise", window=4, nth=2,
+                                        times=50)])
     index, pts, assignment = _index(
         np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, unit_timeout=5.0))
@@ -297,7 +439,9 @@ def test_exhausted_serial_rung_raises_execution_error(rng):
 
 
 def test_degradation_disabled_raises(rng):
-    injector = FaultInjector([FaultSpec(kind="raise", window=4, times=50)])
+    # nth=2 spares window 4's tree build at construction.
+    injector = FaultInjector([FaultSpec(kind="raise", window=4, nth=2,
+                                        times=50)])
     index, pts, assignment = _index(
         np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, degradation=False))
@@ -339,8 +483,9 @@ def test_stale_ticket_results_are_discarded(rng):
     if pool.effective != "shm":
         index.close()
         pytest.skip("fork unavailable; pool fell back to serial")
-    # Forge a stale result: its ticket can never match a live dispatch.
-    pool._outbox.put((999_999_999, 0, True, "garbage"))
+    # Forge a stale dispatch: the worker answers it under a ticket that
+    # can never match a live dispatch.
+    pool._inboxes[0].put((999_999_999, 0, "garbage"))
     want = _reference(np.random.default_rng(3))
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                 max_steps=20)
@@ -592,6 +737,39 @@ def test_session_rollback_then_clean_frame_bit_equal(rng):
         _assert_batches_equal(follow.result, reference[3].result)
 
 
+def test_failed_build_rolls_the_session_back():
+    """A build unit that keeps raising, with the ladder off, fails its
+    frame and rolls the session back to the last good frame; the next
+    frame then matches a cold rebuild at the same deadline."""
+    frames = _session_frames()
+    session_cfg = StreamingSessionConfig(max_retries=2, degradation=False)
+    # How many units of window 1 frame 0 runs: the next one is window
+    # 1's build in frame 1, the first unit of that frame's ingest.
+    probe = FaultInjector([FaultSpec("raise", window=1, nth=10 ** 9)])
+    with StreamSession(_session_config(probe.executor("shm"), WORKERS),
+                       k=5, session=session_cfg) as session:
+        session.process(frames[0])
+    [frame0_units] = probe.match_counts
+    injector = FaultInjector([FaultSpec("raise", window=1,
+                                        nth=frame0_units + 1, times=3)])
+    cold_cfg = StreamingSessionConfig(reuse_index=False)
+    with StreamSession(_session_config(), k=5,
+                       session=cold_cfg) as cold:
+        reference = cold.run([frames[0], frames[2]])
+    with StreamSession(_session_config(injector.executor("shm"), WORKERS),
+                       k=5, session=session_cfg) as session:
+        session.process(frames[0])
+        with pytest.raises(ExecutionError):
+            session.process(frames[1])
+        assert injector.fire_counts == [3]
+        assert session.stats.rollbacks == 1
+        assert session.frames_processed == 1
+        outcome = session.process(frames[2])
+    assert outcome.ok and outcome.frame_id == 1
+    assert outcome.deadline == reference[1].deadline
+    _assert_batches_equal(outcome.result, reference[1].result)
+
+
 def test_session_on_error_skip_quarantines(rng):
     """on_error="skip": bad frames become error-carrying results and
     the good frames around them stay bit-equal to a clean stream."""
@@ -679,8 +857,10 @@ def test_session_totals_are_the_sum_of_frame_deltas(stream):
     rng = np.random.default_rng(17)
     frames = [rng.uniform(-1, 1, size=(400, 3)) for _ in range(3)]
     if stream == "quarantine":
+        # nth=2: frame 0 fails in its query dispatch, after window 1's
+        # tree build (its first matching unit) and the segment staging.
         executor = FaultInjector(
-            [FaultSpec("raise", window=1)]).executor("shm")
+            [FaultSpec("raise", window=1, nth=2)]).executor("shm")
         session_cfg = StreamingSessionConfig(max_retries=0,
                                              degradation=False)
     else:

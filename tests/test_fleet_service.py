@@ -240,6 +240,49 @@ def test_crash_in_one_tenant_leaves_the_other_untouched():
     _assert_frames_equal(got_b, ref_b)
 
 
+def test_crash_in_one_tenants_build_leaves_the_other_untouched():
+    """A crash aimed at tenant 1's tree build (its window 1's first
+    unit, built at its first ingest) recovers inside tenant 1: tenant
+    0's results and every one of its counters match a fault-free
+    fleet's."""
+    frames_a = _frames(seed=51, n_frames=3)
+    frames_b = _frames(seed=52, n_frames=3)
+    ref_b = _run_session("serial", frames_b)
+    counters = ("retries", "respawns", "timeouts", "degradations",
+                "cache_hits", "cache_misses", "state_bytes_shipped",
+                "forks_avoided", "arena_launches")
+
+    def run(backend):
+        fleet = ShardFleet(FleetConfig(
+            backend=backend, n_workers=2,
+            supervision=SupervisionConfig(max_retries=2)))
+        try:
+            with StreamSession(_config(fleet), k=4) as sa, \
+                    StreamSession(_config(fleet), k=4) as sb:
+                got = [(sa.process(fa), sb.process(fb))
+                       for fa, fb in zip(frames_a, frames_b)]
+                if sa.effective_executor != "fleet:shm":
+                    pytest.skip("fork unavailable; inner pool fell back")
+                stats = [{name: getattr(session.stats, name)
+                          for name in counters} for session in (sa, sb)]
+        finally:
+            fleet.shutdown()
+        return [a for a, _ in got], [b for _, b in got], stats
+
+    reset_shared_result_cache()
+    clean_a, _, (clean_stats_a, _) = run("shm")
+    reset_shared_result_cache()
+    injector = FaultInjector([
+        FaultSpec("crash", window=namespaced_window(1, 1), nth=1)])
+    got_a, got_b, (stats_a, stats_b) = run(injector.executor("shm"))
+    assert injector.fire_counts == [1]
+    assert (stats_b["retries"], stats_b["respawns"]) == (1, 1)
+    assert stats_a == clean_stats_a
+    _assert_frames_equal(got_a, clean_a)
+    _assert_frames_equal(got_b, ref_b)
+    reset_shared_result_cache()
+
+
 def test_lease_blocks_sum_to_the_inner_block():
     """Per-tenant attribution is exact: summed over the leases, each
     recovery and data-movement counter equals the inner backend's, and

@@ -138,3 +138,41 @@ def test_packed_round_trip_is_bit_equal():
                      "terminated"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(want, name))
+
+
+def _walked_depth(tree: KDTree) -> int:
+    """The depth oracle: the deepest node of an explicit walk
+    (root = 1)."""
+    best = 0
+    stack = [(tree.root, 1)]
+    while stack:
+        node, d = stack.pop()
+        if node == -1:
+            continue
+        best = max(best, d)
+        stack.append((int(tree.left[node]), d + 1))
+        stack.append((int(tree.right[node]), d + 1))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 3_000),
+       levels=st.integers(1, 8))
+def test_depth_matches_walk_fuzzed(seed, n, levels):
+    """The closed-form depth equals a node walk on random sizes, on
+    tie-heavy clouds, and on a tree adopted from its packed arrays."""
+    rng = np.random.default_rng(seed)
+    for points in (rng.normal(size=(n, 3)),
+                   rng.integers(0, levels, size=(n, 3)).astype(np.float64)):
+        tree = KDTree(points)
+        assert tree.depth() == _walked_depth(tree) == n.bit_length()
+        clone = KDTree.from_arrays(*tree.packed_arrays())
+        assert clone.depth() == _walked_depth(clone)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 255, 256, 1_880])
+def test_depth_matches_walk_on_every_family(family, n):
+    rng = np.random.default_rng([n, len(family), 7])
+    tree = KDTree(_FAMILIES[family](rng, n))
+    assert tree.depth() == _walked_depth(tree)

@@ -369,11 +369,16 @@ def test_set_assignment_validates_and_invalidates(rng):
         index.set_assignment(np.zeros(10, dtype=np.int64))
     with pytest.raises(ValidationError):
         index.reassign_points(np.array([len(pts)]), np.array([0]))
+    trees_before = list(index._trees)
     index.set_assignment(np.zeros(len(pts), dtype=np.int64))
-    assert index._trees_cache is None                  # caches dropped
+    # Rebuilt at once: no tree of the old assignment survives.
+    assert not any(tree is old for tree, old in zip(index._trees,
+                                                    trees_before)
+                   if tree is not None)
     # Chunk 0 now owns every point; its serving window sees all of them.
     widx = index.window_for_chunk(0)
     assert len(index._members[widx]) == len(pts)
+    assert len(index._trees[widx]) == len(pts)
 
 
 # ----------------------------------------------------------------------
