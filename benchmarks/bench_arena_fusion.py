@@ -41,7 +41,7 @@ from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_arena.json")
 
 #: Serial first — it carries the headline ratio.
-BACKENDS = ("serial", "thread", "shm")
+BACKENDS = ("serial", "shm")
 
 
 def _per_window(backend):

@@ -1,7 +1,7 @@
 """Throughput benchmark: one-shot odometry vs the session-backed estimator.
 
 Runs A-LOAM-style scan-to-scan odometry over a simulated KITTI-like
-drive three ways, under the serial, thread and shm runtime backends:
+drive three ways, under the serial and shm runtime backends:
 
 * ``oneshot`` — the **per-scan-rebuild baseline** (the seed behaviour
   this repo started from): a fresh
@@ -56,7 +56,7 @@ from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_odometry.json")
 
-BACKENDS = ("serial", "thread", "shm")
+BACKENDS = ("serial", "shm")
 #: The paper's registration splitting: serial 4 chunks, width-2 window.
 _SPLITTING = SplittingConfig(shape=(4, 1, 1), kernel=(2, 1, 1),
                              mode="serial")

@@ -1,13 +1,12 @@
-"""Throughput benchmark: serial vs thread vs shm shards.
+"""Throughput benchmark: serial vs shm shards.
 
 Times ``CompulsorySplitter`` batch dispatch on many-window
 configurations (a serial-mode 8-window split and a spatial 16-window
-split) under three window-shard runtime backends
-(:mod:`repro.runtime`): the inline ``SerialExecutor``, the
-``ThreadExecutor`` thread pool, and the ``ShmShardPool`` that pins
-window ids to forked workers and stages window state in shared-memory
-segments the workers attach to.  Two operations are measured per
-backend:
+split) under two window-shard runtime backends
+(:mod:`repro.runtime`): the inline ``SerialExecutor`` and the
+``ShmShardPool`` that pins window ids to forked workers and stages
+window state in shared-memory segments the workers attach to.  Two
+operations are measured per backend:
 
 * ``knn`` — uncapped kNN (per-window vectorized scan engine);
 * ``knn_capped`` — deadline-capped kNN (per-window lockstep traversal).
@@ -17,13 +16,13 @@ element-for-element against the serial reference (indices, distances,
 steps, terminated) — the runtime must be a pure *where-it-runs* change.
 
 Worker counts auto-resolve from the CPU count unless ``--workers`` pins
-them, with a floor of two for the pooled backends so the thread pool
-and the forked shm pool are genuinely exercised even on single-core
-hosts (where shards timeshare one core, so the honest expectation is
-≈ 1.0x minus IPC overhead, not a win).  Each row records the
-``effective`` backend, and the headline shm/serial ratio counts only
-rows that actually ran the forked pool — fallback rows can never
-masquerade as a sharding measurement.
+them, with a floor of two for the pooled backend so the forked shm
+pool is genuinely exercised even on single-core hosts (where shards
+timeshare one core, so the honest expectation is ≈ 1.0x minus IPC
+overhead, not a win).  Each row records the ``effective`` backend,
+and the headline shm/serial ratio counts only rows that actually ran
+the forked pool — fallback rows can never masquerade as a sharding
+measurement.
 
 A separate section times bucketed group batching against the classic
 repeat-padded grouping math on a deliberately skewed ball-query
@@ -50,7 +49,7 @@ from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_runtime.json")
 
-BACKENDS = ("serial", "thread", "shm")
+BACKENDS = ("serial", "shm")
 
 
 def _configs():
@@ -145,10 +144,10 @@ def run(n_points=32768, n_queries=4096, k=16, max_steps=48, repeats=3,
     positions = rng.uniform(0.0, 1.0, size=(n_points, 3))
     queries = positions[rng.choice(n_points, size=n_queries,
                                    replace=False)]
-    # Floor the pooled backends at two workers so the thread pool and
-    # the forked shm pool are genuinely measured even where the CPU
-    # count auto-resolves to one (fallback rows are excluded from the
-    # headline ratio regardless — see below).
+    # Floor the pooled backend at two workers so the forked shm pool is
+    # genuinely measured even where the CPU count auto-resolves to one
+    # (fallback rows are excluded from the headline ratio regardless —
+    # see below).
     pool_workers = workers if workers is not None \
         else max(2, resolve_worker_count(None))
     results = []

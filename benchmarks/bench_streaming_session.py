@@ -1,7 +1,7 @@
 """Throughput benchmark: cold per-frame rebuilds vs a warm StreamSession.
 
 Streams two multi-frame sequences through StreamGrid, on ≥ 8-window
-configurations under the serial, thread and shm runtime backends (the
+configurations under the serial and shm runtime backends (the
 zero-copy ``shm`` pool's per-row ``state_bytes_shipped`` /
 ``forks_avoided`` counters make the warm-ingest savings auditable):
 
@@ -72,7 +72,7 @@ from _common import REPO_ROOT, RESULTS_DIR, emit, host, time_best
 
 _DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_streaming.json")
 
-BACKENDS = ("serial", "thread", "shm")
+BACKENDS = ("serial", "shm")
 
 
 def _rolling_frames(n_frames, n_points, seed=7):

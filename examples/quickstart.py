@@ -111,9 +111,9 @@ def main() -> None:
     # pool: workers attach to per-window segments instead of re-forking,
     # and a warm frame re-exports only the windows that actually moved
     # (the session's state_bytes_shipped / forks_avoided counters make
-    # that auditable).  Failures walk it down the shm→thread→serial
-    # ladder, and it runs inline wherever fork is unavailable — with
-    # identical results either way.
+    # that auditable).  Failures step it down the shm→serial ladder,
+    # and it runs inline wherever fork is unavailable — with identical
+    # results either way.
     partial = make_partial_drift_frames("two_spheres", 4, 640,
                                         shape=(4, 4, 1), fraction=0.125,
                                         seed=0)

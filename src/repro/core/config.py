@@ -146,9 +146,9 @@ class StreamingSessionConfig:
     budget (seconds) one work unit may spend on an executor worker
     before the worker is presumed hung (``None`` disables hang
     detection); ``max_retries`` bounds same-backend re-dispatches of a
-    failing unit; ``degradation`` enables the shm → thread → serial
-    backend ladder once retries are exhausted (or the shm pool cannot
-    stage a batch into shared memory).  ``on_error`` sets the
+    failing unit; ``degradation`` enables the shm → serial backend
+    ladder once retries are exhausted (or the shm pool cannot stage a
+    batch into shared memory).  ``on_error`` sets the
     session's frame-failure policy: ``"raise"`` re-raises (after
     rolling warm state back to the last good frame), ``"skip"``
     quarantines the frame into a ``FrameResult`` carrying a structured
@@ -229,14 +229,13 @@ class StreamGridConfig:
 
     ``executor`` selects the window-shard runtime backend every
     neighbour-search batch runs on (:mod:`repro.runtime`):
-    ``"serial"`` (inline loop), ``"thread"`` (shared-memory thread
-    pool), ``"shm"`` (forked worker processes with window-id affinity,
-    attached to window trees in shared-memory segments), or
-    ``"fleet"`` (a lease on the process-global multi-tenant
-    :class:`~repro.runtime.fleet.ShardFleet`).  Anything
-    :func:`~repro.runtime.executor.resolve_executor` accepts — an
+    ``"serial"`` (inline loop), ``"shm"`` (forked worker processes
+    with window-id affinity, attached to window trees in shared-memory
+    segments), or ``"fleet"`` (a lease on the process-global
+    multi-tenant :class:`~repro.runtime.fleet.ShardFleet`).  Anything
+    else :func:`~repro.runtime.executor.resolve_executor` accepts — an
     :class:`~repro.runtime.executor.Executor` instance or a factory
-    callable such as
+    ``(state, n_workers) -> Executor`` such as
     :meth:`repro.runtime.faults.FaultInjector.executor` — also works.
     ``executor_workers`` pins the worker count; ``None`` auto-sizes
     from the CPU count.  Results are backend-independent.

@@ -38,7 +38,7 @@ variant is the one-window partition of
 spatial window over the whole cloud, whose tree is the whole-cloud
 tree.  So the ``executor`` knob of
 :class:`~repro.core.config.StreamGridConfig` selects the runtime
-backend (serial / thread / shm / fleet) for every variant uniformly.
+backend (serial / shm / fleet) for every variant uniformly.
 """
 
 from __future__ import annotations

@@ -54,9 +54,8 @@ units; executors never do.  The backend implements:
   compatible per-window units into one multi-window
   :class:`~repro.spatial.kdtree.TraversalArena` launch only when their
   windows share a slot, so fused units respect worker affinity exactly
-  like per-window ones.  ``None`` (the
-  base default) opts a backend out of fusion, and so does a backend
-  that does not define ``fusion_slot`` at all.
+  like per-window ones.  ``None`` (the base default) opts a backend
+  out of fusion.
 
 Arena fusion (one lockstep launch per batch)
 --------------------------------------------
@@ -88,20 +87,17 @@ needs — all of them at construction or after an occupancy change, the
 dirty ones on a warm frame — as one batch of ``build`` units through
 :meth:`~repro.runtime.scheduler.WindowScheduler.execute_by_window`
 and adopts the returned node arrays, array-identical to
-``KDTree(points)``.  ``serial`` builds inline, ``thread`` on its pool,
-and ``shm`` in the worker that owns the window's slot: a build unit's
+``KDTree(points)``.  ``serial`` builds inline and ``shm`` in the
+worker that owns the window's slot: a build unit's
 points ride that slot's inbox, its node arrays ride the slot's result
 pipe, and it stages no segment.  Tickets, retries, respawn, the ladder
 and fault injection cover builds like any unit.  This is a fork-join
 inside the ingest, so no query ever waits on a rebuild.
 
-Four interchangeable backends ship with the runtime:
+Three interchangeable backends ship with the runtime:
 
 * :class:`~repro.runtime.executor.SerialExecutor` — an inline loop, the
-  reference backend;
-* :class:`~repro.runtime.executor.ThreadExecutor` — a
-  ``concurrent.futures.ThreadPoolExecutor``; wins when the per-window
-  kernels release the GIL (the vectorized scan / lockstep engines);
+  reference backend and the ladder's last rung;
 * :class:`~repro.runtime.shm.ShmShardPool` (``executor="shm"``) — the
   one multi-process pool: forked workers, pinned to windows by the
   affinity rule below, that never read the shard state itself.  Window
@@ -152,10 +148,12 @@ detects worker *death* and, when ``unit_timeout`` is set, worker
 and re-dispatching that slot's unfinished units (per-dispatch tickets
 discard anything the killed worker still emitted).  Only after a unit
 exhausts its retries — or the shm pool cannot stage a batch into
-shared memory — does the backend walk the degradation ladder —
-shm → thread → serial, each rung logged and recorded in the
-:class:`~repro.runtime.executor.RuntimeStats` block — and only a
-failure on the serial rung raises :class:`~repro.errors.ExecutionError`.
+shared memory — does the pool step down the degradation ladder —
+shm → serial, logged and recorded as ``"shm->serial"`` in the
+:class:`~repro.runtime.executor.RuntimeStats` block; the serial rung
+finishes the batch (and every later one) inline under the same
+supervision — and only a failure on the serial rung raises
+:class:`~repro.errors.ExecutionError`.
 Deterministic input errors (:class:`~repro.errors.ValidationError`)
 are never retried.  :mod:`repro.runtime.faults` provides a seeded
 deterministic fault injector for exercising all of these paths.
@@ -170,8 +168,9 @@ constructor, implement ``run`` / ``close`` (plus ``reset_workers`` /
 class in :data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new
 name or pass the class (or a ready instance) directly as the
 ``executor=`` knob — :func:`~repro.runtime.executor.resolve_executor`
-accepts a backend name, a factory callable, or an :class:`Executor`
-instance.  ``run`` hands each unit to ``state.run_unit`` (or, in a
+accepts exactly three shapes: a registered name, an :class:`Executor`
+instance, or a factory ``(state, n_workers) -> Executor`` (a class is
+one).  ``run`` hands each unit to ``state.run_unit`` (or, in a
 worker, to :func:`~repro.runtime.scheduler.run_tree_unit` with one tree
 per entry of ``unit.windows``) and returns one result per unit — a
 list of per-window results for a fused unit, which the scheduler
@@ -185,7 +184,6 @@ from repro.runtime.executor import (
     RuntimeStats,
     SerialExecutor,
     SupervisionConfig,
-    ThreadExecutor,
     WorkUnit,
     resolve_executor,
     resolve_worker_count,
@@ -222,7 +220,6 @@ __all__ = [
     "SerialExecutor",
     "ShmShardPool",
     "SupervisionConfig",
-    "ThreadExecutor",
     "WorkUnit",
     "resolve_executor",
     "resolve_worker_count",

@@ -3,8 +3,9 @@
 A :class:`WorkUnit` is the slice of a query batch that one window (or a
 fused group of same-slot windows) serves; an :class:`Executor` runs a
 list of them against a *shard state* — any object exposing
-``run_unit(unit) -> result`` — and returns the results in unit order.  See :mod:`repro.runtime` for the protocol contract and
-the window-affinity sharding rule.
+``run_unit(unit) -> result`` — and returns the results in unit order.
+See :mod:`repro.runtime` for the protocol contract and the
+window-affinity sharding rule.
 
 Execution is **supervised**: every backend carries a
 :class:`SupervisionConfig` (unit retries, an optional wall-clock unit
@@ -12,13 +13,13 @@ timeout, and a degradation ladder) and a :class:`RuntimeStats` counter
 block.  Failures are handled where they happen — the pooled backend
 (:class:`~repro.runtime.shm.ShmShardPool`) respawns a crashed or hung
 worker slot and re-dispatches only that slot's unfinished units; the
-thread and serial backends retry the failing unit inline — and only
-after ``max_retries`` consecutive failures of the same unit does a
-backend walk one rung down the degradation ladder (shm → thread →
-serial).  Results are deterministic functions of the unit, so a retry
-is bit-safe, and per-dispatch *tickets* discard any late result a
-killed worker managed to emit.  Only when the serial rung itself fails
-does :class:`~repro.errors.ExecutionError` reach the caller.
+serial backend retries the failing unit inline — and only after
+``max_retries`` consecutive failures of the same unit does the pool
+walk down the degradation ladder (shm → serial).  Results are
+deterministic functions of the unit, so a retry is bit-safe, and
+per-dispatch *tickets* discard any late result a killed worker managed
+to emit.  Only when the serial rung itself fails does
+:class:`~repro.errors.ExecutionError` reach the caller.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ExecutionError, ValidationError, WorkerTimeoutError
+from repro.errors import ExecutionError, ValidationError
 
 logger = logging.getLogger("repro.runtime")
 
@@ -86,16 +87,15 @@ class SupervisionConfig:
     """Fault-handling knobs shared by every executor backend.
 
     ``unit_timeout`` is the wall-clock budget (seconds) one work unit
-    may spend on a worker before the worker is presumed hung — the
-    shm pool kills and respawns the slot, the thread pool abandons
-    the future; ``None`` disables hang detection (worker *death* is
-    always detected).  ``max_retries`` bounds how many times one unit
-    is re-dispatched on the *same* backend after a crash, hang, or
-    in-unit exception before the backend walks the degradation ladder.
-    ``degradation`` enables that ladder (shm → thread → serial; a
-    batch the shm pool cannot stage steps down at once); with it off,
-    an exhausted unit raises :class:`~repro.errors.ExecutionError`
-    immediately.
+    may spend on a pool worker before the worker is presumed hung and
+    the shm pool kills and respawns its slot; ``None`` disables hang
+    detection (worker *death* is always detected).  ``max_retries``
+    bounds how many times one unit is re-dispatched on the *same*
+    backend after a crash, hang, or in-unit exception before the
+    backend walks the degradation ladder.  ``degradation`` enables that
+    ladder (shm → serial; a batch the shm pool cannot stage steps down
+    at once); with it off, an exhausted unit raises
+    :class:`~repro.errors.ExecutionError` immediately.
     """
 
     unit_timeout: Optional[float] = None
@@ -126,8 +126,8 @@ class RuntimeStats:
     - ``retries`` — unit re-dispatches after any failure.
     - ``respawns`` — worker slots re-forked after a crash or hang.
     - ``timeouts`` — unit-timeout expiries.
-    - ``degradations`` — each ladder step taken (e.g.
-      ``"shm->thread"``), in order.
+    - ``degradations`` — each ladder step taken (``"shm->serial"``),
+      in order.
 
     Result cache (fed by the index that consults the cache):
 
@@ -305,8 +305,8 @@ class Executor:
     def reset_workers(self) -> None:
         """Mark every worker-visible copy of the shard state stale.
 
-        Backends that read the live state on every unit (serial, thread)
-        need do nothing; the shm pool marks every window segment stale
+        Backends that read the live state on every unit (serial) need
+        do nothing; the shm pool marks every window segment stale
         so the next batch re-exports it (its workers keep running).
         Called by frame-streaming state owners
         (:meth:`repro.spatial.neighbors.ChunkedIndex.update_frame`)
@@ -380,143 +380,10 @@ class SerialExecutor(Executor):
         return 0
 
 
-class ThreadExecutor(Executor):
-    """``ThreadPoolExecutor``-backed backend (shared address space).
-
-    Degrades to an inline serial loop — reported through
-    :attr:`effective` and a logged warning, mirroring
-    :class:`~repro.runtime.shm.ShmShardPool` — when the worker count
-    resolves to ≤ 1.
-
-    Supervision: an in-unit exception is retried on a fresh pool slot;
-    with ``unit_timeout`` set, a future that never resolves in time is
-    abandoned (a thread cannot be killed — the orphaned slot is logged)
-    and the unit retried.  After ``max_retries`` consecutive failures
-    of one unit the whole backend degrades to the serial rung for the
-    remaining units and every later batch.
-    """
-
-    name = "thread"
-
-    def __init__(self, state, n_workers: Optional[int] = None,
-                 supervision: Optional[SupervisionConfig] = None,
-                 stats: Optional[RuntimeStats] = None) -> None:
-        super().__init__(supervision, stats)
-        self._state = state
-        self._n_workers = resolve_worker_count(n_workers)
-        self._pool = None
-        self._degraded: Optional[SerialExecutor] = None
-        if self._n_workers <= 1:
-            logger.warning(
-                "ThreadExecutor: worker count resolved to <= 1; "
-                "running units inline (serial)")
-
-    @property
-    def effective(self) -> str:
-        if self._degraded is not None or self._n_workers <= 1:
-            return "serial"
-        return "thread"
-
-    def _degrade(self, detail: str) -> SerialExecutor:
-        step = "thread->serial"
-        logger.warning(
-            "ThreadExecutor: degrading to serial execution (%s)", detail)
-        self.stats.degradations.append(step)
-        self._degraded = SerialExecutor(
-            self._state, supervision=self.supervision,
-            stats=self.stats)
-        return self._degraded
-
-    def run(self, units: Sequence[WorkUnit]) -> List[Any]:
-        if self._degraded is not None:
-            return self._degraded.run(units)
-        if self._n_workers <= 1:
-            return [run_unit_supervised(self._state, unit,
-                                        self.supervision, self.stats)
-                    for unit in units]
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._n_workers,
-                thread_name_prefix="repro-runtime")
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        sup = self.supervision
-        results: List[Any] = [_PENDING] * len(units)
-        attempts = [1] * len(units)
-        pending = {i: self._pool.submit(self._state.run_unit, unit)
-                   for i, unit in enumerate(units)}
-        while pending:
-            for i in sorted(pending):
-                future = pending[i]
-                try:
-                    results[i] = future.result(timeout=sup.unit_timeout)
-                    del pending[i]
-                    continue
-                except (FuturesTimeout, TimeoutError):
-                    self.stats.timeouts += 1
-                    future.cancel()
-                    failure: BaseException = WorkerTimeoutError(
-                        f"unit for window {units[i].window} exceeded the "
-                        f"{sup.unit_timeout}s unit timeout on a worker "
-                        "thread (thread abandoned)")
-                except Exception as exc:
-                    if _non_retryable(exc):
-                        raise
-                    failure = exc
-                if attempts[i] <= sup.max_retries:
-                    attempts[i] += 1
-                    self.stats.retries += 1
-                    logger.warning(
-                        "ThreadExecutor: unit (window %d) failed "
-                        "(%s: %s); retry %d/%d", units[i].window,
-                        type(failure).__name__, failure,
-                        attempts[i] - 1, sup.max_retries)
-                    pending[i] = self._pool.submit(
-                        self._state.run_unit, units[i])
-                    continue
-                if not sup.degradation:
-                    raise ExecutionError(
-                        f"work unit for window {units[i].window} failed "
-                        f"after {attempts[i]} attempt(s) on the thread "
-                        f"backend: {failure}") from failure
-                serial = self._degrade(
-                    f"unit for window {units[i].window} failed "
-                    f"{attempts[i]} time(s): {failure}")
-                todo = sorted(pending)
-                for j in todo:
-                    pending[j].cancel()
-                pending.clear()
-                finished = serial.run([units[j] for j in todo])
-                for j, value in zip(todo, finished):
-                    results[j] = value
-                break
-        return results
-
-    def fusion_slot(self, window: int) -> Optional[int]:
-        """Threads read live state, so any grouping is *correct*; fuse
-        per worker-count stripes to keep pool parallelism while still
-        amortizing the per-window launch cost within each stripe."""
-        if self._degraded is not None or self._n_workers <= 1:
-            return 0
-        return int(window) % self._n_workers
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-#: Sentinel distinguishing "no result yet" from a legitimate ``None``
-#: result a custom shard state might return.
-_PENDING = object()
-
-#: Registry of named backends; new backends may be added here or passed
-#: directly (class / factory / instance) as the ``executor=`` knob.
+#: Registry of named backends: each entry is called as
+#: ``(state, n_workers, supervision=...)``.
 EXECUTOR_BACKENDS = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
 }
 
 
@@ -525,54 +392,43 @@ def resolve_executor(spec, state, n_workers: Optional[int] = None,
                      ) -> Executor:
     """Turn an ``executor=`` knob value into a bound :class:`Executor`.
 
-    *spec* may be a backend name from :data:`EXECUTOR_BACKENDS`, an
-    :class:`Executor` instance (used as-is — the caller already bound
-    it), a factory callable ``(state, n_workers) -> Executor``, or
-    ``None`` (serial).  *supervision* (when given) is applied to the
-    resolved backend — factories and instances that pre-configured
-    their own supervision keep it only if none is passed here.
+    *spec* is a backend name from :data:`EXECUTOR_BACKENDS` (``None``
+    means ``"serial"``), an :class:`Executor` instance (used as-is — the
+    caller already bound it), or a factory ``(state, n_workers) ->
+    Executor``; a factory that returns anything else is rejected.
+    *supervision* (when given) replaces the resolved backend's own.
     """
-    if isinstance(spec, Executor):
-        return _supervise(spec, supervision)
     if spec is None:
-        return SerialExecutor(state, supervision=supervision)
-    if callable(spec) and spec not in EXECUTOR_BACKENDS.values():
-        try:
-            executor = spec(state, n_workers)
-        except TypeError:
-            executor = spec(state)
-        return _supervise(executor, supervision)
-    try:
-        backend = EXECUTOR_BACKENDS[spec] if not callable(spec) else spec
-    except (KeyError, TypeError):
-        raise ValidationError(
-            f"unknown executor {spec!r}; options: "
-            f"{sorted(EXECUTOR_BACKENDS)} or an Executor instance"
-        ) from None
-    try:
-        return backend(state, n_workers, supervision=supervision)
-    except TypeError:
-        # Third-party backends registered before supervision existed.
-        return _supervise(backend(state, n_workers), supervision)
-
-
-def _supervise(executor, supervision: Optional[SupervisionConfig]):
-    """Attach *supervision* (and a stats block) to a resolved backend."""
+        spec = "serial"
+    if isinstance(spec, str):
+        if spec not in EXECUTOR_BACKENDS:
+            raise ValidationError(
+                f"unknown executor {spec!r}; options: "
+                f"{sorted(EXECUTOR_BACKENDS)}, an Executor instance or "
+                "a factory")
+        return EXECUTOR_BACKENDS[spec](state, n_workers,
+                                       supervision=supervision)
+    executor = spec
+    if not isinstance(spec, Executor):
+        if not callable(spec):
+            raise ValidationError(
+                f"executor spec {spec!r} is neither a backend name, an "
+                "Executor instance nor a factory")
+        executor = spec(state, n_workers)
+        if not isinstance(executor, Executor):
+            raise ValidationError(
+                f"executor factory {spec!r} returned "
+                f"{type(executor).__name__}, not an Executor")
     if supervision is not None:
-        try:
-            executor.supervision = supervision
-        except AttributeError:
-            pass
-    if getattr(executor, "supervision", None) is None:
-        executor.supervision = SupervisionConfig()
-    if getattr(executor, "stats", None) is None:
-        executor.stats = RuntimeStats()
+        executor.supervision = supervision
     return executor
 
 
 # perfbench's tracer (``perfbench/tracing.py``) still wraps
+# ``repro.runtime.executor.ThreadExecutor.run`` and
 # ``repro.runtime.executor.ProcessShardPool.run``, and that harness only
-# changes together with its benchmark.  This second name for the one
-# pool keeps the target resolving; it is not a registered backend and
-# not exported from ``repro.runtime``.
+# changes together with its benchmark.  These second names for the
+# serial backend and the one pool keep the targets resolving; they are
+# not registered backends and not exported from ``repro.runtime``.
+ThreadExecutor = SerialExecutor
 from repro.runtime.shm import ShmShardPool as ProcessShardPool  # noqa: E402,F401

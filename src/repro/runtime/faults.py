@@ -22,10 +22,10 @@ un-targeted counters interleave across concurrent workers.
 
 Inline vs forked semantics: a real crash or hang only makes sense in a
 forked child (``os._exit`` / a long sleep the supervisor can kill).
-When the faulting unit runs in the supervisor's own process — serial
-or thread backends, or a pool that already degraded — ``crash`` and
-``hang`` raise :class:`InjectedFaultError` instead, which the
-supervisor handles through the same retry path.
+When the faulting unit runs in the supervisor's own process — the
+serial backend, a lone unit the pool runs inline, or a pool on its
+serial rung — ``crash`` and ``hang`` raise :class:`InjectedFaultError`
+instead, which the supervisor handles through the same retry path.
 """
 
 from __future__ import annotations

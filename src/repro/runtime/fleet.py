@@ -39,7 +39,7 @@ sharing safe and fair:
 
 Failure handling is **not** reinvented: the inner backend is an
 ordinary supervised executor (tickets, slot respawn, retries, the
-shm → thread → serial degradation ladder of
+shm → serial degradation ladder of
 :class:`~repro.runtime.executor.SupervisionConfig`), configured
 fleet-wide through :class:`FleetConfig`.  Fault injection composes the
 same way as everywhere else — pass
@@ -554,7 +554,7 @@ class ShardFleet:
                 supervision)
             logger.debug(
                 "ShardFleet: inner backend %s (effective %s)",
-                getattr(self._inner, "name", "?"), self._inner.effective)
+                self._inner.name, self._inner.effective)
         return self._inner
 
     def _release_windows(self, lease: FleetLease,

@@ -171,8 +171,7 @@ class WindowScheduler:
     A group fuses only when it holds at least
     ``_LOCKSTEP_MIN_QUERIES`` queries in total, the rule
     :meth:`~repro.spatial.kdtree.KDTree.knn_batch` applies to one tree.
-    A backend opts out through its ``fusion_slot`` (returning ``None``,
-    or not defining it at all).
+    A backend opts out through its ``fusion_slot`` returning ``None``.
     """
 
     def __init__(self, state, executor="serial",
@@ -250,11 +249,8 @@ class WindowScheduler:
         its ``window`` is that first member's, keeping slot affinity and
         the ticket protocol exactly as in per-window dispatch.
         """
-        # Backends that predate fusion have no fusion_slot: they opt
-        # out, like the protocol's default of None.
-        slot_of = getattr(self.executor, "fusion_slot", None)
         unfused = (list(units), [[i] for i in range(len(units))])
-        if slot_of is None or len(units) < 2:
+        if len(units) < 2:
             return unfused
         keys: List[Any] = []
         groups: Dict[Any, List[int]] = {}
@@ -262,7 +258,7 @@ class WindowScheduler:
             key = None
             signature = fusion_signature(unit)
             if signature is not None:
-                slot = slot_of(int(unit.window))
+                slot = self.executor.fusion_slot(int(unit.window))
                 if slot is not None:
                     key = (slot, signature)
             keys.append(key)

@@ -5,7 +5,7 @@ shared-memory window state.
 Window ``w`` is pinned to worker ``w % n_workers`` (the window-affinity
 rule), and every batch runs **supervised** — per-dispatch tickets,
 per-slot FIFOs, crash / hang detection with slot respawn, bounded
-retries, and the ``shm → thread → serial`` degradation ladder of
+retries, and the ``shm → serial`` degradation ladder of
 :class:`~repro.runtime.executor.SupervisionConfig`.  Window state lives
 in shared memory; everything else rides each slot's inbox and result
 pipe:
@@ -45,11 +45,11 @@ The shard state must expose ``shm_export_window(window) -> (points,
 axis, left, right, point_index, root)`` (see
 :meth:`repro.spatial.neighbors.ChunkedIndex.shm_export_window`).  A
 batch that cannot be staged — a state without that method, or a full
-``/dev/shm`` — walks one rung down the degradation ladder, exactly like
-a unit that exhausted its retries.  The pool runs inline on
-:class:`~repro.runtime.executor.SerialExecutor` instead — with a logged
+``/dev/shm`` — steps down the degradation ladder, exactly like a unit
+that exhausted its retries.  Either way, and also — with a logged
 warning — when the ``fork`` start method is unavailable, the worker
-count resolves to ≤ 1, or forking fails at runtime.
+count resolves to ≤ 1, or forking fails at runtime, the pool runs inline
+on a :class:`~repro.runtime.executor.SerialExecutor` from then on.
 
 Segment hygiene: ``close``, ``terminate_workers`` and the ``atexit``
 ``_LIVE_POOLS`` sweep all unlink every live segment, so a crashed or
@@ -78,13 +78,11 @@ from multiprocessing import connection, resource_tracker, shared_memory
 
 from repro.errors import ExecutionError, ValidationError, WorkerTimeoutError
 from repro.runtime.executor import (
-    _PENDING,
     EXECUTOR_BACKENDS,
     Executor,
     RuntimeStats,
     SerialExecutor,
     SupervisionConfig,
-    ThreadExecutor,
     WorkUnit,
     _non_retryable,
     resolve_worker_count,
@@ -97,6 +95,14 @@ logger = logging.getLogger("repro.runtime")
 #: How often the drain loop re-checks worker liveness (and, when a
 #: unit timeout is configured, wall-clock progress).
 _RESULT_POLL_S = 0.25
+
+#: How long a killed slot's inbox must stay empty before the parent
+#: stops draining it (see :meth:`ShmShardPool._kill_worker`).
+_DEAD_INBOX_DRAIN_S = 0.05
+
+#: Sentinel distinguishing "no result yet" from a legitimate ``None``
+#: result a custom shard state might return.
+_PENDING = object()
 
 #: Process-global counters keeping segment names / registry versions
 #: unique across pools (a respawned pool must never reuse a live name).
@@ -291,12 +297,18 @@ def _terminate_orphaned_pools() -> None:
 atexit.register(_terminate_orphaned_pools)
 
 
-def _drain_queue(queue) -> int:
-    """Discard everything buffered in *queue*; returns the count."""
+def _drain_queue(queue, timeout: float = 0.0) -> int:
+    """Discard everything buffered in *queue*; returns the count.
+
+    Reading stops once the queue has stayed empty for *timeout*
+    seconds.  A feeder thread blocked on a full pipe writes its next
+    message only after a read makes room, so a queue that no worker
+    reads any more needs a timeout to be drained to the end.
+    """
     drained = 0
     while True:
         try:
-            queue.get_nowait()
+            queue.get(timeout=timeout)
             drained += 1
         except (queue_mod.Empty, OSError, ValueError):
             return drained
@@ -350,9 +362,9 @@ class ShmShardPool(Executor):
     results are deterministic, so the retry is bit-safe, and stale
     tickets discard anything the killed worker still managed to emit.
     After ``max_retries`` consecutive failures of the same unit, or
-    when a batch cannot be staged, the pool walks the degradation
-    ladder (thread, then serial — see :class:`SupervisionConfig`)
-    instead of raising.
+    when a batch cannot be staged, the pool steps down the degradation
+    ladder to serial (see :class:`SupervisionConfig`) instead of
+    raising.
 
     ``RuntimeStats`` accounting: ``state_bytes_shipped`` (segment
     bytes written; clean windows ship nothing), ``forks_avoided``
@@ -375,8 +387,9 @@ class ShmShardPool(Executor):
         #: once a slot's pipe read EOF or its worker was killed).
         self._results = None
         self._context = None
-        self._fallback: Optional[SerialExecutor] = None
-        self._degraded: Optional[Executor] = None
+        #: The inline stand-in: set when the pool cannot fork, and on
+        #: the ladder's serial rung.
+        self._serial: Optional[SerialExecutor] = None
         self._tickets = itertools.count(1)
         self.spawn_count = 0
         #: window id -> live segment record (the versioned registry).
@@ -391,24 +404,20 @@ class ShmShardPool(Executor):
 
     @property
     def effective(self) -> str:
-        if self._degraded is not None:
-            return self._degraded.effective
-        return "serial" if self._fallback is not None else "shm"
+        return "serial" if self._serial is not None else "shm"
 
     def _fall_back(self, reason: str) -> None:
         logger.warning(
             "ShmShardPool: %s; falling back to SerialExecutor", reason)
-        self._fallback = SerialExecutor(
+        self._serial = SerialExecutor(
             self._state, supervision=self.supervision,
             stats=self.stats)
 
     def run(self, units: Sequence[WorkUnit]) -> List[Any]:
         if not units:
             return []
-        if self._degraded is not None:
-            return self._degraded.run(units)
-        if self._fallback is not None:
-            return self._fallback.run(units)
+        if self._serial is not None:
+            return self._serial.run(units)
         if self._procs is None and len(units) <= 1:
             # A single unit (e.g. the unsplit Base path) gains nothing
             # from sharding: skip the fork and the staging entirely.
@@ -431,7 +440,7 @@ class ShmShardPool(Executor):
                 f"({type(exc).__name__}: {exc})", ExecutionError)
         slots = sorted({unit.window % self._n_workers for unit in units})
         if not self._ensure_workers(slots):
-            return self._fallback.run(units)
+            return self._serial.run(units)
         return self._run_supervised(units, messages)
 
     # -- worker lifecycle -----------------------------------------------
@@ -471,9 +480,13 @@ class ShmShardPool(Executor):
         The dead slot's inbox may still hold queued units (and a hung
         worker never consumed them), so it is replaced wholesale — a
         respawned worker must start from an empty queue or it would
-        replay stale dispatches.  Its result pipe is dropped unread: a
-        killed worker may have left half a message in it, and the
-        respawned worker gets a pipe of its own.
+        replay stale dispatches.  The old inbox is drained before it is
+        abandoned: its feeder thread may be blocked on a full pipe (build
+        units carry whole windows), and since the parent and every other
+        forked worker hold the pipe's read end, the pipe never breaks —
+        only reading lets that thread finish.  Its result pipe is
+        dropped unread: a killed worker may have left half a message in
+        it, and the respawned worker gets a pipe of its own.
         """
         proc = self._procs[slot]
         if proc is not None:
@@ -487,6 +500,7 @@ class ShmShardPool(Executor):
         if self._results[slot] is not None:
             self._results[slot].close()
             self._results[slot] = None
+        _drain_queue(self._inboxes[slot], _DEAD_INBOX_DRAIN_S)
         _abandon_queue(self._inboxes[slot])
         self._inboxes[slot] = self._context.Queue()
 
@@ -732,21 +746,18 @@ class ShmShardPool(Executor):
 
     def _exhaust(self, units, results, detail, error):
         """A unit is out of retries (or the batch could not be staged):
-        degrade the pool, or raise."""
+        step down to the serial rung and finish the batch there, or
+        raise."""
         if not self.supervision.degradation:
             self.close()
             raise error(
                 f"ShmShardPool: {detail} and degradation is disabled")
-        logger.warning(
-            "ShmShardPool: %s; degrading to the thread backend", detail)
-        self.stats.degradations.append("shm->thread")
+        self.stats.degradations.append("shm->serial")
         self.close()
-        self._degraded = ThreadExecutor(
-            self._state, self._n_workers, supervision=self.supervision,
-            stats=self.stats)
+        self._fall_back(detail)
         todo = [seq for seq, value in enumerate(results)
                 if value is _PENDING]
-        finished = self._degraded.run([units[seq] for seq in todo])
+        finished = self._serial.run([units[seq] for seq in todo])
         for seq, value in zip(todo, finished):
             results[seq] = value
         return results
@@ -797,10 +808,8 @@ class ShmShardPool(Executor):
         affinity stripe keeps every window's units on its pinned slot,
         so invalidation and the ticket protocol see fused units exactly
         like per-window ones."""
-        if self._degraded is not None:
-            return self._degraded.fusion_slot(window)
-        if self._fallback is not None:
-            return self._fallback.fusion_slot(window)
+        if self._serial is not None:
+            return self._serial.fusion_slot(window)
         return int(window) % self._n_workers
 
     # -- teardown and segment hygiene ----------------------------------
@@ -823,8 +832,6 @@ class ShmShardPool(Executor):
         self.stats.segments_live = 0
 
     def close(self) -> None:
-        if self._degraded is not None:
-            self._degraded.close()
         if self._procs is not None:
             for slot, proc in enumerate(self._procs):
                 if proc is None:

@@ -17,7 +17,7 @@ execution is delegated to the window-shard runtime
 (:mod:`repro.runtime`): the index emits one
 :class:`~repro.runtime.executor.WorkUnit` per serving window and a
 :class:`~repro.runtime.scheduler.WindowScheduler` runs them on the
-selected executor backend (serial / thread / shm / fleet).  Invariants the
+selected executor backend (serial / shm / fleet).  Invariants the
 batched dispatch preserves on every backend:
 
 * **input-order stability** — results come back row-for-row in the order
@@ -350,8 +350,8 @@ class ChunkedIndex:
     buckets a query block by serving window and routes each window's
     sub-batch through the window-shard runtime (:mod:`repro.runtime`);
     the ``executor`` knob selects the backend (``"serial"``,
-    ``"thread"``, ``"shm"``, ``"fleet"``), and results are scattered
-    back in input order whichever backend runs them.
+    ``"shm"``, ``"fleet"``), and results are scattered back in input
+    order whichever backend runs them.
 
     The chunk→window LUT, per-window membership, and per-window kd-trees
     are computed eagerly whenever chunk membership is set — at
@@ -360,8 +360,11 @@ class ChunkedIndex:
     state can never go stale.  Every tree comes from one build step
     (:meth:`_build_trees`), which runs each window's build as a
     ``build`` work unit on the selected backend, so routing and
-    dispatch only ever read finished state.  Frame streams use
-    :meth:`update_frame` instead: it detects the *dirty* windows (those
+    dispatch only ever read finished state.  A construction whose build
+    fails closes the runtime it started and re-raises; the exception
+    carries that runtime's counter block as ``runtime_stats``, the only
+    record of the recovery work the failed attempt did.  Frame streams
+    use :meth:`update_frame` instead: it detects the *dirty* windows (those
     whose member coordinates actually moved), rebuilds only them, and
     invalidates only their workers.  Every window carries a coordinate
     content *version* (:meth:`window_version`); attaching a
@@ -404,8 +407,12 @@ class ChunkedIndex:
         self.last_dirty_windows = len(windows)
         try:
             self._rebuild(positions, chunk_assignment, list(windows))
-        except BaseException:
-            # A failed build must not strand the runtime it started.
+        except BaseException as exc:
+            # A failed build must not strand the runtime it started, and
+            # its counters must outlive it: the caller never holds this
+            # index.
+            if self._scheduler is not None:
+                exc.runtime_stats = self._scheduler.stats
             self.close()
             raise
 
@@ -471,11 +478,11 @@ class ChunkedIndex:
         as ``queries``, its members as ``rows``), and all of them run as
         one batch through the scheduler's
         :meth:`~repro.runtime.scheduler.WindowScheduler.execute_by_window`
-        — inline on ``serial``, on the pool on ``thread``, in the
-        window's own worker on ``shm`` and ``fleet``, supervised like
-        any unit.  Each result, the node arrays of ``KDTree(points)``,
-        is adopted with :meth:`~repro.spatial.kdtree.KDTree.from_arrays`,
-        so every tree exists, array-identical, before this returns.
+        — inline on ``serial``, in the window's own worker on ``shm``
+        and ``fleet``, supervised like any unit.  Each result, the node
+        arrays of ``KDTree(points)``, is adopted with
+        :meth:`~repro.spatial.kdtree.KDTree.from_arrays`, so every tree
+        exists, array-identical, before this returns.
         """
         trees: List[Optional[KDTree]] = [None] * len(members)
         versions: List[int] = [0] * len(members)
@@ -572,11 +579,11 @@ class ChunkedIndex:
         this keeps the :class:`~repro.runtime.scheduler.WindowScheduler`
         — and any live worker pool — alive for the session's lifetime
         and only asks the executor to mark the changed windows stale
-        (the shm pool re-exports their segments on the next batch;
-        serial and thread backends read live state and keep running
-        untouched).  Every tree the frame needs is built before this
-        call returns, through the one build step
-        (:meth:`_build_trees`): routing and dispatch only read state.
+        (the shm pool re-exports their segments on the next batch; the
+        serial backend reads live state and keeps running untouched).
+        Every tree the frame needs is built before this call returns,
+        through the one build step (:meth:`_build_trees`): routing and
+        dispatch only read state.
 
         When the new frame's chunk occupancy matches the previous
         frame's (same point count, identical chunk assignment, same

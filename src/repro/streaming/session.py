@@ -419,8 +419,10 @@ class StreamSession:
 
             op_results = self._run_plan(plan, blocks, deadline)
         except Exception as exc:
-            # Recovery work done before the failure still counts.
-            runtime = self._fold(block, before)
+            # Recovery work done before the failure still counts — a
+            # failed index construction's too.
+            runtime = self._fold(block, before,
+                                 getattr(exc, "runtime_stats", None))
             self._rollback(checkpoint)
             self.stats.rollbacks += 1
             if isinstance(exc, ValidationError):
@@ -576,15 +578,18 @@ class StreamSession:
         return index._scheduler.stats
 
     def _fold(self, block: Optional[RuntimeStats],
-              before: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+              before: Optional[Dict[str, Any]],
+              failed: Optional[RuntimeStats] = None) -> Dict[str, Any]:
         """Absorb what the live block moved since *before* (a snapshot
         of *block*) into :attr:`stats`; returns that delta.
 
         Identity-safe: when the live block is not *block* — a cold-mode
         frame built a fresh index, runtime and block — the delta is the
-        new block's since birth.
+        new block's since birth.  *failed* is the block of an index
+        whose construction failed (the session never held it); with no
+        live block it stands in for one.
         """
-        live = self._block()
+        live = self._block() or failed
         if live is None:
             return {}
         delta = live.delta(before if live is block else None)

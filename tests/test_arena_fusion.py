@@ -55,7 +55,7 @@ from repro.spatial.neighbors import WindowResultCache
 from repro.streaming import StreamSession
 
 WORKERS = 2
-BACKENDS = ["serial", "thread", "shm", "fleet"]
+BACKENDS = ["serial", "shm", "fleet"]
 
 
 def _per_window(backend_cls):
@@ -543,12 +543,11 @@ def test_blocking_never_changes_results(rng, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Backends without fusion_slot opt out
+# Executor specs have one shape
 # ----------------------------------------------------------------------
 class _DuckBackend:
-    """A third-party backend predating supervision and fusion: no
-    :class:`~repro.runtime.Executor` base, no stats blocks, no
-    ``fusion_slot``."""
+    """A backend that is not an :class:`~repro.runtime.Executor`: no
+    supervision, no stats block, no ``fusion_slot``."""
 
     def __init__(self, state, n_workers=None):
         self._state = state
@@ -559,28 +558,11 @@ class _DuckBackend:
     def close(self):
         pass
 
-    def reset_workers(self):
-        pass
 
-    def invalidate_windows(self, windows):
-        pass
-
-
-def test_backend_without_fusion_slot_dispatches_per_window(rng):
+def test_factory_returning_a_non_executor_is_rejected(rng):
     pts = rng.uniform(0, 1, size=(400, 3))
-    queries = rng.uniform(0, 1, size=(100, 3))
-    serial, grid = _windowed_index(pts, "serial")
-    duck, _ = _windowed_index(pts, _DuckBackend)
-    chunks = grid.assign(queries)
-    try:
-        want = serial.query_knn_batch(queries, chunks, 4, max_steps=18)
-        got = duck.query_knn_batch(queries, chunks, 4, max_steps=18)
-        _assert_batches_equal(got, want)
-        assert duck.stats.arena_launches == 0
-        assert serial.stats.arena_launches == 1
-    finally:
-        serial.close()
-        duck.close()
+    with pytest.raises(ValidationError, match="not an Executor"):
+        _windowed_index(pts, _DuckBackend)
 
 
 # ----------------------------------------------------------------------

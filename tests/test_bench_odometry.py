@@ -34,15 +34,14 @@ def test_bench_odometry_session_smoke(tmp_path):
                                 "numpy": np.__version__}
     assert "cpu_count" not in recorded["workload"]
     backends = [row["backend"] for row in payload["results"]]
-    assert backends == ["serial", "thread", "shm"]
+    assert backends == ["serial", "shm"]
     n_scans = payload["workload"]["n_scans"]
     for row in payload["results"]:
         for mode in ("oneshot", "batched", "warm"):
             assert row[f"{mode}_s"] > 0
             assert row[f"{mode}_sps"] == pytest.approx(
                 n_scans / row[f"{mode}_s"])
-            assert row[f"{mode}_effective"] in ("serial", "thread",
-                                                "shm")
+            assert row[f"{mode}_effective"] in ("serial", "shm")
         assert row["warm_over_oneshot"] == pytest.approx(
             row["oneshot_s"] / row["warm_s"])
         assert row["warm_over_batched"] == pytest.approx(

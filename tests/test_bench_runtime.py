@@ -1,6 +1,6 @@
 """Smoke test for the window-shard runtime benchmark harness.
 
-Runs the serial / thread / shm comparison on a tiny workload
+Runs the serial / shm comparison on a tiny workload
 so tier-1 exercises the harness (including the backend-vs-serial
 equality check and the bucketed-vs-padded grouping gate) without paying
 for the real timing run.
@@ -33,17 +33,17 @@ def test_bench_runtime_shards_smoke(tmp_path):
                                 "numpy": np.__version__}
     assert "cpu_count" not in recorded["workload"]
     backends = {row["backend"] for row in payload["results"]}
-    assert backends == {"serial", "thread", "shm"}
+    assert backends == {"serial", "shm"}
     configs = {row["config"] for row in payload["results"]}
     assert configs == {"serial-8w", "spatial-16w"}
     # Both configurations qualify as many-window (>= 8 windows).
     assert all(row["windows"] >= 8 for row in payload["results"])
-    # 2 configs x 3 backends x 2 ops.
-    assert len(payload["results"]) == 12
+    # 2 configs x 2 backends x 2 ops.
+    assert len(payload["results"]) == 8
     for row in payload["results"]:
         assert row["best_s"] > 0
         assert row["throughput_qps"] > 0
-        assert row["effective"] in ("serial", "thread", "shm")
+        assert row["effective"] in ("serial", "shm")
     assert len(payload["shm_over_serial"]) == 4
     for ratio in payload["shm_over_serial"]:
         assert isinstance(ratio["shm_effective"], bool)

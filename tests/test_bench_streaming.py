@@ -34,21 +34,21 @@ def test_bench_streaming_session_smoke(tmp_path):
                                 "numpy": np.__version__}
     assert "cpu_count" not in recorded["workload"]
     backends = {row["backend"] for row in payload["results"]}
-    assert backends == {"serial", "thread", "shm"}
+    assert backends == {"serial", "shm"}
     configs = {row["config"] for row in payload["results"]}
     assert configs == {"serial-8w", "spatial-16w", "partial-9w"}
     # Every configuration qualifies as many-window (>= 8 windows).
     assert all(row["windows"] >= 8 for row in payload["results"])
-    # 3 configs x 3 backends.
-    assert len(payload["results"]) == 9
+    # 3 configs x 2 backends.
+    assert len(payload["results"]) == 6
     n_frames = payload["workload"]["n_frames"]
     for row in payload["results"]:
         assert row["cold_s"] > 0 and row["warm_s"] > 0
         assert row["cold_fps"] > 0 and row["warm_fps"] > 0
         assert row["warm_over_cold"] == pytest.approx(
             row["cold_s"] / row["warm_s"])
-        assert row["warm_effective"] in ("serial", "thread", "shm")
-        assert row["cold_effective"] in ("serial", "thread", "shm")
+        assert row["warm_effective"] in ("serial", "shm")
+        assert row["cold_effective"] in ("serial", "shm")
         # Zero-copy accounting is present on every row and non-zero
         # only where the shm pool actually ran.
         assert row["state_bytes_shipped"] >= 0

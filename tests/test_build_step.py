@@ -112,7 +112,7 @@ def test_shm_workers_build_warm_frames(monkeypatch):
         index.close()
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "shm"])
+@pytest.mark.parametrize("backend", ["serial", "shm"])
 def test_every_backend_adopts_oracle_trees(backend):
     """Cold construction, a warm repair, an occupancy change and an
     ``invalidate`` give array-identical trees on every backend."""

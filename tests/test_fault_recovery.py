@@ -42,7 +42,7 @@ from repro.spatial import ChunkGrid, ChunkWindow, ChunkedIndex, KDTree, \
 from repro.streaming import FramePlan, StreamSession
 
 WORKERS = 2
-BACKENDS = ["serial", "thread", "shm"]
+BACKENDS = ["serial", "shm"]
 
 
 # ----------------------------------------------------------------------
@@ -278,16 +278,34 @@ def test_crash_in_a_warm_build_recovers_bit_equal():
 
 def test_crash_behind_a_large_backlog_lets_the_process_exit():
     """A worker that dies with more queued build units than its inbox
-    pipe holds leaves that inbox's feeder thread blocked on the pipe;
-    the pool abandons the inbox, so the interpreter still exits."""
+    pipe holds leaves that inbox's feeder thread blocked on the pipe.
+    The pool drains the dead inbox before abandoning it, so the feeder
+    ends: counted against the feeder threads running before the index
+    was built, at most one per worker slot remains while the pool is
+    open and none after close(), and the interpreter exits."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork unavailable; the pool runs inline")
     import repro
 
     script = """
+import threading
+import time
 import numpy as np
 from repro.runtime import FaultInjector, FaultSpec, SupervisionConfig
 from repro.spatial import ChunkGrid, ChunkedIndex, chunk_windows
+
+def feeders():
+    return sum(thread.name == "QueueFeederThread"
+               for thread in threading.enumerate())
+
+def settled(limit):
+    # A feeder thread ends shortly after its queue is closed.
+    deadline = time.monotonic() + 5.0
+    while feeders() > limit and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return feeders()
+
+before = feeders()
 pts = np.random.default_rng(3).uniform(0, 1, size=(6000, 3))
 grid = ChunkGrid.fit(pts, (4, 4, 1))
 # Window 2's build is slot 0's second unit; three more builds of
@@ -298,7 +316,9 @@ index = ChunkedIndex(pts, grid.assign(pts),
                      executor=injector.executor("shm"), executor_workers=2,
                      supervision=SupervisionConfig(unit_timeout=5.0))
 assert injector.fire_counts == [1] and index.stats.respawns == 1
+print(settled(before + 2) - before)
 index.close()
+print(settled(before) - before)
 print("closed")
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -307,22 +327,23 @@ print("closed")
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["closed"]
+    open_feeders, closed_feeders, word = done.stdout.split()
+    assert int(open_feeders) <= 2 and int(closed_feeders) == 0 \
+        and word == "closed", done.stdout
 
 
 def test_degradation_ladder_exhausts_to_serial(rng):
-    """A persistent fault walks shm → thread → serial, bit-equal.
+    """An exhausted unit walks shm → serial, bit-equal.
 
     With ``max_retries=0`` each rung gets one attempt; a fault firing
-    twice burns the shm and thread rungs and the serial rung
-    completes.  The ladder steps are recorded in order and the pool
-    stays on the last rung for later batches (permanent fallback only
-    after exhaustion — and here it *was* exhausted).  The fault skips
-    window 4's first matching unit, its tree build at construction.
+    once burns the shm rung and the serial rung completes.  The ladder
+    step is recorded and the pool stays on the serial rung for later
+    batches (permanent fallback only after exhaustion — and here it
+    *was* exhausted).  The fault skips window 4's first matching unit,
+    its tree build at construction.
     """
     want = _reference(np.random.default_rng(7))
-    injector = FaultInjector([FaultSpec(kind="raise", window=4, nth=2,
-                                        times=2)])
+    injector = FaultInjector([FaultSpec(kind="raise", window=4, nth=2)])
     index, pts, assignment = _index(
         np.random.default_rng(7), executor=injector.executor("shm"),
         supervision=SupervisionConfig(max_retries=0, unit_timeout=5.0))
@@ -334,7 +355,7 @@ def test_degradation_ladder_exhausts_to_serial(rng):
                                 max_steps=20)
     _assert_batches_equal(got, want)
     stats = index.stats
-    assert stats.degradations == ["shm->thread", "thread->serial"]
+    assert stats.degradations == ["shm->serial"]
     assert index.effective_executor == "serial"
     # Later batches stay on the exhausted rung and still match.
     got = index.query_knn_batch(pts[::3], assignment[::3], 4,
@@ -343,9 +364,11 @@ def test_degradation_ladder_exhausts_to_serial(rng):
     index.close()
 
 
-def _degrade_a_lone_unit(rng, backend, step):
-    """Fail the only unit of a one-unit batch on ``backend`` and check
-    the pool stepped down the ladder once and still answered exactly."""
+@pytest.mark.parametrize("backend", ["shm"])
+def test_pool_rung_degrades_a_lone_unit(rng, backend):
+    """A cold shm pool runs a lone unit (the unsplit Base path) inline,
+    and still steps down the ladder when it fails: the serial rung
+    answers exactly."""
     pts = rng.uniform(0, 1, size=(120, 3))
     queries = rng.uniform(0, 1, size=(40, 3))
     injector = FaultInjector([FaultSpec(kind="raise", window=0)])
@@ -362,21 +385,8 @@ def _degrade_a_lone_unit(rng, backend, step):
     _assert_batches_equal(got, KDTree(pts).knn_batch(queries, 4,
                                                      max_steps=20))
     assert injector.fire_counts == [1]
-    assert executor.stats.degradations == [step]
-
-
-def test_thread_rung_degrades_a_lone_unit(rng):
-    """The thread rung walks on to serial even for a one-unit batch —
-    what the shm rung hands over when the other slots' units had
-    already finished."""
-    _degrade_a_lone_unit(rng, "thread", "thread->serial")
-
-
-@pytest.mark.parametrize("backend", ["shm"])
-def test_pool_rung_degrades_a_lone_unit(rng, backend):
-    """A cold shm pool runs a lone unit (the unsplit Base path) inline,
-    and still walks on down the ladder when it fails."""
-    _degrade_a_lone_unit(rng, backend, "shm->thread")
+    assert executor.stats.degradations == ["shm->serial"]
+    assert executor.effective == "serial"
 
 
 def _own_segments():
@@ -418,8 +428,8 @@ def test_shm_staging_failure_takes_the_ladder(monkeypatch, degradation):
         got = index.query_knn_batch(pts[::3], assignment[::3], 4,
                                     max_steps=20)
         _assert_batches_equal(got, want)
-        assert index.stats.degradations == ["shm->thread"]
-        assert index.effective_executor == "thread"
+        assert index.stats.degradations == ["shm->serial"]
+        assert index.effective_executor == "serial"
     finally:
         index.close()
         assert _own_segments() == []
@@ -848,12 +858,13 @@ COUNTERS = [spec.name for spec in fields(RuntimeStats)
             if spec.default == 0 and not spec.metadata.get("gauge")]
 
 
-@pytest.mark.parametrize("stream", ["quarantine", "cold"])
+@pytest.mark.parametrize("stream", ["quarantine", "cold", "failed-build"])
 def test_session_totals_are_the_sum_of_frame_deltas(stream):
     """Each runtime counter of SessionStats is the sum of its frames'
     ``runtime`` deltas: a quarantined frame carries the delta its failed
-    attempt already folded, and a cold-mode frame's fresh block reads
-    as a delta since birth."""
+    attempt already folded — also when the attempt was the index's
+    construction, which the session never got to hold — and a cold-mode
+    frame's fresh block reads as a delta since birth."""
     rng = np.random.default_rng(17)
     frames = [rng.uniform(-1, 1, size=(400, 3)) for _ in range(3)]
     if stream == "quarantine":
@@ -862,6 +873,13 @@ def test_session_totals_are_the_sum_of_frame_deltas(stream):
         executor = FaultInjector(
             [FaultSpec("raise", window=1, nth=2)]).executor("shm")
         session_cfg = StreamingSessionConfig(max_retries=0,
+                                             degradation=False)
+    elif stream == "failed-build":
+        # Window 1's build fails, and fails again on its one retry, while
+        # frame 0's index is being constructed.
+        executor = FaultInjector(
+            [FaultSpec("raise", window=1, times=2)]).executor("shm")
+        session_cfg = StreamingSessionConfig(max_retries=1,
                                              degradation=False)
     else:
         executor = "shm"
@@ -877,6 +895,10 @@ def test_session_totals_are_the_sum_of_frame_deltas(stream):
     if stream == "quarantine":
         assert [o.ok for o in outcomes] == [False, True, True]
         assert outcomes[0].runtime["state_bytes_shipped"] > 0
+    if stream == "failed-build":
+        assert [o.ok for o in outcomes] == [False, True, True]
+        assert outcomes[0].runtime.get("retries") == 1
+        assert stats.retries == 1
     assert stats.state_bytes_shipped > 0
     for name in COUNTERS:
         assert getattr(stats, name) == sum(

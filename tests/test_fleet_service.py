@@ -136,7 +136,7 @@ def test_fleet_is_a_config_choice():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("splitting", [SPATIAL, SERIAL],
                          ids=["spatial", "serial-mode"])
-@pytest.mark.parametrize("inner", ["serial", "thread", "shm"])
+@pytest.mark.parametrize("inner", ["serial", "shm"])
 def test_fleet_matches_dedicated_pool(inner, splitting):
     frames = _frames(seed=3)
     reference = _run_session("serial", frames, splitting)

@@ -1,8 +1,8 @@
 """Executor-independence of the window-shard runtime.
 
 Mirror of ``test_spatial_batch_equivalence``: whichever backend runs the
-per-window work units — serial loop, thread pool, or the zero-copy
-shared-memory pool — ``indices``, ``distances``, ``steps`` and
+per-window work units — serial loop or the zero-copy shared-memory
+pool — ``indices``, ``distances``, ``steps`` and
 ``terminated`` must be identical, including degenerate empty windows
 and single-window inputs.  The shm tests pin ``executor_workers=2`` so
 real forked workers run even on single-core CI machines (where
@@ -28,15 +28,14 @@ from repro.errors import ValidationError
 from repro.runtime import (
     SerialExecutor,
     ShmShardPool,
-    ThreadExecutor,
     WorkUnit,
     resolve_executor,
 )
 from repro.spatial import ChunkedIndex, ChunkGrid, ChunkWindow, \
     WindowedOp, chunk_windows
 
-BACKENDS = ["serial", "thread", "shm"]
-#: Two workers so "thread"/"shm" genuinely parallelise on CI.
+BACKENDS = ["serial", "shm"]
+#: Two workers so "shm" genuinely parallelises on CI.
 WORKERS = 2
 
 
@@ -318,15 +317,14 @@ def test_shm_pool_falls_back_without_fork(rng, caplog, monkeypatch):
 
 def test_resolve_executor_rejects_unknown_backend(rng):
     state = _one_window_index(rng.normal(size=(10, 3)))
-    for name in ("warp-drive", "process"):
+    for name in ("warp-drive", "process", "thread"):
         with pytest.raises(ValidationError):
             resolve_executor(name, state)
     assert isinstance(resolve_executor(None, state), SerialExecutor)
-    assert isinstance(resolve_executor("thread", state, 2), ThreadExecutor)
 
 
 def test_config_rejects_unknown_executor():
-    for name in ("warp-drive", "process"):
+    for name in ("warp-drive", "process", "thread"):
         with pytest.raises(ValidationError):
             StreamGridConfig(executor=name)
     with pytest.raises(ValidationError):

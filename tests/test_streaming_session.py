@@ -38,8 +38,8 @@ from repro.spatial import (
 )
 from repro.streaming import FramePlan, QueryOp, StreamSession
 
-BACKENDS = ["serial", "thread", "shm"]
-#: Two workers so "thread"/"shm" genuinely parallelise on CI boxes.
+BACKENDS = ["serial", "shm"]
+#: Two workers so "shm" genuinely parallelises on CI boxes.
 WORKERS = 2
 
 
@@ -233,11 +233,12 @@ def test_update_frame_matches_fresh_index(rng):
     grid = ChunkGrid.fit(pts, (3, 3, 1))
     windows = chunk_windows((3, 3, 1), (2, 2, 1))
     index = ChunkedIndex(pts, grid.assign(pts), windows,
-                         executor="thread", executor_workers=WORKERS)
+                         executor="shm", executor_workers=WORKERS)
     queries = pts[::6]
     index.query_knn_batch(queries, grid.assign(queries), 4)
     scheduler = index._scheduler
     assert scheduler is not None
+    spawns = scheduler.executor.spawn_count
 
     # Same occupancy: coordinates jitter but chunk membership holds.
     moved = pts + rng.normal(0, 1e-4, size=pts.shape)
@@ -245,6 +246,7 @@ def test_update_frame_matches_fresh_index(rng):
     assert same     # jitter this small cannot cross cell boundaries
     assert index.update_frame(moved, grid.assign(moved)) is True
     assert index._scheduler is scheduler       # pool stayed warm
+    assert scheduler.executor.spawn_count == spawns
     fresh = ChunkedIndex(moved, grid.assign(moved), windows)
     got = index.query_knn_batch(moved[::6], grid.assign(moved[::6]), 4,
                                 max_steps=13)
