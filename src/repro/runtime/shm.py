@@ -417,6 +417,9 @@ class ShmShardPool(Executor):
         if not units:
             return []
         if self._serial is not None:
+            # resolve_executor may replace the pool's supervision after
+            # construction; the stand-in runs under the current one.
+            self._serial.supervision = self.supervision
             return self._serial.run(units)
         if self._procs is None and len(units) <= 1:
             # A single unit (e.g. the unsplit Base path) gains nothing

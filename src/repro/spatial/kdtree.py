@@ -29,7 +29,16 @@ distance arrays.  Two engines back them:
   ``distances``, ``steps``, ``trace`` and ``terminated`` are
   *identical* to the per-query :meth:`knn` / :meth:`range_search` path:
   step accounting is the paper's core contribution and must not drift
-  between the batched and per-query code paths.
+  between the batched and per-query code paths.  In the lockstep kernel
+  one iteration is one node visit for every live lane, in two phases:
+  a *dense fill phase* for the first ``min(k) - 1`` visits, where (with
+  finite inputs) no lane can prune, expire or run dry because every
+  ``worst`` is still +inf, so nothing is masked; then a masked loop that
+  stops at the step cap, where every lane still live is retired in one
+  step, because its ``worst`` is fixed from then on and only decides
+  whether a stacked entry expires it.  Push-time filtering of far
+  children is a pure optimisation: ``worst`` never grows, so a child it
+  skips would have been pruned when popped.
 * ``"scan"`` — a vectorized brute-force distance matrix, used when the
   tree is small enough that a full scan beats traversal.  It returns the
   same neighbours as an *uncapped* traversal (exact-tie ordering is by
@@ -759,182 +768,277 @@ class KDTree:
 # Per-lane lockstep kernels
 # ----------------------------------------------------------------------
 # Every query (*lane*) advances its own explicit traversal stack, but all
-# lanes advance together — one stack pop per lane per iteration, with
-# numpy array operations across the whole block.  Every lane carries its
-# own root node (and, for kNN, its own effective k) into the arena's
-# concatenated node arrays, so one launch serves a single tree or many.
-# Lanes never interact: the per-lane visit sequence (pop order, pruning
-# decisions, heap-eviction tie-breaking, push-time far-child filter),
-# step counts and termination points replicate the scalar kernels
-# exactly, whatever the roots are.  The fixed numpy cost per iteration
-# is why small and traced batches stay on the scalar kernels.
+# lanes advance together, with numpy array operations across the block.
+# Every lane carries its own root node (and, for kNN, its own effective
+# k) into the arena's concatenated node tables, so one launch serves a
+# single tree or many.  Lanes never interact: the per-lane visit sequence
+# (pop order, pruning decisions, heap-eviction tie-breaking, push-time
+# far-child filter), step counts and termination points replicate the
+# scalar kernels exactly, whatever the roots are.
+#
+# One iteration is one node visit for every live lane: a kNN lane first
+# pops through its pruned entries (range pops never prune), so a lane
+# still live after iteration j has made exactly j visits and fills best
+# slot j while it fills.  Three invariants make the cheap phases exact:
+#
+# * No prune while ``worst`` is +inf.  Until a kNN lane holds k_lane
+#   entries its ``worst`` is +inf, so it prunes nothing it pops and
+#   pushes every far child with a finite split distance; with finite
+#   queries and splits its stack cannot empty before it has visited
+#   its whole member tree (>= k_lane nodes).  The first
+#   ``min(k_lane) - 1`` iterations (at most ``cap``) therefore run
+#   *dense*: no masks, slot j written as one column, every present
+#   child pushed.  The k-th fill stays in the general loop, because it
+#   makes ``worst`` finite before that iteration's far-push test.
+# * A fixed ``worst`` after the cap.  A lane that has made ``cap``
+#   visits never changes its neighbours again, so its remaining pops
+#   only decide ``terminated``: the scalar kernel expires at the first
+#   stacked entry with d² <= worst and finishes cleanly if all of them
+#   prune.  The lanes still live then have all made exactly ``cap``
+#   visits, so the loop ends with one pop phase and no visit: a kNN
+#   lane that finds an unpruned entry expires; a range lane expires
+#   iff its stack is non-empty, since range pops never prune.
+# * Push-time filtering is a pure optimisation.  ``worst`` never grows,
+#   so a far child whose split distance already exceeds it would be
+#   pruned when popped; not pushing it drops no visit.  Absent (-1)
+#   children are never pushed: both children are written one slot past
+#   the top unconditionally, and the stack pointer advances only over
+#   a pushed one.
+#
+# Lane state is flat.  Stacks are one array indexed by per-lane offsets,
+# coordinates are per-axis columns, the near/far children come from one
+# interleaved table, and the kNN best arrays are ``(width, lanes)``, so
+# a per-lane maximum is a reduction across rows (``max(axis=1)`` over a
+# ``(lanes, 16)`` block costs ~10x more).  The fixed numpy cost per
+# iteration is why small and traced batches stay on the scalar kernels.
 
-def _knn_lanes_block(arrays, q: np.ndarray, roots: np.ndarray,
+def _lane_queries(q: np.ndarray):
+    """Per-axis query columns plus the flat lane-major block (for the
+    split-axis coordinate ``q_flat[3 * lane + axis]``)."""
+    q = np.ascontiguousarray(q)
+    return (q[:, 0].copy(), q[:, 1].copy(), q[:, 2].copy(), q.reshape(-1),
+            3 * np.arange(len(q)))
+
+
+def _visit(tables, lanes, nd: np.ndarray, out=None):
+    """Visit node ``nd[i]`` from lane *i*: the squared distance, the far
+    and near children and the squared split distance.
+
+    The arithmetic is the scalar kernel's: per-axis differences squared
+    and summed in x, y, z order, and ``q[axis] - split``.
+    """
+    node_x, node_y, node_z, axis_a, split_a, children, *_ = tables
+    qx, qy, qz, q_flat, lane3 = lanes
+    dx = node_x[nd]
+    dx -= qx
+    dx *= dx
+    dy = node_y[nd]
+    dy -= qy
+    dy *= dy
+    dz = node_z[nd]
+    dz -= qz
+    dz *= dz
+    d2 = np.add(dx, dy, out=out)
+    d2 += dz
+    diff = q_flat[lane3 + axis_a[nd]]
+    diff -= split_a[nd]
+    # children[2 * node] is the left child, children[2 * node + 1] the
+    # right one; going left makes the right child the far one.
+    slot = nd * 2
+    slot += diff < 0
+    far = children[slot]
+    slot ^= 1
+    near = children[slot]
+    diff *= diff
+    return d2, far, near, diff
+
+
+def _sort_lanes(d2: np.ndarray, idx: np.ndarray):
+    """Each row's ``(d², point index)`` pairs in ascending order, as
+    ``(indices, distances)``.
+
+    numpy sorts complex values by real part, then imaginary part, so
+    one complex sort orders a row by distance with ties by lowest point
+    index — the scalar kernels' final order (point indices are far below
+    2**53, so the float imaginary part holds them exactly).
+    """
+    key = np.empty(d2.shape, dtype=np.complex128)
+    key.real = d2
+    key.imag = idx
+    key.sort(axis=1)
+    return key.imag.astype(np.int64), np.sqrt(key.real)
+
+
+def _knn_lanes_block(tables, q: np.ndarray, roots: np.ndarray,
                      k_lane: np.ndarray, width: int, cap: int,
                      stack_cap: int):
-    axis_a, left_a, right_a, pidx_a, xyz_a, split_a = arrays
+    *_, pidx_a, finite_splits = tables
     n_q = len(q)
-    stack_nodes = np.empty((n_q, stack_cap), dtype=np.int64)
-    stack_d2 = np.empty((n_q, stack_cap), dtype=np.float64)
-    stack_nodes[:, 0] = roots
-    stack_d2[:, 0] = 0.0
-    sp = np.ones(n_q, dtype=np.int64)
-    steps = np.zeros(n_q, dtype=np.int64)
-    terminated = np.zeros(n_q, dtype=bool)
-    best_d2 = np.full((n_q, width), np.inf, dtype=np.float64)
-    best_idx = np.full((n_q, width), -1, dtype=np.int64)
+    lanes = _lane_queries(q)
+    base = np.arange(n_q) * stack_cap
+    # Zero-filled: a dead lane keeps reading the slot at its stack
+    # pointer, which holds a node id or -1 (an absent child written but
+    # not pushed); both index the node tables in bounds, and every
+    # write a dead lane makes is masked or lands in its own stack.
+    stack_nodes = np.zeros(n_q * stack_cap, dtype=np.int64)
+    stack_d2 = np.zeros(n_q * stack_cap, dtype=np.float64)
+    stack_nodes[base] = roots
+    sp = base + 1
+    best_d2 = np.full((width, n_q), np.inf, dtype=np.float64)
+    best_idx = np.full((width, n_q), -1, dtype=np.int64)
     # Lanes narrower than the block width (k_lane < width) mask their
-    # padding columns to -inf during traversal: fills stop at k_lane, a
-    # -inf column can never equal `worst` (real squared distances are
-    # >= 0), and the row max over them equals the max over the lane's
-    # real columns — so padding never influences the traversal.  The
-    # columns are reset to +inf before the final sort, which pushes them
-    # past every real entry, exactly where a width-k_lane kernel's
-    # unfilled slots would sit.
-    pad = np.arange(width)[None, :] >= k_lane[:, None]
-    has_pad = bool(pad.any())
+    # padding slots to -inf during traversal: fills stop at k_lane, a
+    # -inf slot can never equal `worst` (real squared distances are
+    # >= 0), and the lane's max over them equals the max over its real
+    # slots — so padding never influences the traversal.  The slots are
+    # reset to +inf before the final sort, which pushes them past every
+    # real entry, exactly where a width-k_lane kernel's unfilled slots
+    # would sit.
+    has_pad = int(k_lane.min()) < width
     if has_pad:
+        pad = np.arange(width)[:, None] >= k_lane
         best_d2[pad] = -np.inf
-    count = np.zeros(n_q, dtype=np.int64)
+    n_dense = 0
+    if finite_splits and np.isfinite(q).all():
+        n_dense = min(int(k_lane.min()) - 1, cap)
+    for j in range(n_dense):
+        sp -= 1
+        nd = stack_nodes[sp]
+        _, far, near, f2 = _visit(tables, lanes, nd, out=best_d2[j])
+        np.take(pidx_a, nd, out=best_idx[j])
+        stack_nodes[sp] = far
+        stack_d2[sp] = f2
+        sp += far >= 0
+        stack_nodes[sp] = near
+        stack_d2[sp] = 0.0
+        sp += near >= 0
+    steps = np.full(n_q, n_dense, dtype=np.int64)
     worst = np.full(n_q, np.inf, dtype=np.float64)
-    alive = np.ones(n_q, dtype=bool)
+    live = np.ones(n_q, dtype=bool)
+    terminated = np.zeros(n_q, dtype=bool)
+    flat_d2 = best_d2.reshape(-1)
+    flat_idx = best_idx.reshape(-1)
     i64_max = np.iinfo(np.int64).max
-    while True:
-        act = np.nonzero(alive)[0]
-        if not len(act):
+    for j in range(n_dense, cap + 1):
+        live &= sp > base
+        if not live.any():
             break
-        top = sp[act] - 1
-        sp[act] = top
-        nd = stack_nodes[act, top]
-        d2s = stack_d2[act, top]
-        # Prune: the far subtree cannot contain anything closer.
-        keep = d2s <= worst[act]
-        act, nd = act[keep], nd[keep]
-        if len(act):
-            over = steps[act] >= cap
-            if over.any():
-                expired = act[over]
-                terminated[expired] = True
-                alive[expired] = False
-                act, nd = act[~over], nd[~over]
-        if len(act):
-            steps[act] += 1
-            node_pts = xyz_a[nd]
-            dx = node_pts[:, 0] - q[act, 0]
-            dy = node_pts[:, 1] - q[act, 1]
-            dz = node_pts[:, 2] - q[act, 2]
-            d2 = dx * dx + dy * dy + dz * dz
-            pid = pidx_a[nd]
-            filling = count[act] < k_lane[act]
-            if filling.any():
-                fill_rows = act[filling]
-                slot = count[fill_rows]
-                best_d2[fill_rows, slot] = d2[filling]
-                best_idx[fill_rows, slot] = pid[filling]
-                count[fill_rows] = slot + 1
-                full_now = slot + 1 == k_lane[fill_rows]
-                if full_now.any():
-                    filled = fill_rows[full_now]
-                    worst[filled] = best_d2[filled].max(axis=1)
-            replace = ~filling & (d2 < worst[act])
-            if replace.any():
-                rep_rows = act[replace]
-                # Evict the current worst entry; ties by lowest
-                # point index — the heap's (-d², idx) ordering.
-                at_worst = best_d2[rep_rows] == worst[rep_rows][:, None]
-                tie_key = np.where(at_worst, best_idx[rep_rows],
-                                   i64_max)
-                slot = np.argmin(tie_key, axis=1)
-                best_d2[rep_rows, slot] = d2[replace]
-                best_idx[rep_rows, slot] = pid[replace]
-                worst[rep_rows] = best_d2[rep_rows].max(axis=1)
-            diff = q[act, axis_a[nd]] - split_a[nd]
-            go_left = diff < 0
-            near = np.where(go_left, left_a[nd], right_a[nd])
-            far = np.where(go_left, right_a[nd], left_a[nd])
-            f2 = diff * diff
-            push_far = (far != -1) & (f2 <= worst[act])
-            if push_far.any():
-                rows = act[push_far]
-                stack_nodes[rows, sp[rows]] = far[push_far]
-                stack_d2[rows, sp[rows]] = f2[push_far]
-                sp[rows] += 1
-            push_near = near != -1
-            if push_near.any():
-                rows = act[push_near]
-                stack_nodes[rows, sp[rows]] = near[push_near]
-                stack_d2[rows, sp[rows]] = 0.0
-                sp[rows] += 1
-        alive &= sp > 0
+        sp -= live
+        nd = stack_nodes[sp]
+        # Prune: the far subtree cannot contain anything closer.  A
+        # pruned lane pops again until it finds a node or runs dry.
+        rows = np.flatnonzero(live & ~(stack_d2[sp] <= worst))
+        while len(rows):
+            more = sp[rows] > base[rows]
+            live[rows[~more]] = False
+            rows = rows[more]
+            top = sp[rows] - 1
+            sp[rows] = top
+            nd[rows] = stack_nodes[top]
+            rows = rows[~(stack_d2[top] <= worst[rows])]
+        if j == cap:
+            # Every live lane has made `cap` visits and found an entry
+            # its (now fixed) `worst` does not prune: it expires.
+            terminated = live
+            break
+        steps += live
+        d2, far, near, f2 = _visit(tables, lanes, nd)
+        pid = pidx_a[nd]
+        replace = d2 < worst
+        replace &= live
+        if j < width:
+            # A live lane has made j visits before this one: a lane
+            # still filling writes slot j.
+            filling = k_lane > j
+            filling &= live
+            np.copyto(best_d2[j], d2, where=filling)
+            np.copyto(best_idx[j], pid, where=filling)
+            replace &= ~filling
+        evict = replace.any()
+        if evict:
+            # Evict the current worst entry; ties by lowest point
+            # index — the heap's (-d², idx) ordering.  Only rows with
+            # several entries at `worst` need the index tie-break.
+            at_worst = best_d2 == worst
+            at_worst &= replace
+            slots = np.flatnonzero(at_worst)
+            if len(slots) > np.count_nonzero(replace):
+                tie_key = np.where(at_worst, best_idx, i64_max)
+                at_worst &= best_idx == tie_key.min(axis=0)
+                slots = np.flatnonzero(at_worst)
+            rows = slots % n_q
+            flat_d2[slots] = d2[rows]
+            flat_idx[slots] = pid[rows]
+        if evict or j < width:
+            # +inf until a lane holds k_lane entries, as in the scalar
+            # kernel (a NaN distance in a part-filled row stays out).
+            worst = np.where(steps >= k_lane, best_d2.max(axis=0), np.inf)
+        push = far >= 0
+        push &= f2 <= worst
+        push &= live
+        stack_nodes[sp] = far
+        stack_d2[sp] = f2
+        sp += push
+        push = near >= 0
+        push &= live
+        stack_nodes[sp] = near
+        stack_d2[sp] = 0.0
+        sp += push
     if has_pad:
         best_d2[pad] = np.inf
-    order = np.lexsort((best_idx, best_d2))
-    indices = np.take_along_axis(best_idx, order, axis=1)
-    distances = np.sqrt(np.take_along_axis(best_d2, order, axis=1))
-    return indices, distances, count, steps, terminated
+    indices, distances = _sort_lanes(best_d2.T, best_idx.T)
+    # A lane fills one slot per visit until it holds k_lane entries.
+    return indices, distances, np.minimum(steps, k_lane), steps, terminated
 
 
-def _range_lanes_block(arrays, q: np.ndarray, roots: np.ndarray,
+def _range_lanes_block(tables, q: np.ndarray, roots: np.ndarray,
                        radius: float, cap: int, stack_cap: int,
                        hit_cap: int):
-    axis_a, left_a, right_a, pidx_a, xyz_a, split_a = arrays
+    *_, pidx_a, _ = tables
     n_q = len(q)
     r2 = radius * radius
-    # Range pruning is radius-fixed, so no split-distance stack.
-    stack_nodes = np.empty((n_q, stack_cap), dtype=np.int64)
-    stack_nodes[:, 0] = roots
-    sp = np.ones(n_q, dtype=np.int64)
+    lanes = _lane_queries(q)
+    base = np.arange(n_q) * stack_cap
+    # Range pruning is radius-fixed, so no split-distance stack.  Zero-
+    # filled for the same reason as the kNN stack.
+    stack_nodes = np.zeros(n_q * stack_cap, dtype=np.int64)
+    stack_nodes[base] = roots
+    sp = base + 1
     steps = np.zeros(n_q, dtype=np.int64)
-    terminated = np.zeros(n_q, dtype=bool)
     hit_d2 = np.full((n_q, hit_cap), np.inf, dtype=np.float64)
     hit_idx = np.full((n_q, hit_cap), -1, dtype=np.int64)
+    hit_base = np.arange(n_q) * hit_cap
     hcount = np.zeros(n_q, dtype=np.int64)
-    alive = np.ones(n_q, dtype=bool)
-    while True:
-        act = np.nonzero(alive)[0]
-        if not len(act):
+    live = np.ones(n_q, dtype=bool)
+    for _ in range(cap):
+        live &= sp > base
+        if not live.any():
             break
-        top = sp[act] - 1
-        sp[act] = top
-        nd = stack_nodes[act, top]
-        over = steps[act] >= cap
-        if over.any():
-            expired = act[over]
-            terminated[expired] = True
-            alive[expired] = False
-            act, nd = act[~over], nd[~over]
-        if len(act):
-            steps[act] += 1
-            node_pts = xyz_a[nd]
-            dx = node_pts[:, 0] - q[act, 0]
-            dy = node_pts[:, 1] - q[act, 1]
-            dz = node_pts[:, 2] - q[act, 2]
-            d2 = dx * dx + dy * dy + dz * dz
-            is_hit = d2 <= r2
-            if is_hit.any():
-                rows = act[is_hit]
-                slot = hcount[rows]
-                hit_d2[rows, slot] = d2[is_hit]
-                hit_idx[rows, slot] = pidx_a[nd[is_hit]]
-                hcount[rows] = slot + 1
-            diff = q[act, axis_a[nd]] - split_a[nd]
-            go_left = diff < 0
-            near = np.where(go_left, left_a[nd], right_a[nd])
-            far = np.where(go_left, right_a[nd], left_a[nd])
-            push_far = (far != -1) & (diff * diff <= r2)
-            if push_far.any():
-                rows = act[push_far]
-                stack_nodes[rows, sp[rows]] = far[push_far]
-                sp[rows] += 1
-            push_near = near != -1
-            if push_near.any():
-                rows = act[push_near]
-                stack_nodes[rows, sp[rows]] = near[push_near]
-                sp[rows] += 1
-        alive &= sp > 0
-    order = np.lexsort((hit_idx, hit_d2))
-    indices = np.take_along_axis(hit_idx, order, axis=1)
-    distances = np.sqrt(np.take_along_axis(hit_d2, order, axis=1))
+        sp -= live
+        nd = stack_nodes[sp]
+        steps += live
+        d2, far, near, f2 = _visit(tables, lanes, nd)
+        is_hit = d2 <= r2
+        is_hit &= live
+        if is_hit.any():
+            rows = np.flatnonzero(is_hit)
+            at = hit_base[rows] + hcount[rows]
+            hit_d2.reshape(-1)[at] = d2[rows]
+            hit_idx.reshape(-1)[at] = pidx_a[nd[rows]]
+            hcount += is_hit
+        push = far >= 0
+        push &= f2 <= r2
+        push &= live
+        stack_nodes[sp] = far
+        sp += push
+        push = near >= 0
+        push &= live
+        stack_nodes[sp] = near
+        sp += push
+    # A lane still live has made `cap` visits; range pops never prune,
+    # so it expires iff its stack still holds an entry.
+    terminated = live & (sp > base)
+    indices, distances = _sort_lanes(hit_d2, hit_idx)
     return indices, distances, hcount, steps, terminated
 
 
@@ -959,12 +1063,23 @@ class TraversalArena:
     parameters — indices, distances, counts, steps and terminated flags
     alike.  The arena is the only lockstep driver: a single tree's
     untraced batches of ``_LOCKSTEP_MIN_QUERIES`` or more queries run
-    as one-member launches.  The concatenated layout is exactly what
-    an opt-in compiled kernel (numba / Cython) would consume unchanged.
+    as one-member launches.
 
-    Construction gathers the member arrays once (the sources may be
-    zero-copy views over attached shared-memory segments; the gather is
-    the only copy and is linear in total node count).
+    Construction gathers the member arrays once into the flat tables
+    the lockstep kernels read (the sources may be zero-copy views over
+    attached shared-memory segments; the gather is the only copy and is
+    linear in total node count): per-axis node coordinate columns, the
+    split axis and split value, one interleaved child table
+    (``children[2 * node]`` left, ``children[2 * node + 1]`` right) and
+    the window-local point index.  A kNN launch runs in two phases (see
+    *Per-lane lockstep kernels* above): a dense fill phase for the first
+    ``min(k_lane) - 1`` visits, when ``worst`` is still +inf on every
+    lane, so nothing prunes, expires or runs dry; then a masked general
+    loop that ends at the cap, where each lane still live is retired in
+    one step, because its ``worst`` is fixed and only decides whether a
+    stacked entry expires it.  The dense phase needs finite split
+    distances, so it runs only when every query coordinate and every
+    split value is finite.
     """
 
     def __init__(self, trees: Sequence[KDTree]) -> None:
@@ -982,23 +1097,34 @@ class TraversalArena:
         self.max_size = int(sizes.max())
         self.nodes_total = int(sizes.sum())
         axis = np.concatenate([tree.axis for tree in self.trees])
-        left = np.concatenate(
+        children = np.empty(2 * self.nodes_total, dtype=np.int64)
+        children[0::2] = np.concatenate(
             [np.where(tree.left >= 0, tree.left + off, -1)
              for tree, off in zip(self.trees, offsets)])
-        right = np.concatenate(
+        children[1::2] = np.concatenate(
             [np.where(tree.right >= 0, tree.right + off, -1)
              for tree, off in zip(self.trees, offsets)])
         pidx = np.concatenate(
             [tree.point_index for tree in self.trees])
-        xyz = np.concatenate(
-            [tree._node_xyz for tree in self.trees])
+        node_x, node_y, node_z = (
+            np.concatenate([tree._node_xyz[:, a] for tree in self.trees])
+            for a in range(3))
         split = np.concatenate(
             [tree._node_split for tree in self.trees])
-        self._arrays = (axis, left, right, pidx, xyz, split)
+        self._tables = (node_x, node_y, node_z, axis, split, children,
+                        pidx, bool(np.isfinite(split).all()))
 
     def max_depth(self) -> int:
         """Deepest member tree."""
         return max(tree.depth() for tree in self.trees)
+
+    def _stack_cap(self, cap: int) -> int:
+        """Stack slots per lane.  A visit pops one entry and pushes at
+        most two, and a node is stacked at most once and only while
+        unvisited, so a lane holds at most ``min(cap, max_size) + 1``
+        entries; one more slot takes the kernels' unconditional child
+        write one past the top."""
+        return min(cap, self.max_size) + 2
 
     def _lane_layout(self, splits) -> np.ndarray:
         splits = np.asarray(splits, dtype=np.int64)
@@ -1068,7 +1194,7 @@ class TraversalArena:
     def _knn_lanes(self, queries: np.ndarray, member_of: np.ndarray,
                    k_lane: np.ndarray, width: int, cap: int):
         n_queries = len(queries)
-        stack_cap = 2 * min(cap, self.max_size) + 2
+        stack_cap = self._stack_cap(cap)
         indices = np.full((n_queries, width), -1, dtype=np.int64)
         distances = np.full((n_queries, width), np.inf, dtype=np.float64)
         counts = np.zeros(n_queries, dtype=np.int64)
@@ -1080,7 +1206,7 @@ class TraversalArena:
         for start in range(0, n_queries, block):
             stop = min(start + block, n_queries)
             out = _knn_lanes_block(
-                self._arrays, queries[start:stop], roots[start:stop],
+                self._tables, queries[start:stop], roots[start:stop],
                 k_lane[start:stop], width, cap, stack_cap)
             (indices[start:stop], distances[start:stop],
              counts[start:stop], steps[start:stop],
@@ -1115,7 +1241,7 @@ class TraversalArena:
         member_of = np.repeat(np.arange(len(splits)), splits)
         cap = int(max_steps)
         n_queries = len(queries)
-        stack_cap = 2 * min(cap, self.max_size) + 2
+        stack_cap = self._stack_cap(cap)
         hit_cap = min(cap, self.max_size)
         block = max(1, _SCAN_BLOCK_ELEMS // (3 * stack_cap
                                              + 2 * hit_cap + 8))
@@ -1129,7 +1255,7 @@ class TraversalArena:
         for start in range(0, n_queries, block):
             stop = min(start + block, n_queries)
             out = _range_lanes_block(
-                self._arrays, queries[start:stop], roots[start:stop],
+                self._tables, queries[start:stop], roots[start:stop],
                 radius, cap, stack_cap, hit_cap)
             (lane_idx[start:stop], lane_dst[start:stop],
              hcount[start:stop], steps[start:stop],

@@ -389,6 +389,33 @@ def test_pool_rung_degrades_a_lone_unit(rng, backend):
     assert executor.effective == "serial"
 
 
+def test_fallen_back_pool_runs_under_the_resolved_supervision():
+    """A pool that falls back at construction (one worker) runs its
+    serial stand-in under the supervision ``resolve_executor`` set on
+    it, not the default the factory built it with: one attempt, no
+    retry, and ``ExecutionError`` with the ladder off."""
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0, 1, size=(120, 3))
+    queries = rng.uniform(0, 1, size=(40, 3))
+    injector = FaultInjector([FaultSpec(kind="raise", window=0, times=5)])
+    one_window = ChunkedIndex(pts, np.zeros(len(pts), dtype=np.int64),
+                              [ChunkWindow((0, 0, 0), (0,))])
+    executor = resolve_executor(
+        injector.executor("shm"), one_window, 1,
+        SupervisionConfig(max_retries=0, degradation=False))
+    unit = WorkUnit(0, np.arange(len(queries)), "knn", queries,
+                    {"k": 4, "max_steps": 20})
+    try:
+        assert executor.effective == "serial"
+        with pytest.raises(ExecutionError):
+            executor.run([unit])
+    finally:
+        executor.close()
+        one_window.close()
+    assert injector.fire_counts == [1]
+    assert executor.stats.retries == 0
+
+
 def _own_segments():
     """This process's live ``repro-*`` shared-memory segments."""
     prefix = f"repro-{os.getpid()}-"
