@@ -14,6 +14,8 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from repro.spatial import _native
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -35,11 +37,14 @@ def time_best(fn, repeats: int):
 
 def host() -> Dict[str, object]:
     """The machine a measurement ran on: CPU count, Python and numpy
-    versions.  Every BENCH file records it — timings, and above all
-    parallel-backend ratios, mean nothing without it."""
+    versions, and whether kd-trees were built natively (the compiled
+    build loaded) or by the numpy level build.  Every BENCH file
+    records it — timings, and above all parallel-backend ratios, mean
+    nothing without it."""
     return {"cpu_count": os.cpu_count(),
             "python": platform.python_version(),
-            "numpy": np.__version__}
+            "numpy": np.__version__,
+            "native_build": _native.LIB is not None}
 
 
 def emit(name: str, lines: Iterable[str],

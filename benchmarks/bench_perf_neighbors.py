@@ -192,6 +192,19 @@ def _variants():
             ("CS+DT", cs_dt_config(base))]
 
 
+def _time_alternating(first, first_trials, second, second_trials):
+    """Best-of-N wall times of two callables whose trials alternate
+    (first, second, first, ...; the side with more trials runs its
+    extra ones last): ``((first_s, value), (second_s, value))``."""
+    sides = ((first, first_trials), (second, second_trials))
+    best = [float("inf")] * 2
+    values = [None] * 2
+    for trial in range(max(first_trials, second_trials)):
+        for side, (fn, trials) in enumerate(sides):
+            if trial < trials:
+                elapsed, values[side] = time_best(fn, 1)
+                best[side] = min(best[side], elapsed)
+    return (best[0], values[0]), (best[1], values[1])
 
 
 def run(n_points=4096, n_queries=512, k=32, radius=0.125,
@@ -216,9 +229,11 @@ def run(n_points=4096, n_queries=512, k=32, radius=0.125,
         ):
             # The batched side is cheap; extra trials stabilise its
             # min against scheduler noise without inflating runtime.
-            batched_s, batched_out = time_best(batched_fn,
-                                               max(5, repeats * 3))
-            seed_s, seed_out = time_best(seed_fn, repeats)
+            # The two sides' trials alternate, so a slow spell of the
+            # host lands on both instead of on one side's whole run.
+            (batched_s, batched_out), (seed_s, seed_out) = \
+                _time_alternating(batched_fn, max(5, repeats * 3),
+                                  seed_fn, max(3, repeats))
             if check and not np.array_equal(batched_out, seed_out):
                 raise AssertionError(
                     f"{name}/{op}: batched result differs from seed path"

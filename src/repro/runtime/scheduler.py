@@ -94,6 +94,9 @@ def run_tree_unit(trees, unit: WorkUnit):
     """
     params = unit.params
     if unit.kind == "build":
+        # A whole KDTree, not bare build_node_arrays: its per-node
+        # mirrors are gathered lazily, so it costs the build alone, and
+        # the layered benchmark's tracer times builds at its __init__.
         tree = KDTree(unit.queries)
         return tree.axis, tree.left, tree.right, tree.point_index
     if unit.kind not in ("knn", "range"):

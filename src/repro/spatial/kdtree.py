@@ -54,23 +54,38 @@ termination always runs a real traversal.
 Construction
 ------------
 Compulsory splitting rebuilds a window's tree whenever its chunks move,
-so the build is the per-frame cost that no deadline caps.
-:func:`_build_levels` builds a whole tree level at a time with a fixed
-number of numpy calls per level (per-segment spans via ``reduceat``,
-one stable ``argsort`` that orders every segment by its own split
-axis), producing exactly the node arrays of the classic recursive
-median-split build.
+so the build is the per-frame cost that no deadline caps.  Every tree
+has the node arrays of the classic recursive median-split build: each
+node splits along the widest axis (span ``max - min`` in double; the
+first maximum wins), orders its subset by that coordinate with a
+stable sort (ties keep their order, ``-0.0 == 0.0``), and takes
+element ``len // 2``; nodes are numbered in preorder.
+
+:func:`build_node_arrays` computes them natively when it can: the C
+build in ``_kdbuild.c``, compiled and loaded at import by
+:mod:`repro.spatial._native`, runs whenever its library loaded and
+every coordinate is finite.  It is exact under those conditions, on
+ties, signed zeros and subnormals alike, because it decides with IEEE
+comparisons and one double subtraction per span.  Otherwise (no C
+compiler, a failed compile or load, or any NaN/inf coordinate) the
+numpy level build :func:`_build_levels` runs: a whole tree level at a
+time with a fixed number of numpy calls per level (per-segment spans
+via ``reduceat``, one stable ``argsort`` that orders every segment by
+its own split axis).  It is also the reference the native build is
+tested against, beside the recursive oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.spatial import _native
 
 _INF = float("inf")
 
@@ -341,13 +356,23 @@ def _build_levels(points: np.ndarray):
     return axis, left, right, point_index
 
 
+def build_node_arrays(points: np.ndarray):
+    """``(axis, left, right, point_index)`` of the median-split tree over
+    *points* (``(N, 3)`` float64): the native build when its library
+    loaded and every coordinate is finite, else :func:`_build_levels`.
+    Both give the same arrays (see *Construction* above)."""
+    if _native.LIB is not None and np.isfinite(points).all():
+        return _native.build(points)
+    return _build_levels(points)
+
+
 class KDTree:
     """Median-split kd-tree over ``(N, 3)`` points.
 
     Nodes are stored in flat arrays; node ``i`` holds one point
     (``self.point_index[i]``), a split axis, and child links.  One traversal
     *step* is one node visit, matching the paper's step-deadline unit.
-    The arrays are built level by level (:func:`_build_levels`) and are a
+    The arrays come from :func:`build_node_arrays` and are a
     deterministic function of the coordinates, so equal point arrays
     always give array-identical trees.
     """
@@ -361,24 +386,18 @@ class KDTree:
         if len(points) == 0:
             raise ValidationError("cannot build a kd-tree over zero points")
         self.points = points
-        n = len(points)
         self.axis, self.left, self.right, self.point_index = \
-            _build_levels(points)
+            build_node_arrays(points)
         self.root = 0
         # Packed per-node records for the scalar traversal kernels (one
         # list index + tuple unpack per visit, no numpy-scalar boxing),
         # built lazily on the first traversal: scan-only trees — the
         # default uncapped grouping path — never pay the boxing cost.
-        node_points = points[self.point_index]
         self._node_data: Optional[list] = None
         # Column views for the vectorized scan engine.
         self._col_x = points[:, 0]
         self._col_y = points[:, 1]
         self._col_z = points[:, 2]
-        # Per-node numpy mirrors gathered by TraversalArena for the
-        # lockstep kernels.
-        self._node_xyz = node_points
-        self._node_split = node_points[np.arange(n), self.axis]
 
     # ------------------------------------------------------------------
     # Construction
@@ -393,26 +412,35 @@ class KDTree:
         buffer (``repro.runtime.shm`` attaches them zero-copy from a
         ``multiprocessing.shared_memory`` segment).  Only the derived
         per-node mirrors (a gather of ``points`` by ``point_index``) are
-        materialised locally; queries against the result are bit-equal
-        to the original tree's because the node layout is identical.
+        materialised locally, on first use; queries against the result
+        are bit-equal to the original tree's because the node layout is
+        identical.
         """
         tree = cls.__new__(cls)
         points = np.asarray(points, dtype=np.float64)
-        n = len(points)
         tree.points = points
         tree.axis = np.asarray(axis, dtype=np.int8)
         tree.left = np.asarray(left, dtype=np.int64)
         tree.right = np.asarray(right, dtype=np.int64)
         tree.point_index = np.asarray(point_index, dtype=np.int64)
         tree.root = int(root)
-        node_points = points[tree.point_index]
         tree._node_data = None
         tree._col_x = points[:, 0]
         tree._col_y = points[:, 1]
         tree._col_z = points[:, 2]
-        tree._node_xyz = node_points
-        tree._node_split = node_points[np.arange(n), tree.axis]
         return tree
+
+    # Per-node numpy mirrors, gathered on first use by TraversalArena
+    # (the lockstep kernels) and the scalar kernels' packed records: a
+    # tree that is only built and shipped (a ``build`` unit's) or only
+    # scanned never pays for them.
+    @cached_property
+    def _node_xyz(self) -> np.ndarray:
+        return self.points[self.point_index]
+
+    @cached_property
+    def _node_split(self) -> np.ndarray:
+        return self._node_xyz[np.arange(len(self.points)), self.axis]
 
     def packed_arrays(self):
         """The flat node arrays that fully determine this tree.

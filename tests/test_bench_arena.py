@@ -14,6 +14,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.spatial import _native
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "benchmarks"))
 
@@ -29,7 +31,8 @@ def test_bench_arena_fusion_smoke(tmp_path):
         recorded = json.load(handle)
     assert recorded["host"] == {"cpu_count": os.cpu_count(),
                                 "python": platform.python_version(),
-                                "numpy": np.__version__}
+                                "numpy": np.__version__,
+                                "native_build": _native.LIB is not None}
     assert "cpu_count" not in recorded["workload"]
     backends = {row["backend"] for row in payload["results"]}
     assert backends == {"serial", "shm"}

@@ -1,10 +1,13 @@
-"""The level-synchronous kd-tree build against the recursive oracle.
+"""Both kd-tree builds against the recursive oracle.
 
 Every shared-memory export, arena launch, cache key and search result
-depends on the exact node layout, so the numpy build must produce the
-*same arrays* as the classic recursive median-split build, not merely
-an equally valid tree.  The recursive builder lives here, and only
-here, as the oracle.
+depends on the exact node layout, so the native build and the numpy
+level build must each produce the *same arrays* as the classic
+recursive median-split build, not merely an equally valid tree.  The
+recursive builder lives here, and only here, as the oracle.  Every
+oracle test builds on both paths: the default one (native when its
+library loaded and the cloud is finite) and the numpy level build,
+forced by clearing the loaded library handle.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial import KDTree
+from repro.spatial import KDTree, _native
 
 
 def _recursive_build(points: np.ndarray):
@@ -57,6 +60,22 @@ def _assert_same_tree(tree: KDTree, points: np.ndarray) -> None:
     assert tree.root == want[4]
 
 
+def _both_paths(points: np.ndarray):
+    """The tree on the default build path, then on the numpy level
+    build (the loaded native library's handle cleared meanwhile)."""
+    with np.errstate(invalid="ignore"):
+        trees = [KDTree(points)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_native, "LIB", None)
+            trees.append(KDTree(points))
+    return trees
+
+
+def _assert_both_paths_match(points: np.ndarray) -> None:
+    for tree in _both_paths(points):
+        _assert_same_tree(tree, points)
+
+
 def _signed_zeros(rng, n):
     pts = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
     zero = pts == 0
@@ -83,23 +102,24 @@ _FAMILIES = {
         rng.normal(size=(max(1, n // 4), 3)), 4, axis=0)[:n],
     "anisotropic": lambda rng, n: rng.normal(size=(n, 3))
     * np.array([1e3, 1e-3, 1.0]),
+    "subnormal": lambda rng, n: rng.normal(size=(n, 3)) * 1e-310,
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 17, 64, 257])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 17, 64, 257,
+                               1_000, 2_048, 4_099])
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_build_matches_recursive_oracle(family, n):
     rng = np.random.default_rng([n, len(family)])
     points = _FAMILIES[family](rng, n)
-    _assert_same_tree(KDTree(points), points)
+    _assert_both_paths_match(points)
 
 
 @pytest.mark.parametrize("n", [6, 17, 40])
 def test_build_matches_oracle_with_nan_and_inf(n):
+    # Non-finite clouds take the numpy level build on both paths.
     points = _non_finite(np.random.default_rng(n), n)
-    with np.errstate(invalid="ignore"):
-        tree = KDTree(points)
-    _assert_same_tree(tree, points)
+    _assert_both_paths_match(points)
 
 
 def test_build_matches_oracle_on_all_infinite_axis():
@@ -108,9 +128,7 @@ def test_build_matches_oracle_on_all_infinite_axis():
     points = np.random.default_rng(3).normal(size=(9, 3))
     points[:, 1] = np.inf
     for _ in range(2):
-        with np.errstate(invalid="ignore"):
-            tree = KDTree(points)
-        _assert_same_tree(tree, points)
+        _assert_both_paths_match(points)
         points[4] = np.nan
 
 
@@ -121,7 +139,7 @@ def test_build_matches_oracle_fuzzed(seed, n, levels):
     """Coordinates drawn from a few levels per axis: heavy ties."""
     rng = np.random.default_rng(seed)
     points = rng.integers(0, levels, size=(n, 3)) * rng.normal(size=3)
-    _assert_same_tree(KDTree(points), points)
+    _assert_both_paths_match(points)
 
 
 def test_packed_round_trip_is_bit_equal():

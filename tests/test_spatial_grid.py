@@ -23,6 +23,29 @@ def test_fit_and_assign(rng):
     assert assignment.max() < 8
 
 
+@pytest.mark.parametrize("cloud", ["random", "tied", "signed_zeros"])
+@pytest.mark.parametrize("margin", [1e-9, 0.0])
+def test_fit_bounds_equal_the_block_reduction(cloud, margin):
+    """Per-column reductions give the bounds of ``min(axis=0)`` /
+    ``max(axis=0)`` over the block, bit for bit (zero signs too)."""
+    rng = np.random.default_rng([len(cloud), int(margin > 0)])
+    for n in (1, 2, 7, 100, 8000):
+        if cloud == "random":
+            pts = rng.normal(size=(n, 3)) * [1e3, 1.0, 1e-3]
+        elif cloud == "tied":
+            pts = rng.integers(0, 3, size=(n, 3)).astype(np.float64)
+        else:
+            pts = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+            zero = pts == 0
+            pts[zero] = np.where(rng.random(int(zero.sum())) < 0.5,
+                                 0.0, -0.0)
+        grid = ChunkGrid.fit(pts, (2, 3, 1), margin=margin)
+        want_lower = pts.min(axis=0) - margin
+        want_upper = pts.max(axis=0) + margin
+        assert grid.lower.tobytes() == want_lower.tobytes()
+        assert grid.upper.tobytes() == want_upper.tobytes()
+
+
 def test_assign_partitions_all_points(rng):
     pts = rng.uniform(0, 1, size=(50, 3))
     grid = ChunkGrid.fit(pts, (3, 3, 1))
