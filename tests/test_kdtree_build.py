@@ -142,6 +142,25 @@ def test_build_matches_oracle_fuzzed(seed, n, levels):
     _assert_both_paths_match(points)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 3_000),
+       levels=st.integers(1, 9), signed_zeros=st.booleans())
+def test_native_build_matches_level_build_fuzzed(seed, n, levels,
+                                                  signed_zeros):
+    """Clouds too large for the recursive oracle, with tie groups deep in
+    the tree: the default build equals the numpy level build."""
+    rng = np.random.default_rng(seed)
+    points = (rng.integers(0, levels, size=(n, 3)) - levels // 2) \
+        * rng.normal(size=3)
+    if signed_zeros:
+        points[points == 0] = -0.0
+    native, level = _both_paths(points)
+    for name in ("axis", "left", "right", "point_index"):
+        got, want = getattr(native, name), getattr(level, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
 def test_packed_round_trip_is_bit_equal():
     rng = np.random.default_rng(11)
     points = rng.integers(0, 4, size=(300, 3)).astype(np.float64)
