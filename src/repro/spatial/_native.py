@@ -46,17 +46,20 @@ def cache_dir() -> str:
     """The per-user directory compiled libraries are cached in.
 
     ``$XDG_CACHE_HOME`` (or ``~/.cache``) plus ``streamgrid-repro``;
-    when that cannot be created, a directory under the temp dir that
-    this user owns and no one else can write (mode 0700).
+    when that is not absolute or cannot be created, a directory under
+    the temp dir that this user owns and no one else can write (mode
+    0700).
     """
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache")
     path = os.path.join(base, "streamgrid-repro")
-    try:
-        os.makedirs(path, exist_ok=True)
-        return path
-    except OSError:
-        pass
+    # A relative base (no home directory) would land in the cwd.
+    if os.path.isabs(path):
+        try:
+            os.makedirs(path, exist_ok=True)
+            return path
+        except OSError:
+            pass
     path = os.path.join(tempfile.gettempdir(),
                         f"streamgrid-repro-{os.getuid()}")
     os.makedirs(path, mode=0o700, exist_ok=True)

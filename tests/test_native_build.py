@@ -61,6 +61,27 @@ def test_c_source_ships_as_package_data():
     assert _native.SOURCE in setuptools["package-data"]["repro.spatial"]
 
 
+def test_cache_dir_prefers_xdg_then_a_private_temp_dir(tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert _native.cache_dir() == str(tmp_path / "xdg" / "streamgrid-repro")
+    # An unusable base (a file) or a relative one falls back to the
+    # temp dir, in a directory only this user can write.
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(_native.tempfile, "gettempdir",
+                        lambda: str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    for base in (str(tmp_path / "file"), "relative"):
+        monkeypatch.setenv("XDG_CACHE_HOME", base)
+        path = _native.cache_dir()
+        assert os.path.dirname(path) == str(tmp_path / "tmp")
+        assert os.stat(path).st_mode & 0o777 == 0o700
+    assert not os.path.exists("relative")
+    os.chmod(path, 0o777)
+    with pytest.raises(OSError, match="unsafe"):
+        _native.cache_dir()
+
+
 @needs_compiler
 def test_second_load_reuses_the_cached_library(tmp_path, monkeypatch):
     first = _native.load(str(tmp_path))
