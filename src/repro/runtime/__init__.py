@@ -25,8 +25,13 @@ The Executor protocol
 ---------------------
 An executor backend is an object bound to a *shard state* (anything with
 ``run_unit(unit) -> result``; the pooled backend additionally needs
-``shm_export_window(window)``, the packed kd-tree arrays it stages into
-shared memory).  Only the scheduler asks its own state
+``window_version(window)``, the window's coordinate-content version,
+and ``shm_export_window(window)``, the packed kd-tree arrays it stages
+into shared memory).  The content version is the one staleness signal
+for worker-visible state: equal versions mean bit-identical window
+coordinates, so a backend that copies window state re-exports a window
+exactly when its version changed, and no caller ever tells a backend
+what went stale.  Only the scheduler asks its own state
 ``window_is_empty(window)``, to skip empty windows when it emits
 units; executors never do.  The backend implements:
 
@@ -34,16 +39,9 @@ units; executors never do.  The backend implements:
   results **in unit order** (the scheduler relies on this to scatter
   results back in input order);
 * ``close()`` — release worker resources (idempotent);
-* ``reset_workers()`` — mark every worker-visible copy of the shard
-  state stale while keeping the executor itself warm (a no-op for
-  backends that read live state; the shm pool version-bumps every
-  window segment and re-exports it on the next batch, its workers
-  still running).  Frame-streaming callers invoke this after mutating
-  shard state in place;
-* ``invalidate_windows(windows)`` — the per-window refinement of
-  ``reset_workers``: mark only the given windows stale.  Streaming
-  callers with dirty-window tracking use this so clean windows ship
-  nothing across frames;
+* ``release_windows(windows)`` — retire windows that will never be
+  queried again (a fleet tenant detached); the shm pool unlinks their
+  segments at once, and the default holds nothing to free;
 * ``name`` / ``effective`` — the requested backend name and the backend
   actually in force (they differ when a backend had to fall back);
 * ``stats`` — the backend's :class:`~repro.runtime.executor.RuntimeStats`
@@ -106,8 +104,8 @@ Three interchangeable backends ship with the runtime:
   state changes), and each work unit rides its slot's inbox and its
   result the slot's own result pipe — the window segments are the
   pool's only shared memory.
-  ``reset_workers`` / ``invalidate_windows`` are registry version
-  bumps (dirty windows are rewritten in place;
+  Each segment records the content version it holds, and staging
+  re-exports a window whose version moved (in place when it fits;
   :class:`~repro.runtime.executor.RuntimeStats`
   counts the forks avoided and bytes shipped), and every segment is
   unlinked on ``close()`` / ``terminate_workers()`` / interpreter
@@ -162,11 +160,11 @@ Adding a backend
 ----------------
 Subclass :class:`~repro.runtime.executor.Executor`, accept
 ``(state, n_workers=None, supervision=None, stats=None)`` in the
-constructor, implement ``run`` / ``close`` (plus ``reset_workers`` /
-``invalidate_windows`` if workers keep copies of window state, and
-``fusion_slot`` to opt into arena fusion), and either register the
-class in :data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new
-name or pass the class (or a ready instance) directly as the
+constructor, implement ``run`` / ``close`` (plus ``release_windows``
+if it holds per-window resources, and ``fusion_slot`` to opt into
+arena fusion), and either register the class in
+:data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new name or
+pass the class (or a ready instance) directly as the
 ``executor=`` knob — :func:`~repro.runtime.executor.resolve_executor`
 accepts exactly three shapes: a registered name, an :class:`Executor`
 instance, or a factory ``(state, n_workers) -> Executor`` (a class is
@@ -174,7 +172,10 @@ one).  ``run`` hands each unit to ``state.run_unit`` (or, in a
 worker, to :func:`~repro.runtime.scheduler.run_tree_unit` with one tree
 per entry of ``unit.windows``) and returns one result per unit — a
 list of per-window results for a fused unit, which the scheduler
-scatters.  A new multi-process transport should extend
+scatters.  A backend whose workers keep copies of window state
+refreshes a copy when ``state.window_version(window)`` differs from the
+version it was made at; it needs no other staleness hook.  A new
+multi-process transport should extend
 :class:`~repro.runtime.shm.ShmShardPool` rather than sit beside it.
 """
 

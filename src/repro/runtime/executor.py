@@ -140,9 +140,10 @@ class RuntimeStats:
 
     - ``state_bytes_shipped`` — bytes written into window segments
       (the only state that ever moves; a clean window ships 0).
-    - ``forks_avoided`` — live worker slots that kept running through a
-      ``reset_workers`` / ``invalidate_windows`` (invalidation is a
-      registry version bump, never a re-fork).
+    - ``forks_avoided`` — live worker slots whose windows' segments a
+      batch refreshed at staging, counted once per slot per batch (a
+      segment re-exports when its window's content version changes,
+      and its worker keeps running).
     - ``segments_live`` — gauge: window segments currently allocated
       (the pool's only shared memory; units and results ride its
       queues).
@@ -302,46 +303,21 @@ class Executor:
     def close(self) -> None:
         """Release any worker resources (idempotent)."""
 
-    def reset_workers(self) -> None:
-        """Mark every worker-visible copy of the shard state stale.
-
-        Backends that read the live state on every unit (serial) need
-        do nothing; the shm pool marks every window segment stale
-        so the next batch re-exports it (its workers keep running).
-        Called by frame-streaming state owners
-        (:meth:`repro.spatial.neighbors.ChunkedIndex.update_frame`)
-        after mutating state in place, keeping the executor — and any
-        live worker pool — warm across frames.
-        """
-
-    def invalidate_windows(self, windows: Sequence[int]) -> None:
-        """Mark only *windows*' worker-visible state stale.
-
-        The per-window refinement of :meth:`reset_workers`: streaming
-        state owners that know exactly which windows' state changed
-        (:meth:`repro.spatial.neighbors.ChunkedIndex.update_frame`'s
-        dirty-window fast path) call this so *clean* windows ship
-        nothing on the next batch.  Backends that read live state need
-        do nothing; the shm pool version-bumps just those windows'
-        segments.
-        """
-
     def release_windows(self, windows: Sequence[int]) -> None:
         """Retire *windows* permanently: their state will never be
         queried again (a streaming tenant detached).  Backends holding
         per-window resources (the shared-memory registry) free them
-        here; the default treats retirement as invalidation.
+        here; the default holds none.
         """
-        self.invalidate_windows(windows)
 
     def fusion_slot(self, window: int) -> Optional[int]:
         """Arena-fusion eligibility: the dispatch slot *window* runs on.
 
         The scheduler may fuse compatible per-window units into one
         arena unit only when their windows report the **same** slot: a
-        fused unit is dispatched — and its state invalidated — as a
-        single unit pinned to its first member's window, so windows
-        that live on different worker slots must never share one.
+        fused unit is dispatched as a single unit pinned to its first
+        member's window, so windows that live on different worker
+        slots must never share one.
         ``None`` opts the backend out of fusion entirely; the default
         is conservative because the base class cannot know the
         backend's affinity scheme.

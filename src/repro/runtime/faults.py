@@ -204,11 +204,12 @@ class FaultyState:
     """Shard-state proxy routing every unit through a fault injector.
 
     Implements the same duck-typed surface executors rely on
-    (``run_unit`` plus attribute passthrough, so the
-    ``shm_export_window`` staging of :class:`repro.runtime.ShmShardPool`
-    keeps working).  Pool workers serve units from attached segments,
-    never from the state, so the pool hands each worker
-    ``state._injector`` and injected faults fire inside the worker.
+    (``run_unit`` plus attribute passthrough, so the ``window_version``
+    / ``shm_export_window`` staging of
+    :class:`repro.runtime.ShmShardPool` keeps working).  Pool workers
+    serve units from attached segments, never from the state, so the
+    pool hands each worker ``state._injector`` and injected faults fire
+    inside the worker.
     """
 
     def __init__(self, state, injector: FaultInjector) -> None:

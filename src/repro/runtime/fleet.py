@@ -16,9 +16,10 @@ sharing safe and fair:
   shm segment registry, the worker affinity map
   (``window % n_workers``), worker-side tree caches, and fault-spec
   targeting all key on ``(session_id, window)``.  One tenant's
-  dirty-window invalidation or injected fault can never touch another
-  tenant's segments — their namespaced ids are disjoint by
-  construction.
+  segment refresh or injected fault can never touch another tenant's
+  segments — their namespaced ids are disjoint by construction — and
+  each segment follows its own tenant's window content version
+  (:meth:`_FleetState.window_version` routes the lookup).
 - **Deadline-aware cross-session dispatch.**  Concurrent submits are
   serialized through an EDF-style priority queue: each batch's key is
   the tightest calibrated step budget (``max_steps``) its units carry,
@@ -30,12 +31,11 @@ sharing safe and fair:
 - **Per-tenant attribution.**  Batches run one at a time on the inner
   backend, so the fleet snapshots the inner
   :class:`~repro.runtime.executor.RuntimeStats` block around each
-  batch (a tenant's invalidations are applied at the start of its next
-  batch, inside that bracket) and absorbs the delta into the owning
-  lease's own block — the one :class:`~repro.streaming.StreamSession`
-  folds into its per-frame / per-session accounting.  A retry, respawn,
-  or degradation triggered by tenant A's units lands on tenant A's
-  counters only.
+  batch (its segment refreshes included) and absorbs the delta into
+  the owning lease's own block — the one
+  :class:`~repro.streaming.StreamSession` folds into its per-frame /
+  per-session accounting.  A retry, respawn, or degradation triggered
+  by tenant A's units lands on tenant A's counters only.
 
 Failure handling is **not** reinvented: the inner backend is an
 ordinary supervised executor (tickets, slot respawn, retries, the
@@ -121,11 +121,12 @@ class FleetConfig:
 
     ``backend`` / ``n_workers`` pick the inner executor (any
     ``executor=`` spec :func:`~repro.runtime.executor.resolve_executor`
-    accepts; shared-memory by default so tenant churn is a version-bump
-    affair, never a re-fork storm).  ``supervision`` governs recovery
-    for every tenant — per-session supervision knobs do not apply under
-    a shared fleet.  Admission: ``max_sessions`` bounds live leases and
-    ``max_inflight`` bounds one tenant's queued-plus-running batches;
+    accepts; shared-memory by default so a tenant's changed windows
+    re-export their segments and never re-fork a worker).
+    ``supervision`` governs recovery for every tenant — per-session
+    supervision knobs do not apply under a shared fleet.  Admission:
+    ``max_sessions`` bounds live leases and ``max_inflight`` bounds one
+    tenant's queued-plus-running batches;
     ``admission="queue"`` waits (up to ``admission_timeout`` seconds for
     a lease; in-flight waits are unbounded — a slot always frees when
     the running batch completes), ``admission="shed"`` raises
@@ -195,6 +196,10 @@ class _FleetState:
             unit, window=window,
             windows=tuple(split_namespaced(w)[1] for w in unit.windows)))
 
+    def window_version(self, ns_window: int) -> int:
+        state, window = self._route(int(ns_window))
+        return state.window_version(window)
+
     def shm_export_window(self, ns_window: int):
         state, window = self._route(int(ns_window))
         return state.shm_export_window(window)
@@ -206,14 +211,13 @@ class FleetLease(Executor):
     A full :class:`~repro.runtime.executor.Executor`: the session's
     :class:`~repro.runtime.scheduler.WindowScheduler` binds it exactly
     like a dedicated backend.  ``run`` rewrites unit windows into the
-    tenant's namespace and submits through the fleet's EDF queue;
-    ``invalidate_windows`` / ``reset_workers`` only record the stale
-    windows, and the fleet applies them to the inner backend at the
-    start of this tenant's next batch, inside its dispatch slot — so
-    counters stay attributable and an invalidation never waits out
-    another tenant's batch.  ``stats`` holds **this tenant's share** of
-    the inner backend's counter block.  ``close`` (and garbage
-    collection of an abandoned lease) releases the lease exactly once.
+    tenant's namespace and submits through the fleet's EDF queue; the
+    inner pool refreshes the segments of the tenant's changed windows
+    while staging that batch, inside its dispatch slot, so the lease
+    keeps no staleness state of its own.  ``stats`` holds **this
+    tenant's share** of the inner backend's counter block.  ``close``
+    (and garbage collection of an abandoned lease) releases the lease
+    exactly once.
     """
 
     name = "fleet"
@@ -224,11 +228,9 @@ class FleetLease(Executor):
         self._fleet = fleet
         self.session_id = int(session_id)
         self._state = state
-        #: Local window ids this lease ever dispatched or invalidated —
-        #: the retirement set released back to the inner registry.
+        #: Local window ids this lease ever dispatched — the retirement
+        #: set released back to the inner registry.
         self._windows: Set[int] = set()
-        #: Local window ids invalidated since this tenant's last batch.
-        self._stale: Set[int] = set()
         self._released = False
 
     @property
@@ -259,23 +261,6 @@ class FleetLease(Executor):
             if cap is not None:
                 deadline = min(deadline, float(cap))
         return self._fleet._submit(self, ns_units, deadline)
-
-    def invalidate_windows(self, windows: Sequence[int]) -> None:
-        if self._released:
-            return
-        windows = [int(w) for w in windows]
-        with self._fleet._cond:
-            self._windows.update(windows)
-            self._stale.update(windows)
-
-    def reset_workers(self) -> None:
-        """Invalidate every window this tenant ever dispatched — the
-        whole-state mutation signal, scoped to the tenant so other
-        tenants' warm segments survive."""
-        if self._released:
-            return
-        with self._fleet._cond:
-            self._stale.update(self._windows)
 
     def release_windows(self, windows: Sequence[int]) -> None:
         if self._released:
@@ -458,7 +443,6 @@ class ShardFleet:
             self._inflight.pop(session_id, None)
             self._cond.notify_all()
         lease._windows.clear()
-        lease._stale.clear()
         logger.debug("ShardFleet: released session %d", session_id)
 
     # -- executor-spec compatibility ------------------------------------
@@ -477,9 +461,7 @@ class ShardFleet:
         ties break by arrival order.  The batch itself runs outside the
         lock (other submitters keep queueing), bracketed by one inner
         block snapshot whose delta the owning lease absorbs — every
-        recovery and data-movement counter lands on that tenant.  The
-        windows the tenant invalidated since its last batch are marked
-        stale on the inner backend first, inside the same bracket.
+        recovery and data-movement counter lands on that tenant.
         """
         config = self.config
         session_id = lease.session_id
@@ -509,13 +491,9 @@ class ShardFleet:
             inner = self._inner_executor()
             self.dispatch_count += 1
             self.dispatch_log.append((session_id, deadline))
-            stale = [lease.namespaced(w) for w in sorted(lease._stale)]
-            lease._stale.clear()
         try:
             before = inner.stats.snapshot()
             try:
-                if stale:
-                    inner.invalidate_windows(stale)
                 return inner.run(units)
             finally:
                 lease.stats.absorb(inner.stats.delta(before))

@@ -67,6 +67,9 @@ class WeakShardState:
     def run_unit(self, unit: WorkUnit):
         return self._state().run_unit(unit)
 
+    def window_version(self, window: int) -> int:
+        return self._state().window_version(window)
+
     def shm_export_window(self, window: int):
         return self._state().shm_export_window(window)
 
@@ -310,21 +313,6 @@ class WindowScheduler:
             "arena_launches": 1,
             "arena_units_fused": {len(members): 1},
             "arena_bytes_viewed": nodes * _ARENA_NODE_BYTES})
-
-    def reset_workers(self) -> None:
-        """Mark worker-visible state stale; the executor stays warm.
-
-        See :meth:`repro.runtime.executor.Executor.reset_workers` — used
-        by streaming state owners after in-place state mutation.
-        """
-        self.executor.reset_workers()
-
-    def invalidate_windows(self, windows: Sequence[int]) -> None:
-        """Mark only *windows*' worker-visible state stale; see
-        :meth:`repro.runtime.executor.Executor.invalidate_windows` —
-        the per-window refinement streaming state owners use when they
-        know exactly which windows' state changed."""
-        self.executor.invalidate_windows(windows)
 
     def close(self) -> None:
         """Shut down the executor backend (idempotent)."""

@@ -17,13 +17,14 @@ pipe:
   rebuild the tree zero-copy (:meth:`repro.spatial.kdtree.KDTree.from_arrays`),
   caching the reconstruction per ``(segment, version)``; they never
   read the shard state itself.
-- **Invalidation is a version bump, not a teardown.**
-  ``reset_workers`` / ``invalidate_windows`` mark registry entries
-  stale; the next batch re-exports only the stale windows' arrays — in
-  place when the new tree fits the existing segment — while worker
-  processes stay alive (``RuntimeStats.forks_avoided`` counts the slots
-  that survived).  Clean windows' segments are never rewritten, so a
-  warm frame ships zero state bytes.
+- **A segment follows its window's content version.**  Each registry
+  entry records the ``window_version(window)`` it was exported at; a
+  batch re-exports a window exactly when the state's version differs —
+  in place when the new tree fits the existing segment — while worker
+  processes stay alive (``RuntimeStats.forks_avoided`` counts the live
+  slots refreshed this way).  Equal versions mean bit-identical
+  coordinates, so clean windows' segments are never rewritten and a
+  warm frame ships zero state bytes; no caller has to say what changed.
 - **Units and results ride per-slot channels.**  A dispatch message
   carries the :class:`~repro.runtime.executor.WorkUnit` itself (query
   block, row map, params) plus the descriptor(s) of the window
@@ -41,11 +42,15 @@ pipe:
   through that slot's result pipe; the parent adopts them and exports
   the window's segment on the next query batch.
 
-The shard state must expose ``shm_export_window(window) -> (points,
-axis, left, right, point_index, root)`` (see
-:meth:`repro.spatial.neighbors.ChunkedIndex.shm_export_window`).  A
-batch that cannot be staged — a state without that method, or a full
-``/dev/shm`` — steps down the degradation ladder, exactly like a unit
+The shard state must expose ``window_version(window) -> int`` and
+``shm_export_window(window) -> (points, axis, left, right, point_index,
+root)`` (see :meth:`repro.spatial.neighbors.ChunkedIndex.window_version`
+and :meth:`~repro.spatial.neighbors.ChunkedIndex.shm_export_window`).
+Versions must be unique process-wide for a given content and the tree
+build deterministic, so a worker's cached tree for ``(segment,
+version)`` stays valid whenever the segment holds that version again.
+A batch that cannot be staged — a state without either method, or a
+full ``/dev/shm`` — steps down the degradation ladder, exactly like a unit
 that exhausted its retries.  Either way, and also — with a logged
 warning — when the ``fork`` start method is unavailable, the worker
 count resolves to ≤ 1, or forking fails at runtime, the pool runs inline
@@ -104,10 +109,9 @@ _DEAD_INBOX_DRAIN_S = 0.05
 #: result a custom shard state might return.
 _PENDING = object()
 
-#: Process-global counters keeping segment names / registry versions
-#: unique across pools (a respawned pool must never reuse a live name).
+#: Process-global counter keeping segment names unique across pools
+#: (a respawned pool must never reuse a live name).
 _SEGMENT_COUNTER = itertools.count()
-_REGISTRY_VERSION = itertools.count(1)
 
 
 def _segment_name(window: int) -> str:
@@ -161,7 +165,8 @@ def _tree_views(buf, n: int):
 
 @dataclass
 class _WindowSegment:
-    """Registry entry: one window's live shared tree segment."""
+    """Registry entry: one window's live shared tree segment, holding
+    the tree of the window's content version ``version``."""
 
     name: str
     shm: shared_memory.SharedMemory
@@ -187,8 +192,11 @@ def _worker_tree(cache: Dict[int, tuple], descriptor, window: int
     """Attach (or reuse) the tree a descriptor names, worker-side.
 
     The cache is keyed by window and invalidated on any name/version
-    change, so an in-place re-export (same segment, bumped version)
-    rebuilds the views while a clean window costs a dict hit.
+    change, so an in-place re-export (same segment, new version)
+    rebuilds the views while a clean window costs a dict hit.  A
+    version names one coordinate content and builds are deterministic,
+    so a cached tree is valid again whenever its segment holds its
+    version again (a rolled-back window re-exported in place).
     """
     name, version, n_points, root = descriptor
     record = cache.get(window)
@@ -368,7 +376,7 @@ class ShmShardPool(Executor):
 
     ``RuntimeStats`` accounting: ``state_bytes_shipped`` (segment
     bytes written; clean windows ship nothing), ``forks_avoided``
-    (worker slots that survived an invalidation as a version bump) and
+    (live worker slots whose windows' segments a batch refreshed) and
     ``segments_live`` (registry gauge), plus the recovery counters
     every backend keeps.
     """
@@ -394,8 +402,6 @@ class ShmShardPool(Executor):
         self.spawn_count = 0
         #: window id -> live segment record (the versioned registry).
         self._segments: Dict[int, _WindowSegment] = {}
-        #: windows whose segment content no longer matches the state.
-        self._stale: Set[int] = set()
         _LIVE_POOLS.add(self)
         if "fork" not in multiprocessing.get_all_start_methods():
             self._fall_back("the 'fork' start method is unavailable")
@@ -538,30 +544,41 @@ class ShmShardPool(Executor):
 
     # -- batch staging --------------------------------------------------
     def _stage_batch(self, units: Sequence[WorkUnit]) -> List[tuple]:
-        """Export stale window segments and build the dispatch messages.
+        """Export out-of-date window segments and build the dispatch
+        messages.
 
         Runs entirely in the parent before any dispatch: each window's
         tree segment is refreshed at most once (in place when the new
         layout fits).  Returns one ``(unit, tree descriptors)`` message
         per unit, one descriptor per entry of ``unit.windows`` — none
         for a ``build`` unit, which reads no tree and stages nothing.
+        Live worker slots whose windows were refreshed count as
+        ``forks_avoided``.
         """
-        return [(unit, () if unit.kind == "build" else
-                 tuple(self._export_window(w).descriptor
-                       for w in unit.windows))
-                for unit in units]
+        refreshed: Set[int] = set()
+        messages = [(unit, () if unit.kind == "build" else
+                     tuple(self._export_window(w, refreshed).descriptor
+                           for w in unit.windows))
+                    for unit in units]
+        self.stats.forks_avoided += self._surviving_slots(refreshed)
+        return messages
 
-    def _export_window(self, window: int) -> _WindowSegment:
-        """Refresh (or create) *window*'s segment from the live state.
+    def _export_window(self, window: int,
+                       refreshed: Set[int]) -> _WindowSegment:
+        """*window*'s segment, exported at the state's content version.
 
-        Clean windows return their registry entry untouched — zero
-        bytes move.  Stale windows are rewritten in place when the new
-        tree fits the existing segment, else into a fresh segment (the
-        old one is unlinked; workers re-attach by name).
+        A segment already at ``window_version(window)`` is returned
+        untouched — zero bytes move.  Otherwise the window's tree is
+        written in place when it fits the existing segment, else into a
+        fresh segment (the old one is unlinked; workers re-attach by
+        name); a window that had a segment adds its slot to *refreshed*.
         """
         record = self._segments.get(window)
-        if record is not None and window not in self._stale:
-            return record
+        version = self._state.window_version(window)
+        if record is not None:
+            if record.version == version:
+                return record
+            refreshed.add(window % self._n_workers)
         points, axis, left, right, pidx, root = \
             self._state.shm_export_window(window)
         n = len(points)
@@ -581,11 +598,9 @@ class ShmShardPool(Executor):
         views[2][:] = left
         views[3][:] = right
         views[4][:] = pidx
-        record = _WindowSegment(name=name, shm=shm,
-                                version=next(_REGISTRY_VERSION),
+        record = _WindowSegment(name=name, shm=shm, version=version,
                                 n_points=n, root=int(root))
         self._segments[window] = record
-        self._stale.discard(window)
         self.stats.state_bytes_shipped += size
         self.stats.segments_live = len(self._segments)
         return record
@@ -765,30 +780,13 @@ class ShmShardPool(Executor):
             results[seq] = value
         return results
 
-    # -- invalidation as version bumps ---------------------------------
+    # -- segment registry -----------------------------------------------
     def _surviving_slots(self, slots) -> int:
-        """Live workers among *slots*: the forks an invalidation did
+        """Live workers among *slots*: the forks a segment refresh did
         not need."""
         if self._procs is None:
             return 0
         return sum(1 for slot in slots if self._procs[slot] is not None)
-
-    def reset_workers(self) -> None:
-        """Mark the whole registry stale; workers stay resident.
-
-        The state owner mutated in place: every window re-exports from
-        the live state on its next dispatch, but no slot is torn down.
-        """
-        self._stale.update(self._segments)
-        self.stats.forks_avoided += self._surviving_slots(
-            range(self._n_workers))
-
-    def invalidate_windows(self, windows: Sequence[int]) -> None:
-        """Version-bump only *windows*; no worker slot is stopped."""
-        touched = {int(w) for w in windows}
-        self._stale.update(touched & set(self._segments))
-        self.stats.forks_avoided += self._surviving_slots(
-            {w % self._n_workers for w in touched})
 
     def release_windows(self, windows: Sequence[int]) -> None:
         """Retire *windows* for good: unlink their segments **now**.
@@ -803,14 +801,13 @@ class ShmShardPool(Executor):
             record = self._segments.pop(window, None)
             if record is not None:
                 self._unlink_one(record)
-            self._stale.discard(window)
         self.stats.segments_live = len(self._segments)
 
     def fusion_slot(self, window: int) -> Optional[int]:
         """Window affinity is ``window % n_workers``; fusing within one
         affinity stripe keeps every window's units on its pinned slot,
-        so invalidation and the ticket protocol see fused units exactly
-        like per-window ones."""
+        so staging and the ticket protocol see fused units exactly like
+        per-window ones."""
         if self._serial is not None:
             return self._serial.fusion_slot(window)
         return int(window) % self._n_workers
@@ -831,7 +828,6 @@ class ShmShardPool(Executor):
         for record in self._segments.values():
             self._unlink_one(record)
         self._segments.clear()
-        self._stale.clear()
         self.stats.segments_live = 0
 
     def close(self) -> None:

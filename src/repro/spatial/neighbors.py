@@ -355,22 +355,21 @@ class ChunkedIndex:
 
     The chunk→window LUT, per-window membership, and per-window kd-trees
     are computed eagerly whenever chunk membership is set — at
-    construction, and on :meth:`reassign_points` / :meth:`set_assignment`
-    / :meth:`invalidate`, which also tear the runtime down so worker
-    state can never go stale.  Every tree comes from one build step
-    (:meth:`_build_trees`), which runs each window's build as a
-    ``build`` work unit on the selected backend, so routing and
-    dispatch only ever read finished state.  A construction whose build
-    fails closes the runtime it started and re-raises; the exception
-    carries that runtime's counter block as ``runtime_stats``, the only
-    record of the recovery work the failed attempt did.  Frame streams
-    use :meth:`update_frame` instead: it detects the *dirty* windows (those
-    whose member coordinates actually moved), rebuilds only them, and
-    invalidates only their workers.  Every window carries a coordinate
-    content *version* (:meth:`window_version`); attaching a
+    construction, and on :meth:`update_frame`.  Every tree comes from
+    one build step (:meth:`_build_trees`), which runs each window's
+    build as a ``build`` work unit on the selected backend, so routing
+    and dispatch only ever read finished state.  A construction whose
+    build fails closes the runtime it started and re-raises; the
+    exception carries that runtime's counter block as
+    ``runtime_stats``, the only record of the recovery work the failed
+    attempt did.  :meth:`update_frame` detects the *dirty* windows
+    (those whose member coordinates actually moved) and rebuilds only
+    them.  Every window carries a coordinate content *version*
+    (:meth:`window_version`), the one staleness signal: attaching a
     :class:`WindowResultCache` as :attr:`result_cache` replays batch
     results for (unchanged window, identical query block, identical
-    parameters) work units without traversal.
+    parameters) work units without traversal, and the shm pool
+    re-exports a window's segment exactly when its version changed.
     """
 
     def __init__(self, positions: np.ndarray,
@@ -532,41 +531,11 @@ class ChunkedIndex:
         a *clean* window's version, and a rotation-reused tree carries
         its source window's version along).  Equal versions therefore
         guarantee bit-identical window coordinates — the fingerprint the
-        cross-frame :class:`WindowResultCache` keys on.
+        cross-frame :class:`WindowResultCache` keys on, and the
+        shard-state protocol's staleness signal: the shm pool
+        re-exports a window's segment exactly when this changed.
         """
         return self._versions[window]
-
-    def invalidate(self) -> None:
-        """Shut down the runtime and rebuild all window state.
-
-        Any executor workers (and their shared-memory window segments)
-        are shut down; membership, the LUT and every tree are rebuilt
-        from the current chunk assignment, through a fresh runtime.
-        """
-        self.close()
-        self._rebuild(self.positions, self.assignment, self.windows)
-
-    def reassign_points(self, point_ids: np.ndarray,
-                        chunk_ids: np.ndarray) -> None:
-        """Move points to new chunks, rebuilding all window state."""
-        point_ids = np.atleast_1d(np.asarray(point_ids, dtype=np.int64))
-        chunk_ids = np.atleast_1d(np.asarray(chunk_ids, dtype=np.int64))
-        if point_ids.size and (point_ids.min() < 0
-                               or point_ids.max() >= len(self.positions)):
-            raise ValidationError("point_ids out of range")
-        assignment = self.assignment.copy()
-        assignment[point_ids] = chunk_ids
-        self.close()
-        self._rebuild(self.positions, assignment, self.windows)
-
-    def set_assignment(self, chunk_assignment: np.ndarray) -> None:
-        """Replace the chunk assignment wholesale (rebuilds all window
-        state)."""
-        chunk_assignment = np.asarray(chunk_assignment, dtype=np.int64)
-        if chunk_assignment.shape != (len(self.positions),):
-            raise ValidationError("one chunk id per point required")
-        self.close()
-        self._rebuild(self.positions, chunk_assignment, self.windows)
 
     def update_frame(self, positions: np.ndarray,
                      chunk_assignment: np.ndarray,
@@ -574,16 +543,15 @@ class ChunkedIndex:
                      ) -> bool:
         """Ingest a new frame of the same stream; reuse what still holds.
 
-        The warm path of :class:`repro.streaming.StreamSession`: unlike
-        :meth:`set_assignment` (which tears the whole runtime down),
-        this keeps the :class:`~repro.runtime.scheduler.WindowScheduler`
-        — and any live worker pool — alive for the session's lifetime
-        and only asks the executor to mark the changed windows stale
-        (the shm pool re-exports their segments on the next batch; the
-        serial backend reads live state and keeps running untouched).
-        Every tree the frame needs is built before this call returns,
-        through the one build step (:meth:`_build_trees`): routing and
-        dispatch only read state.
+        The warm path of :class:`repro.streaming.StreamSession`: it
+        keeps the :class:`~repro.runtime.scheduler.WindowScheduler` —
+        and any live worker pool — alive for the session's lifetime.
+        The executor learns what changed from :meth:`window_version`
+        alone (the shm pool re-exports a window's segment on its next
+        batch when the version moved; the serial backend reads live
+        state).  Every tree the frame needs is built before this call
+        returns, through the one build step (:meth:`_build_trees`):
+        routing and dispatch only read state.
 
         When the new frame's chunk occupancy matches the previous
         frame's (same point count, identical chunk assignment, same
@@ -595,17 +563,19 @@ class ChunkedIndex:
         rebuilt, as ``build`` units on the session's executor (on
         ``shm``, each in the worker that owns the window's slot).  Clean
         windows keep their kd-tree objects, content versions, and — on
-        the shm backend — their shared-memory segments
-        (:meth:`~repro.runtime.scheduler.WindowScheduler.invalidate_windows`
-        marks only the dirty windows stale).  A dirty window whose
-        new coordinates are *identical* to some previous window's (the
+        the shm backend — their shared-memory segments, which only a
+        changed version re-exports.  A dirty window whose new
+        coordinates are *identical* to some previous window's (the
         rolling-stream case: a sliding frame advancing by whole chunks
         shifts window ``w``'s content into window ``w - 1``) reuses that
-        window's tree object — and content version — outright.  Tree
-        construction is a deterministic function of the coordinates, so
-        both reuse paths are bit-exact.  When occupancy changed,
-        membership and the LUT are recomputed and every window is
-        rebuilt.  Returns ``True`` when the occupancy fast path fired;
+        window's tree object — and content version — outright, so its
+        own segment re-exports with that content.  Tree construction is
+        a deterministic function of the coordinates, so both reuse paths
+        are bit-exact.  When occupancy changed, membership and the LUT
+        are recomputed and every window is rebuilt (under a
+        content-addressed cache, a rebuilt window with unchanged
+        coordinates keeps its version and its segment).  Returns
+        ``True`` when the occupancy fast path fired;
         :attr:`last_clean_windows` / :attr:`last_dirty_windows` record
         the dirty split and :attr:`last_reused_trees` counts
         rotation-reused trees.
@@ -625,17 +595,10 @@ class ChunkedIndex:
             and new_windows == self.windows
             and np.array_equal(chunk_assignment, self.assignment))
         self.last_reused_trees = 0
-        # Worker state is marked stale before the build, so a fleet
-        # lease, which applies stale marks with its next batch, applies
-        # them with this frame's builds.  A build that fails leaves the
-        # old trees, which re-export unchanged.
         if same_occupancy:
             # Membership pattern unchanged — the LUT / members survive,
             # and only windows whose member coordinates moved rebuild.
             dirty = self._dirty_windows(positions)
-            dirty_ids = [int(w) for w in np.nonzero(dirty)[0]]
-            if self._scheduler is not None and dirty_ids:
-                self._scheduler.invalidate_windows(dirty_ids)
             trees, versions = self._build_trees(
                 positions, self._members, dirty, self._trees,
                 self._versions)
@@ -643,12 +606,10 @@ class ChunkedIndex:
             self.assignment = chunk_assignment
             self._trees = trees
             self._versions = versions
-            self.last_dirty_windows = len(dirty_ids)
+            self.last_dirty_windows = int(dirty.sum())
             self.last_clean_windows = \
                 len(new_windows) - self.last_dirty_windows
         else:
-            if self._scheduler is not None:
-                self._scheduler.reset_workers()
             self._rebuild(positions, chunk_assignment, new_windows)
             self.last_clean_windows = 0
             self.last_dirty_windows = len(new_windows)
@@ -783,12 +744,11 @@ class ChunkedIndex:
 
     def restore_state(self, snapshot: dict) -> None:
         """Reinstate a :meth:`snapshot_state` capture after a failed
-        frame, dropping any worker-held state shipped in between (the
-        scheduler itself — and its counter block — stay warm)."""
+        frame.  The scheduler — and its counter block — stay warm; the
+        restored content versions tell the shm pool which segments the
+        failed frame changed, and only those re-export."""
         for name in self._SNAPSHOT_ATTRS:
             setattr(self, name, snapshot[name])
-        if self._scheduler is not None:
-            self._scheduler.reset_workers()
 
     def close(self) -> None:
         """Shut down any live executor workers (idempotent)."""

@@ -14,9 +14,9 @@ frame over frame:
   :class:`~repro.runtime.scheduler.WindowScheduler` (and any worker
   pool) lives for the whole session; frames arrive through
   :meth:`~repro.spatial.neighbors.ChunkedIndex.update_frame`, which
-  only asks the executor to mark the changed windows stale (the shm
-  pool re-exports just those windows' segments on the next batch, its
-  workers still running);
+  gives a changed window a new content version and keeps a clean
+  window's (the shm pool re-exports just the windows whose version
+  moved on the next batch, its workers still running);
 * **drift-gated deadline calibration** — the termination deadline is
   profiled on frame 0 (uncapped traversals through the session's own
   windowed trees) and re-profiled only when a cheap per-frame drift

@@ -332,54 +332,6 @@ def test_config_rejects_unknown_executor():
 
 
 # ----------------------------------------------------------------------
-# Lazy LUT / membership invalidation (satellite: stale-state guard)
-# ----------------------------------------------------------------------
-def test_chunk_membership_mutation_invalidates_lut(rng):
-    pts = rng.uniform(0, 1, size=(120, 3))
-    grid = ChunkGrid.fit(pts, (3, 3, 1))
-    assignment = grid.assign(pts)
-    windows = chunk_windows((3, 3, 1), (2, 2, 1))
-    index = ChunkedIndex(pts, assignment, windows)
-    queries = pts[::8]
-    query_chunks = grid.assign(queries)
-    index.query_knn_batch(queries, query_chunks, 4)    # builds the caches
-
-    moved = np.arange(0, len(pts), 3)
-    new_assignment = assignment.copy()
-    new_assignment[moved] = 0
-    index.reassign_points(moved, np.zeros(len(moved), dtype=np.int64))
-    fresh = ChunkedIndex(pts, new_assignment, windows)
-    got = index.query_knn_batch(queries, query_chunks, 4)
-    want = fresh.query_knn_batch(queries, query_chunks, 4)
-    _assert_batches_equal(got, want)
-    # Membership caches match a from-scratch isin rebuild.
-    for widx, window in enumerate(windows):
-        ref = np.nonzero(np.isin(new_assignment, window.chunk_ids))[0]
-        np.testing.assert_array_equal(index._members[widx], ref)
-
-
-def test_set_assignment_validates_and_invalidates(rng):
-    pts = rng.uniform(0, 1, size=(60, 3))
-    grid = ChunkGrid.fit(pts, (3, 3, 1))
-    windows = chunk_windows((3, 3, 1), (2, 2, 1))
-    index = ChunkedIndex(pts, grid.assign(pts), windows)
-    with pytest.raises(ValidationError):
-        index.set_assignment(np.zeros(10, dtype=np.int64))
-    with pytest.raises(ValidationError):
-        index.reassign_points(np.array([len(pts)]), np.array([0]))
-    trees_before = list(index._trees)
-    index.set_assignment(np.zeros(len(pts), dtype=np.int64))
-    # Rebuilt at once: no tree of the old assignment survives.
-    assert not any(tree is old for tree, old in zip(index._trees,
-                                                    trees_before)
-                   if tree is not None)
-    # Chunk 0 now owns every point; its serving window sees all of them.
-    widx = index.window_for_chunk(0)
-    assert len(index._members[widx]) == len(pts)
-    assert len(index._trees[widx]) == len(pts)
-
-
-# ----------------------------------------------------------------------
 # Shared-memory backend specifics (zero-copy state, segment hygiene)
 # ----------------------------------------------------------------------
 def _windowed_index(pts, backend, **kwargs):
