@@ -11,7 +11,7 @@ Drives N concurrent :class:`repro.streaming.StreamSession` tenants
   transport): one supervised worker set serves all tenants, window ids
   namespaced per session, cross-tenant dispatch EDF-ordered by each
   tenant's pinned deadline, and the process-global result cache shared
-  (``cache_scope="auto"``).
+  (every fleet session attaches it).
 
 Both sides run the *same* single-threaded round-robin driver (tenant 0
 frame 0, tenant 1 frame 0, …, tenant 0 frame 1, …) so the comparison

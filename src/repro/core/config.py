@@ -129,16 +129,14 @@ class StreamingSessionConfig:
     ``cache_max_entries`` bounds the cache with LRU eviction; entries
     are compact (int32 window-local indices plus per-row counters,
     distances recomputed on a hit).
-    ``cache_scope`` selects the cache instance: ``"session"`` gives the
-    session a private cache, ``"shared"`` attaches the process-global
-    cache (:func:`~repro.spatial.neighbors.shared_result_cache`) so
-    sessions streaming identical frames share entries, and ``"auto"``
-    (default) picks ``"shared"`` exactly when the session executes on
-    the multi-tenant shard fleet (``executor="fleet"`` or a
-    :class:`~repro.runtime.fleet.ShardFleet` instance) and
-    ``"session"`` for dedicated pools.  Cache keys carry window content
-    versions and query digests — never a session identity — so sharing
-    is always bit-exact.
+    A session on the multi-tenant shard fleet (``executor="fleet"`` or
+    a :class:`~repro.runtime.fleet.ShardFleet` instance) attaches the
+    process-global cache
+    (:func:`~repro.spatial.neighbors.shared_result_cache`), so sessions
+    streaming identical frames share entries; any other session gets a
+    private cache.  Cache keys carry window content versions and query
+    digests — never a session identity — so sharing is always
+    bit-exact.
 
     Fault-tolerance knobs (see
     :class:`repro.runtime.SupervisionConfig` and the degradation-ladder
@@ -167,7 +165,6 @@ class StreamingSessionConfig:
     reuse_index: bool = True
     result_cache: bool = True
     cache_max_entries: int = 256
-    cache_scope: str = "auto"
     unit_timeout: Optional[float] = None
     max_retries: int = 2
     degradation: bool = True
@@ -186,10 +183,6 @@ class StreamingSessionConfig:
             raise ValidationError(
                 "cache_max_entries must be positive, got "
                 f"{self.cache_max_entries}")
-        if self.cache_scope not in ("auto", "session", "shared"):
-            raise ValidationError(
-                "cache_scope must be 'auto', 'session', or 'shared', "
-                f"got {self.cache_scope!r}")
         if self.unit_timeout is not None and not self.unit_timeout > 0:
             raise ValidationError(
                 f"unit_timeout must be positive, got {self.unit_timeout}")

@@ -59,8 +59,8 @@ Arena fusion (one lockstep launch per batch)
 --------------------------------------------
 Fusion is always on; only a backend's ``fusion_slot`` can opt out.  The
 scheduler's window-grouped dispatch fuses compatible per-window
-units — same kind and parameters, untraced, resolving to the traverse
-engine — into single ``knn`` / ``range`` units with several
+units — same kind and parameters, untraced and deadline-capped — into
+single ``knn`` / ``range`` units with several
 ``windows``, whose queries run as *lanes* of one lockstep traversal
 over the concatenated node arrays of all member windows.  The
 interpreter's fixed numpy cost per traversal iteration is paid once
@@ -69,10 +69,11 @@ parallel traversal-unit dispatch amortized in software.  A same-slot
 group fuses only when its members hold at least
 ``_LOCKSTEP_MIN_QUERIES`` (32) queries in total — the threshold at
 which a single tree's batch engine turns lockstep — so a handful of
-lanes (a session's 16-query drift check) never pays the per-iteration
-cost.  A unit that does not fuse runs its window's own
-batch engine: a one-member arena launch at 32 or more queries, the
-scalar kernel below that.  Results are scattered
+lanes never pays the per-iteration cost.  A unit that does not fuse
+runs its window's own batch engine: a one-member arena launch at 32 or
+more capped queries, the scalar kernel below that.  Uncapped units
+(deadline profiling) never reach the arena: they run the scalar
+kernel, or the scan under ``engine="auto"``.  Results are scattered
 back per member before anyone above the scheduler sees them, and are
 **bit-equal** to per-window dispatch on every backend; the result cache
 and the retry/ticket supervision are untouched.

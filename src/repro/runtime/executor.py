@@ -151,6 +151,8 @@ class RuntimeStats:
       group batches (skew visibility for the grouping hot path).
     - ``arena_launches`` — fused arena traversals launched by the
       scheduler (each replaces ``group size`` per-window launches).
+      Only capped units fuse, so uncapped deadline profiles never
+      count here.
     - ``arena_units_fused`` — histogram ``{group size: launches}`` of
       arena fusion.
     - ``arena_bytes_viewed`` — packed node bytes the fused launches

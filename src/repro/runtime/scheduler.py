@@ -131,25 +131,21 @@ def fusion_signature(unit: WorkUnit):
     """Hashable compatibility key, or ``None`` when *unit* must not fuse.
 
     Units fuse only when an arena traversal is provably bit-equal to
-    their per-window engine resolution: untraced kNN / range units that
-    resolve to the ``"traverse"`` engine on every tree.  Capped units
-    under ``engine="auto"`` always resolve to traverse; uncapped kNN
-    only under an explicit ``engine="traverse"`` (uncapped auto may
-    pick the per-tree scan), and uncapped range units never fuse (their
-    hit buffers are unbounded).  The key folds in the full parameter
-    set, so fused members share k / radius / cap / max_results exactly.
+    their per-window engine resolution: untraced, deadline-capped kNN /
+    range units under the ``"auto"`` or ``"traverse"`` engine (a capped
+    unit always resolves to traverse).  The arena serves capped lanes
+    only, so an uncapped unit runs its own window's engine, and a
+    capped ``"scan"`` unit is left to raise there.  The key folds in
+    the full parameter set, so fused members share k / radius / cap /
+    max_results exactly.
     """
     if unit.kind not in ("knn", "range"):
         return None
     params = unit.params
-    if params.get("record_traces"):
+    if params.get("record_traces") or params.get("max_steps") is None:
         return None
-    engine = params.get("engine", "auto")
-    if engine not in ("auto", "traverse"):
+    if params.get("engine", "auto") not in ("auto", "traverse"):
         return None
-    if params.get("max_steps") is None:
-        if unit.kind == "range" or engine != "traverse":
-            return None
     try:
         return (unit.kind, tuple(sorted(params.items())))
     except TypeError:

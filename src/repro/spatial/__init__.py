@@ -16,14 +16,9 @@ from repro.spatial.kdtree import (
     nearest_point_indices,
 )
 from repro.spatial.neighbors import (
-    BatchResult,
     ChunkedIndex,
     WindowResultCache,
     WindowedOp,
-    chunked_knn_search,
-    chunked_range_search,
-    knn_search,
-    range_search,
     reset_shared_result_cache,
     shared_result_cache,
 )
@@ -48,14 +43,9 @@ __all__ = [
     "brute_force_knn",
     "brute_force_range",
     "nearest_point_indices",
-    "BatchResult",
     "ChunkedIndex",
     "WindowResultCache",
     "WindowedOp",
-    "chunked_knn_search",
-    "chunked_range_search",
-    "knn_search",
-    "range_search",
     "reset_shared_result_cache",
     "shared_result_cache",
     "SortStats",

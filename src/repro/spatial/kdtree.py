@@ -19,13 +19,15 @@ Batched engine (the grouping hot path)
 ``(Q, 3)`` query block at once, filling preallocated ``(Q, k)`` index /
 distance arrays.  Two engines back them:
 
-* ``"traverse"`` — the canonical node-by-node search.  Untraced
-  batches of at least ``_LOCKSTEP_MIN_QUERIES`` queries run as a
-  one-member :class:`TraversalArena` launch, whose *lockstep* kernel
-  advances every query's explicit traversal stack together with numpy
-  array operations per iteration (uncapped kNN through the arena's cap
-  doubling); smaller or traced batches run a scalar inner loop over
-  packed Python tuples (no per-node numpy boxing).  Either way, ``indices``,
+* ``"traverse"`` — the canonical node-by-node search.  Untraced,
+  deadline-capped batches of at least ``_LOCKSTEP_MIN_QUERIES`` queries
+  run as a one-member :class:`TraversalArena` launch, whose *lockstep*
+  kernel advances every query's explicit traversal stack together with
+  numpy array operations per iteration; uncapped, smaller or traced
+  batches run a scalar inner loop over packed Python tuples (no
+  per-node numpy boxing).  Uncapped traversals only profile the
+  deadline, a few hundred queries per tree at most, where the scalar
+  kernel beats a lockstep launch.  Either way, ``indices``,
   ``distances``, ``steps``, ``trace`` and ``terminated`` are
   *identical* to the per-query :meth:`knn` / :meth:`range_search` path:
   step accounting is the paper's core contribution and must not drift
@@ -581,10 +583,11 @@ class KDTree:
 
         With the traversal engine the per-row results (including ``steps``
         and ``terminated``) are identical to calling :meth:`knn` per
-        query, whether the batch runs on the scalar kernel or — untraced
-        and at least ``_LOCKSTEP_MIN_QUERIES`` rows — as a one-member
-        :class:`TraversalArena` launch; the scan engine returns the same
-        neighbours as the uncapped traversal with ``steps = len(tree)``.
+        query, whether the batch runs on the scalar kernel or — capped,
+        untraced and at least ``_LOCKSTEP_MIN_QUERIES`` rows, the rule of
+        :meth:`range_batch` — as a one-member :class:`TraversalArena`
+        launch; the scan engine returns the same neighbours as the
+        uncapped traversal with ``steps = len(tree)``.
         """
         queries = self._check_queries(queries)
         if k <= 0:
@@ -612,10 +615,8 @@ class KDTree:
             steps[:] = n
             return BatchQueryResult(indices, distances, counts, steps,
                                     terminated)
-        if not record_traces and n_queries >= _LOCKSTEP_MIN_QUERIES:
-            # Untraced traversal, capped or not (the uncapped one is
-            # the calibration profile path): a one-member arena launch,
-            # bit-equal to the scalar kernel including step counts.
+        if (max_steps is not None and not record_traces
+                and n_queries >= _LOCKSTEP_MIN_QUERIES):
             return TraversalArena((self,)).knn_fused(
                 queries, (n_queries,), k_eff, max_steps)[0]
         traces: Optional[List[List[int]]] = [] if record_traces else None
@@ -1089,9 +1090,11 @@ class TraversalArena:
     :class:`BatchQueryResult` per member, **bit-equal** to running that
     member's queries through its own tree's batch engine with the same
     parameters — indices, distances, counts, steps and terminated flags
-    alike.  The arena is the only lockstep driver: a single tree's
-    untraced batches of ``_LOCKSTEP_MIN_QUERIES`` or more queries run
-    as one-member launches.
+    alike.  The arena serves deadline-capped lanes only: the step cap
+    bounds every lane's stack (and a range lane's hit buffer).  It is
+    the only lockstep driver: a single tree's untraced, capped batches
+    of ``_LOCKSTEP_MIN_QUERIES`` or more queries run as one-member
+    launches.
 
     Construction gathers the member arrays once into the flat tables
     the lockstep kernels read (the sources may be zero-copy views over
@@ -1142,10 +1145,6 @@ class TraversalArena:
         self._tables = (node_x, node_y, node_z, axis, split, children,
                         pidx, bool(np.isfinite(split).all()))
 
-    def max_depth(self) -> int:
-        """Deepest member tree."""
-        return max(tree.depth() for tree in self.trees)
-
     def _stack_cap(self, cap: int) -> int:
         """Stack slots per lane.  A visit pops one entry and pushes at
         most two, and a node is stacked at most once and only while
@@ -1165,12 +1164,15 @@ class TraversalArena:
         return splits
 
     def knn_fused(self, queries: np.ndarray, splits, k: int,
-                  max_steps: Optional[int] = None
-                  ) -> List[BatchQueryResult]:
+                  max_steps: int) -> List[BatchQueryResult]:
         """Fused kNN: member *m* serves ``queries`` rows
         ``sum(splits[:m]) : sum(splits[:m+1])``; one result per member,
         bit-equal to ``trees[m].knn_batch(rows, k, max_steps=...,
-        engine="traverse")``."""
+        engine="traverse")``.
+
+        ``max_steps`` is required, as for :meth:`range_fused`: uncapped
+        kNN stays on the per-tree engines.
+        """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         splits = self._lane_layout(splits)
         if int(splits.sum()) != len(queries):
@@ -1178,49 +1180,14 @@ class TraversalArena:
                 "splits must partition the fused query block")
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
-        if max_steps is not None and max_steps <= 0:
-            raise ValidationError("max_steps must be positive when given")
+        if max_steps is None or max_steps <= 0:
+            raise ValidationError(
+                "fused kNN queries need a positive max_steps")
         member_of = np.repeat(np.arange(len(splits)), splits)
         k_member = np.minimum(int(k), self.sizes)
         k_lane = k_member[member_of]
         width = int(k_member.max())
-        if max_steps is not None:
-            out = self._knn_lanes(queries, member_of, k_lane, width,
-                                  int(max_steps))
-        else:
-            # Cap doubling.  A DFS pushes each node at most once, so a
-            # cap of max_size can never expire on any lane.  Start from
-            # a cheap optimistic cap and rerun only the lanes that hit
-            # it at double the cap: every lane's final results and step
-            # counts come from a run whose cap never fired, which is
-            # exactly the canonical uncapped traversal.
-            cap = min(self.max_size,
-                      max(64, 2 * (self.max_depth() + int(k))))
-            out = self._knn_lanes(queries, member_of, k_lane, width, cap)
-            indices, distances, counts, steps, terminated = out
-            while terminated.any() and cap < self.max_size:
-                cap = min(self.max_size, 2 * cap)
-                redo = np.nonzero(terminated)[0]
-                sub = self._knn_lanes(queries[redo], member_of[redo],
-                                      k_lane[redo], width, cap)
-                (indices[redo], distances[redo], counts[redo],
-                 steps[redo], terminated[redo]) = sub
-        indices, distances, counts, steps, terminated = out
-        results: List[BatchQueryResult] = []
-        start = 0
-        for m, n_rows in enumerate(splits):
-            stop = start + int(n_rows)
-            k_w = int(k_member[m])
-            results.append(BatchQueryResult(
-                indices[start:stop, :k_w].copy(),
-                distances[start:stop, :k_w].copy(),
-                counts[start:stop].copy(), steps[start:stop].copy(),
-                terminated[start:stop].copy()))
-            start = stop
-        return results
-
-    def _knn_lanes(self, queries: np.ndarray, member_of: np.ndarray,
-                   k_lane: np.ndarray, width: int, cap: int):
+        cap = int(max_steps)
         n_queries = len(queries)
         stack_cap = self._stack_cap(cap)
         indices = np.full((n_queries, width), -1, dtype=np.int64)
@@ -1239,7 +1206,18 @@ class TraversalArena:
             (indices[start:stop], distances[start:stop],
              counts[start:stop], steps[start:stop],
              terminated[start:stop]) = out
-        return indices, distances, counts, steps, terminated
+        results: List[BatchQueryResult] = []
+        start = 0
+        for m, n_rows in enumerate(splits):
+            stop = start + int(n_rows)
+            k_w = int(k_member[m])
+            results.append(BatchQueryResult(
+                indices[start:stop, :k_w].copy(),
+                distances[start:stop, :k_w].copy(),
+                counts[start:stop].copy(), steps[start:stop].copy(),
+                terminated[start:stop].copy()))
+            start = stop
+        return results
 
     def range_fused(self, queries: np.ndarray, splits, radius: float,
                     max_steps: int,

@@ -1,19 +1,18 @@
-"""High-level neighbour-search APIs: exact, capped, and chunk-windowed.
+"""Chunk-windowed neighbour search: :class:`ChunkedIndex`.
 
-These functions are the bridge between the raw spatial structures and the
-paper's two techniques:
+:class:`ChunkedIndex` holds per-window kd-trees over a chunk partition
+of a point cloud (the paper's compulsory splitting, **CS**) and answers
+kNN and ball queries against them, optionally step-capped
+(deterministic termination, **DT**); the unsplit **Base** behaviour is
+a one-window index.  It is the one windowed search entry: splitters,
+grouping contexts and streaming sessions all query through it.  The
+paper's Fig. 6 chunk-access count lives in
+:func:`repro.core.splitting.count_accessed_chunks`.
 
-* :func:`knn_search` / :func:`range_search` — canonical global searches
-  (the **Base** behaviour), optionally step-capped (**DT**).
-* :func:`chunked_knn_search` / :func:`chunked_range_search` — searches
-  restricted to a stencil window of chunks (**CS**), with per-query
-  accessed-chunk accounting (reproduces Fig. 6).
-
-All four run on the batched engine of :mod:`repro.spatial.kdtree`:
-queries are dispatched as whole blocks, and :class:`ChunkedIndex` buckets
-a batch by serving window once, answers each window's sub-batch in a
-single call, and scatters results back in input order.  Per-window
-execution is delegated to the window-shard runtime
+:class:`ChunkedIndex` buckets a batch by serving window once, answers
+each window's sub-batch in a single call to the batched engine of
+:mod:`repro.spatial.kdtree`, and scatters results back in input order.
+Per-window execution is delegated to the window-shard runtime
 (:mod:`repro.runtime`): the index emits one
 :class:`~repro.runtime.executor.WorkUnit` per serving window and a
 :class:`~repro.runtime.scheduler.WindowScheduler` runs them on the
@@ -45,61 +44,10 @@ from repro.runtime import (
     WorkUnit,
     run_tree_unit,
 )
-from repro.spatial.grid import ChunkGrid, ChunkWindow
+from repro.spatial.grid import ChunkWindow
 from repro.spatial.kdtree import BatchQueryResult, KDTree, QueryResult
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    """Results of a batch of queries."""
-
-    indices: List[np.ndarray]      # per-query neighbour index arrays
-    distances: List[np.ndarray]    # per-query distances
-    steps: np.ndarray              # per-query traversal steps
-    terminated: np.ndarray         # per-query deadline flags
-    accessed_chunks: Optional[np.ndarray] = None   # per-query chunk counts
-
-
-def _to_batch_result(result: BatchQueryResult,
-                     accessed: Optional[np.ndarray] = None) -> BatchResult:
-    """Trim a padded (Q, C) batch into the per-query-list BatchResult."""
-    counts = result.counts
-    indices = [result.indices[i, :counts[i]] for i in range(len(counts))]
-    distances = [result.distances[i, :counts[i]] for i in range(len(counts))]
-    return BatchResult(indices, distances, result.steps.astype(np.int64),
-                       result.terminated.astype(bool), accessed)
-
-
-def knn_search(points: np.ndarray, queries: np.ndarray, k: int,
-               max_steps: Optional[int] = None,
-               record_traces: bool = False,
-               engine: str = "auto") -> BatchResult:
-    """Batch kNN over a single kd-tree covering all *points*.
-
-    Uncapped, untraced searches may run on the vectorized scan engine
-    (which reports ``steps = len(points)``); capped or traced searches
-    always traverse, with per-query step parity.
-    """
-    tree = KDTree(points)
-    result = tree.knn_batch(queries, k, max_steps=max_steps,
-                            engine=engine, record_traces=record_traces)
-    return _to_batch_result(result)
-
-
-def range_search(points: np.ndarray, queries: np.ndarray, radius: float,
-                 max_steps: Optional[int] = None,
-                 max_results: Optional[int] = None,
-                 engine: str = "auto") -> BatchResult:
-    """Batch ball queries over a single kd-tree covering all *points*."""
-    tree = KDTree(points)
-    result = tree.range_batch(queries, radius, max_steps=max_steps,
-                              max_results=max_results, engine=engine)
-    return _to_batch_result(result)
-
-
-# ----------------------------------------------------------------------
-# Chunk-windowed (compulsory splitting) searches
-# ----------------------------------------------------------------------
 #: Window content versions are drawn from one process-wide counter so a
 #: version uniquely identifies a window's *coordinate content* across
 #: every :class:`ChunkedIndex` instance ever built — a result cache
@@ -275,7 +223,7 @@ def shared_result_cache() -> WindowResultCache:
     """The process-global :class:`WindowResultCache`.
 
     Streaming sessions executing on the multi-tenant shard fleet attach
-    this cache by default (``cache_scope="auto"`` in
+    this cache (with ``result_cache`` on in
     :class:`repro.core.config.StreamingSessionConfig`): window content
     versions are process-unique, so sessions streaming identical frames
     deduplicate traversal work across tenants, bit-exactly.  Created on
@@ -308,9 +256,7 @@ class WindowedOp:
     and per-query chunk routing — independent of every other op in the
     batch, empty blocks included.  ``max_steps`` carries the op's own
     deadline (``None`` = uncapped), so capped and uncapped ops can ride
-    one dispatch.  ``accessed_out`` (a ``(Q,)`` int64 array) requests
-    per-query accessed-chunk counts and forces the traversal engine,
-    exactly like the single-op entry points.
+    one dispatch.
     """
 
     kind: str
@@ -322,7 +268,6 @@ class WindowedOp:
     max_results: Optional[int] = None
     engine: str = "auto"
     record_traces: bool = False
-    accessed_out: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("knn", "range"):
@@ -434,7 +379,7 @@ class ChunkedIndex:
                 best = window_of_chunk.get(chunk)
                 if best is None or centrality < best[0]:
                     window_of_chunk[chunk] = (centrality, widx)
-        # Flat chunk -> window LUT for vectorized query routing.
+        # Flat chunk -> window LUT (-1: uncovered), the one routing table.
         window_lut = np.full(max(window_of_chunk) + 1, -1, dtype=np.int64)
         for chunk, (_, widx) in window_of_chunk.items():
             window_lut[chunk] = widx
@@ -457,7 +402,6 @@ class ChunkedIndex:
         self.positions = positions
         self.assignment = assignment
         self.windows = windows
-        self._window_of_chunk = window_of_chunk
         self._window_lut = window_lut
         self._members = members_per_window
         self._trees = trees
@@ -723,7 +667,7 @@ class ChunkedIndex:
     # ------------------------------------------------------------------
     _SNAPSHOT_ATTRS = (
         "positions", "assignment", "windows",
-        "_window_of_chunk", "_window_lut", "_members", "_trees",
+        "_window_lut", "_members", "_trees",
         "_versions",
         "last_reused_trees", "last_clean_windows", "last_dirty_windows",
     )
@@ -796,13 +740,12 @@ class ChunkedIndex:
         ``specs`` holds ``(queries, widx, kind, params, cacheable)``
         per op.  Every op's query block is split into per-window work
         units; with a :attr:`result_cache` attached, each *cacheable*
-        unit (no trace recording — traces are dropped before caching
-        would see them) is first looked up by (window content version,
-        query digest, op kind + params) — the kind and parameters live
-        in the key, so a kNN unit can never replay a range unit's
-        result.  Hits replay without touching the executor; the
-        remaining units of **all** ops run as one executor batch ordered
-        by serving window
+        unit (no trace recording: compact entries hold no traces) is
+        first looked up by (window content version, query digest, op
+        kind + params) — the kind and parameters live in the key, so a
+        kNN unit can never replay a range unit's result.  Hits replay
+        without touching the executor; the remaining units of **all**
+        ops run as one executor batch ordered by serving window
         (:meth:`~repro.runtime.scheduler.WindowScheduler.execute_by_window`)
         and, when cacheable, are stored.  Returns one ``(unit,
         window-local result)`` pair list per op, in unit order.
@@ -842,12 +785,7 @@ class ChunkedIndex:
 
     def window_for_chunk(self, chunk: int) -> int:
         """Index of the window that serves queries living in *chunk*."""
-        try:
-            return self._window_of_chunk[chunk][1]
-        except KeyError:
-            raise ValidationError(
-                f"chunk {chunk} is not covered by any window"
-            ) from None
+        return int(self.window_of_queries(chunk)[0])
 
     def window_of_queries(self, query_chunks: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`window_for_chunk` over a chunk-id array."""
@@ -866,7 +804,7 @@ class ChunkedIndex:
 
     def covered_chunks(self) -> set:
         """All chunk ids covered by at least one window."""
-        return set(self._window_of_chunk)
+        return set(np.flatnonzero(self._window_lut >= 0).tolist())
 
     # ------------------------------------------------------------------
     # Per-query entry points (kept for callers that stream one query)
@@ -929,17 +867,6 @@ class ChunkedIndex:
             for sub, qi in enumerate(rows):
                 traces[qi] = local.traces[sub]
 
-    def _window_trace_counts(self, window: int,
-                             traces: List[List[int]]) -> np.ndarray:
-        """Distinct-chunk counts for one window's traces (Fig. 6)."""
-        tree, members = self._tree_for(window), self._members[window]
-        out = np.zeros(len(traces), dtype=np.int64)
-        for i, trace in enumerate(traces):
-            if trace:
-                visited = members[tree.point_index[np.asarray(trace)]]
-                out[i] = len(np.unique(self.assignment[visited]))
-        return out
-
     def query_mixed_batch(self, ops: Sequence[WindowedOp]
                           ) -> List[BatchQueryResult]:
         """Answer several kNN / range ops in ONE windowed dispatch.
@@ -966,18 +893,17 @@ class ChunkedIndex:
                     f"op queries must be (Q, 3), got {queries.shape}")
             widx = self.window_of_queries(op.query_chunks) \
                 if len(queries) else np.zeros(0, dtype=np.int64)
-            need_traces = op.record_traces or op.accessed_out is not None
             if op.kind == "knn":
                 params = {"k": op.k, "max_steps": op.max_steps,
                           "engine": op.engine,
-                          "record_traces": need_traces}
+                          "record_traces": op.record_traces}
             else:
                 params = {"radius": op.radius, "max_steps": op.max_steps,
                           "max_results": op.max_results,
                           "engine": op.engine,
-                          "record_traces": need_traces}
+                          "record_traces": op.record_traces}
             specs.append((queries, widx, op.kind, params,
-                          not need_traces))
+                          not op.record_traces))
             prepared.append((op, queries))
         outcomes_per_op = self._dispatch_ops(specs)
         results: List[BatchQueryResult] = []
@@ -1001,9 +927,6 @@ class ChunkedIndex:
         traces: Optional[List[List[int]]] = \
             [[] for _ in range(n_queries)] if op.record_traces else None
         for unit, local in outcomes:
-            if op.accessed_out is not None and local.traces is not None:
-                op.accessed_out[unit.rows] = self._window_trace_counts(
-                    unit.window, local.traces)
             self._scatter_window(unit.rows, self._members[unit.window],
                                  local, indices, distances, counts,
                                  steps, terminated, traces)
@@ -1015,19 +938,7 @@ class ChunkedIndex:
         """Scatter one range op's per-window results, sized to the
         widest window result (capped at ``max_results``)."""
         n_queries = len(queries)
-        accounted: List[tuple] = []
-        for unit, local in outcomes:
-            if op.accessed_out is not None and local.traces is not None:
-                op.accessed_out[unit.rows] = self._window_trace_counts(
-                    unit.window, local.traces)
-            if local.traces is not None and not op.record_traces:
-                # Chunk accounting done — drop the traces before the
-                # capacity pass so only one window's live at a time.
-                local = BatchQueryResult(local.indices, local.distances,
-                                         local.counts, local.steps,
-                                         local.terminated)
-            accounted.append((unit, local))
-        cap = max((res.indices.shape[1] for _, res in accounted),
+        cap = max((res.indices.shape[1] for _, res in outcomes),
                   default=0)
         if op.max_results is not None:
             cap = min(cap, op.max_results)
@@ -1038,7 +949,7 @@ class ChunkedIndex:
         terminated = np.zeros(n_queries, dtype=bool)
         traces: Optional[List[List[int]]] = \
             [[] for _ in range(n_queries)] if op.record_traces else None
-        for unit, local in accounted:
+        for unit, local in outcomes:
             self._scatter_window(unit.rows, self._members[unit.window],
                                  local, indices, distances, counts,
                                  steps, terminated, traces)
@@ -1049,8 +960,7 @@ class ChunkedIndex:
                         query_chunks: np.ndarray, k: int,
                         max_steps: Optional[int] = None,
                         engine: str = "auto",
-                        record_traces: bool = False,
-                        accessed_out: Optional[np.ndarray] = None
+                        record_traces: bool = False
                         ) -> BatchQueryResult:
         """Windowed kNN for a query block, results in input order.
 
@@ -1060,82 +970,24 @@ class ChunkedIndex:
         at construction.  Indices refer to the original point array;
         queries served by an empty window come back with ``counts == 0``
         and zero steps, exactly like :meth:`query_knn`.  Traces (when
-        recorded) hold *window-local* node ids.  Passing
-        ``accessed_out`` (a ``(Q,)`` int64 array) fills per-query
-        accessed-chunk counts window by window, so traces live only as
-        long as one window's batch instead of the whole query set.
+        recorded) hold *window-local* node ids.
         """
         return self.query_mixed_batch([WindowedOp(
             "knn", queries, query_chunks, k=k, max_steps=max_steps,
-            engine=engine, record_traces=record_traces,
-            accessed_out=accessed_out)])[0]
+            engine=engine, record_traces=record_traces)])[0]
 
     def query_range_batch(self, queries: np.ndarray,
                           query_chunks: np.ndarray, radius: float,
                           max_steps: Optional[int] = None,
                           max_results: Optional[int] = None,
                           engine: str = "auto",
-                          record_traces: bool = False,
-                          accessed_out: Optional[np.ndarray] = None
+                          record_traces: bool = False
                           ) -> BatchQueryResult:
         """Windowed ball queries for a query block, in input order.
 
-        Parameters match :meth:`query_knn_batch`, including the
-        window-at-a-time ``accessed_out`` chunk accounting.
+        Parameters match :meth:`query_knn_batch`.
         """
         return self.query_mixed_batch([WindowedOp(
             "range", queries, query_chunks, radius=radius,
             max_steps=max_steps, max_results=max_results, engine=engine,
-            record_traces=record_traces,
-            accessed_out=accessed_out)])[0]
-
-    def chunks_touched(self, result: QueryResult, window_index: int
-                       ) -> int:
-        """Distinct chunks whose points the traversal visited (Fig. 6)."""
-        members = self._members[window_index]
-        tree = self._tree_for(window_index)
-        if tree is None or not result.trace:
-            return 0
-        visited_points = members[tree.point_index[np.array(result.trace)]]
-        return len(np.unique(self.assignment[visited_points]))
-
-
-def chunked_knn_search(positions: np.ndarray, queries: np.ndarray, k: int,
-                       grid: ChunkGrid, windows: Sequence[ChunkWindow],
-                       max_steps: Optional[int] = None) -> BatchResult:
-    """Batch kNN under compulsory splitting (+ optional DT deadline).
-
-    Also reports per-query ``accessed_chunks`` — the count of distinct
-    chunks the traversal touched, reproducing the Fig. 6 measurement.
-    Because chunk accounting needs traversal traces, this always runs
-    the traversal engine, preserving seed-exact step counts.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    assignment = grid.assign(positions)
-    index = ChunkedIndex(positions, assignment, windows)
-    query_chunks = grid.assign(queries)
-    accessed = np.zeros(len(queries), dtype=np.int64)
-    result = index.query_knn_batch(queries, query_chunks, k,
-                                   max_steps=max_steps,
-                                   accessed_out=accessed)
-    return _to_batch_result(result, accessed)
-
-
-def chunked_range_search(positions: np.ndarray, queries: np.ndarray,
-                         radius: float, grid: ChunkGrid,
-                         windows: Sequence[ChunkWindow],
-                         max_steps: Optional[int] = None,
-                         max_results: Optional[int] = None) -> BatchResult:
-    """Batch ball queries under compulsory splitting (+ optional DT)."""
-    positions = np.asarray(positions, dtype=np.float64)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    assignment = grid.assign(positions)
-    index = ChunkedIndex(positions, assignment, windows)
-    query_chunks = grid.assign(queries)
-    accessed = np.zeros(len(queries), dtype=np.int64)
-    result = index.query_range_batch(queries, query_chunks, radius,
-                                     max_steps=max_steps,
-                                     max_results=max_results,
-                                     accessed_out=accessed)
-    return _to_batch_result(result, accessed)
+            record_traces=record_traces)])[0]

@@ -93,9 +93,8 @@ class StreamService:
         Neighbour count of the default per-frame kNN plan.
     session:
         Per-tenant :class:`~repro.core.config.StreamingSessionConfig`.
-        Under the fleet, ``cache_scope="auto"`` resolves to the shared
-        result cache, so tenants streaming identical frames deduplicate
-        traversal work.
+        Every tenant on the fleet attaches the shared result cache, so
+        tenants streaming identical frames deduplicate traversal work.
     fleet:
         The :class:`~repro.runtime.fleet.ShardFleet` to execute on.
         ``None`` (default) uses :func:`~repro.runtime.fleet.shared_fleet`

@@ -216,7 +216,8 @@ class StreamSession:
         The usual :class:`~repro.core.config.StreamGridConfig` — the
         splitting/termination settings plus the ``executor`` /
         ``executor_workers`` runtime knobs.  Splitting is always applied
-        (a session without splitting is just :func:`knn_search` in a
+        (a session without splitting is just a one-window
+        :class:`~repro.spatial.neighbors.ChunkedIndex` queried in a
         loop); termination follows ``use_termination``.
     k:
         Neighbour count of the per-frame kNN batches (also the ``k`` the
@@ -264,10 +265,7 @@ class StreamSession:
         #: other tenants may still be using.
         self._owns_cache = False
         if self.session_config.result_cache:
-            scope = self.session_config.cache_scope
-            if scope == "auto":
-                scope = "shared" if self._uses_fleet() else "session"
-            if scope == "shared":
+            if self._uses_fleet():
                 self._result_cache = shared_result_cache()
             else:
                 self._result_cache = WindowResultCache(
@@ -276,7 +274,7 @@ class StreamSession:
 
     def _uses_fleet(self) -> bool:
         """True when the executor knob targets the multi-tenant fleet
-        (the ``cache_scope="auto"`` trigger for the shared cache)."""
+        (the trigger for the shared result cache)."""
         spec = self.config.executor
         if isinstance(spec, str):
             return spec == "fleet"
@@ -317,10 +315,10 @@ class StreamSession:
         A session-private :class:`~repro.spatial.neighbors.WindowResultCache`
         is cleared so a closed session releases its cached result
         arrays (its lifetime hit/miss counters survive for
-        :class:`SessionStats`); the process-global shared cache
-        (``cache_scope="shared"``, fleet sessions by default) is left
-        intact — other tenants' entries live there too.  Closing the
-        index releases the session's executor — under ``"fleet"`` its
+        :class:`SessionStats`); the process-global shared cache of a
+        fleet session is left intact — other tenants' entries live
+        there too.  Closing the index releases the session's executor
+        — under ``"fleet"`` its
         :class:`~repro.runtime.fleet.FleetLease`, exactly once, leaving
         every other tenant's lease and worker state untouched.
         Idempotent.

@@ -140,23 +140,43 @@ def test_fused_bit_equal(rng, backend, mode, kind):
         stack.close()
 
 
-def test_fused_uncapped_knn_traverse_engine(rng):
-    """Uncapped kNN fuses only under an explicit traverse engine (auto
-    may resolve to the scan per window) and stays bit-equal."""
+@pytest.mark.parametrize("backend", ["serial", "shm"])
+def test_uncapped_traverse_knn_never_reaches_the_arena(rng, monkeypatch,
+                                                       backend):
+    """Uncapped kNN (deadline profiling) runs the scalar kernel at every
+    batch size: with >= 32 queries per window and per slot, no unit
+    fuses and no one-member launch runs, and every row equals the
+    per-query ``KDTree.knn``.  The lockstep kernel is patched to raise
+    before the pool forks, so a call in a worker would show up as a
+    retry."""
+    calls = []
+
+    def no_lockstep(*args):
+        calls.append(args)
+        raise AssertionError("uncapped kNN reached the lockstep kernel")
+
+    monkeypatch.setattr(kdtree, "_knn_lanes_block", no_lockstep)
     pts = rng.uniform(0, 1, size=(400, 3))
-    queries = rng.uniform(0, 1, size=(140, 3))
-    fused, grid = _windowed_index(pts, "serial")
-    plain, _ = _windowed_index(pts, PER_WINDOW_SERIAL)
+    queries = rng.uniform(0, 1, size=(300, 3))
+    index, grid = _windowed_index(pts, backend)
     chunks = grid.assign(queries)
     try:
-        got = fused.query_knn_batch(queries, chunks, 4, engine="traverse")
-        want = plain.query_knn_batch(queries, chunks, 4,
-                                     engine="traverse")
-        _assert_batches_equal(got, want)
-        assert fused.stats.arena_launches >= 1
+        per_window = np.bincount(index.window_of_queries(chunks))
+        assert per_window.min() >= 32
+        got = index.query_knn_batch(queries, chunks, 4, engine="traverse")
+        for i, (query, chunk) in enumerate(zip(queries, chunks)):
+            want = index.query_knn(query, int(chunk), 4)
+            np.testing.assert_array_equal(got.indices[i], want.indices)
+            np.testing.assert_array_equal(got.distances[i], want.distances)
+            assert got.steps[i] == want.steps
+            assert not got.terminated[i]
+        assert calls == []
+        assert index.stats.arena_launches == 0
+        assert index.stats.retries == 0
+        if index.effective_executor != backend:
+            pytest.skip("fork unavailable; pool fell back")
     finally:
-        fused.close()
-        plain.close()
+        index.close()
 
 
 def test_uncapped_auto_and_traced_units_never_fuse(rng):
@@ -164,6 +184,15 @@ def test_uncapped_auto_and_traced_units_never_fuse(rng):
     unit = WorkUnit(window=0, rows=np.arange(4), kind="knn",
                     queries=pts[:4], params={"k": 3, "max_steps": None})
     assert fusion_signature(unit) is None          # uncapped auto
+    unit = WorkUnit(window=0, rows=np.arange(4), kind="knn",
+                    queries=pts[:4],
+                    params={"k": 3, "max_steps": None,
+                            "engine": "traverse"})
+    assert fusion_signature(unit) is None          # uncapped traverse
+    unit = WorkUnit(window=0, rows=np.arange(4), kind="knn",
+                    queries=pts[:4],
+                    params={"k": 3, "max_steps": 9, "engine": "scan"})
+    assert fusion_signature(unit) is None          # left to raise
     unit = WorkUnit(window=0, rows=np.arange(4), kind="range",
                     queries=pts[:4],
                     params={"radius": 0.2, "max_steps": None})
@@ -183,7 +212,8 @@ def test_uncapped_auto_and_traced_units_never_fuse(rng):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_arena_matches_per_tree_oracle_fuzzed(seed):
     """Direct arena launches match per-tree reference calls, including
-    the scalar kernel (members with < 32 lanes) and k > n_w padding."""
+    the scalar kernel (members with < 32 lanes), k > n_w padding and a
+    cap past every member's size (no lane expires)."""
     rng = np.random.default_rng(seed)
     sizes = [int(s) for s in rng.integers(1, 120, size=4)]
     trees = [KDTree(rng.uniform(0, 1, size=(s, 3))) for s in sizes]
@@ -191,16 +221,12 @@ def test_arena_matches_per_tree_oracle_fuzzed(seed):
     splits = [int(s) for s in rng.integers(1, 12, size=4)]
     queries = rng.uniform(0, 1, size=(sum(splits), 3))
     for k in (1, 4, 200):
-        for cap in (3, 17, None):
+        for cap in (3, 17, 200):
             got = arena.knn_fused(queries, splits, k, max_steps=cap)
             start = 0
             for i, (tree, n_q) in enumerate(zip(trees, splits)):
-                # The arena always traverses; pin the oracle's engine
-                # too (uncapped auto resolves to the scan, whose step
-                # counts mean something else — that is exactly why
-                # fusion_signature refuses uncapped auto units).
                 want = tree.knn_batch(queries[start:start + n_q], k,
-                                      max_steps=cap, engine="traverse")
+                                      max_steps=cap)
                 _assert_batches_equal(got[i], want)
                 start += n_q
     for radius in (0.1, 0.4):
@@ -224,6 +250,17 @@ def test_arena_rejects_uncapped_range_and_bad_splits(rng):
         arena.range_fused(queries, [3, 3], 0.2, None)
     with pytest.raises(ValidationError):
         arena.knn_fused(queries, [3, 2], 2, max_steps=5)
+
+
+@pytest.mark.parametrize("max_steps", [None, 0])
+def test_arena_rejects_uncapped_knn(rng, max_steps):
+    """The arena serves deadline-capped lanes only, for kNN as for
+    range queries."""
+    trees = [KDTree(rng.uniform(0, 1, size=(20, 3))) for _ in range(2)]
+    queries = rng.uniform(0, 1, size=(6, 3))
+    with pytest.raises(ValidationError, match="max_steps"):
+        TraversalArena(trees).knn_fused(queries, [3, 3], 2,
+                                        max_steps=max_steps)
 
 
 # ----------------------------------------------------------------------
@@ -357,9 +394,9 @@ def test_fusion_needs_a_lockstep_sized_group(n_queries):
 
 
 def test_serial_drift_check_adds_no_arena_launch():
-    """The per-frame drift check — 16 uncapped queries spread over
-    several windows — runs per window: a warm frame's only arena launch
-    is its own 600-query kNN op."""
+    """The per-frame drift check — 16 uncapped queries — never reaches
+    the arena: a warm frame's only arena launch is its own 600-query
+    kNN op."""
     frame = np.random.default_rng(4).uniform(-1, 1, size=(600, 3))
     config = StreamGridConfig(splitting=SplittingConfig(
         shape=(9, 1, 1), kernel=(2, 1, 1), mode="serial"))
@@ -479,19 +516,24 @@ def test_fleet_fault_on_a_fused_units_later_window():
 
 
 # ----------------------------------------------------------------------
-# Uncapped lockstep calibration (profile_steps)
+# Uncapped calibration profiles (profile_steps) stay scalar
 # ----------------------------------------------------------------------
-def test_profile_steps_lockstep_matches_scalar(rng):
+def test_profile_steps_runs_the_scalar_kernel(rng, monkeypatch):
+    calls = Counter()
+
+    def counted(*args, _kernel=kdtree._knn_lanes_block):
+        calls["_knn_lanes_block"] += 1
+        return _kernel(*args)
+
+    monkeypatch.setattr(kdtree, "_knn_lanes_block", counted)
     pts = rng.uniform(0, 1, size=(500, 3))
     tree = KDTree(pts)
     queries = rng.uniform(0, 1, size=(96, 3))
-    got = tree.profile_steps(queries, 8)        # lockstep cap-doubling
-    want = np.concatenate([
-        tree.profile_steps(queries[i:i + 8], 8)  # scalar kernel (< 32)
-        for i in range(0, len(queries), 8)])
-    np.testing.assert_array_equal(got, want)
-    assert not tree.knn_batch(queries, 8, engine="traverse"
-                              ).terminated.any()
+    got = tree.profile_steps(queries, 8)
+    assert calls["_knn_lanes_block"] == 0
+    want = [tree.knn(query, 8) for query in queries]
+    np.testing.assert_array_equal(got, [ref.steps for ref in want])
+    assert not any(ref.terminated for ref in want)
 
 
 # ----------------------------------------------------------------------
@@ -513,10 +555,8 @@ def test_blocking_never_changes_results(rng, monkeypatch):
             tree.range_batch(queries, 0.2),                     # scan
             tree.range_batch(queries, 0.2, max_results=6),      # scan
             tree.knn_batch(queries, 5, max_steps=24),     # one-member
-            tree.knn_batch(queries, 5, engine="traverse"),  # doubling
             tree.range_batch(queries, 0.2, max_steps=30, max_results=6),
             *arena.knn_fused(queries, splits, 5, max_steps=24),
-            *arena.knn_fused(queries, splits, 5),
             *arena.range_fused(queries, splits, 0.2, 30),
             *arena.range_fused(queries, splits, 0.2, 30, max_results=6),
         ]

@@ -10,9 +10,10 @@ is :meth:`KDTree.knn` / :meth:`KDTree.range_search` per query.
 
 The matrix covers the kernels' phase boundaries: caps below, at and
 just past k (the dense fill phase ends at ``min(k_lane) - 1``), the
-streaming deadline (28), cap doubling (uncapped kNN), k above a member's
-size (padded lanes), and tiny members whose stacks run dry before or
-exactly at the cap (the retirement step).
+streaming deadline (28), a cap past every member's size (no lane
+expires, so every lane finishes its canonical search), k above a
+member's size (padded lanes), and tiny members whose stacks run dry
+before or exactly at the cap (the retirement step).
 """
 
 from __future__ import annotations
@@ -85,15 +86,15 @@ def _members(trees, queries, splits):
 
 
 _K_CHOICES = ["1", "2", "16", "above_size"]
-#: Step caps relative to k; "uncapped" runs the arena's cap doubling.
+#: Step caps relative to k and to the largest member's size.
 _CAPS = {
-    "1": lambda k: 1,
-    "2": lambda k: 2,
-    "k-1": lambda k: max(k - 1, 1),
-    "k": lambda k: k,
-    "k+1": lambda k: k + 1,
-    "28": lambda k: 28,
-    "uncapped": lambda k: None,
+    "1": lambda k, size: 1,
+    "2": lambda k, size: 2,
+    "k-1": lambda k, size: max(k - 1, 1),
+    "k": lambda k, size: k,
+    "k+1": lambda k, size: k + 1,
+    "28": lambda k, size: 28,
+    "past_size": lambda k, size: size + 1,
 }
 
 
@@ -103,9 +104,9 @@ _CAPS = {
 @given(arena=_arenas())
 def test_knn_lanes_match_the_scalar_kernel(arena, k_choice, cap_choice):
     trees, queries, splits = arena
-    k = (max(len(tree) for tree in trees) + 1
-         if k_choice == "above_size" else int(k_choice))
-    cap = _CAPS[cap_choice](k)
+    size = max(len(tree) for tree in trees)
+    k = size + 1 if k_choice == "above_size" else int(k_choice)
+    cap = _CAPS[cap_choice](k, size)
     got = TraversalArena(trees).knn_fused(queries, splits, k,
                                           max_steps=cap)
     for batch, (tree, block) in zip(got, _members(trees, queries,

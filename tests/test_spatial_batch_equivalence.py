@@ -33,8 +33,6 @@ from repro.spatial import (
     ChunkedIndex,
     KDTree,
     chunk_windows,
-    chunked_knn_search,
-    chunked_range_search,
     nearest_point_indices,
 )
 
@@ -219,21 +217,25 @@ def test_chunked_searches_match_per_query_loop(rng):
     index = ChunkedIndex(pts, assignment, windows)
     queries = pts[::11]
     query_chunks = grid.assign(queries)
-    batch = chunked_knn_search(pts, queries, 4, grid, windows, max_steps=8)
+    batch = index.query_knn_batch(queries, query_chunks, 4, max_steps=8)
+    rbatch = index.query_range_batch(queries, query_chunks, 0.3,
+                                     max_results=5, engine="traverse")
     for i, (query, chunk) in enumerate(zip(queries, query_chunks)):
         ref = index.query_knn(query, int(chunk), 4, max_steps=8)
-        widx = index.window_for_chunk(int(chunk))
-        np.testing.assert_array_equal(batch.indices[i], ref.indices)
+        count = int(batch.counts[i])
+        assert count == len(ref.indices)
+        np.testing.assert_array_equal(batch.indices[i, :count], ref.indices)
+        np.testing.assert_array_equal(batch.distances[i, :count],
+                                      ref.distances)
         assert int(batch.steps[i]) == ref.steps
         assert bool(batch.terminated[i]) == ref.terminated
-        assert int(batch.accessed_chunks[i]) == \
-            index.chunks_touched(ref, widx)
-    rbatch = chunked_range_search(pts, queries, 0.3, grid, windows,
-                                  max_results=5)
-    for i, (query, chunk) in enumerate(zip(queries, query_chunks)):
         ref = index.query_range(query, int(chunk), 0.3, max_results=5)
-        np.testing.assert_array_equal(rbatch.indices[i], ref.indices)
+        count = int(rbatch.counts[i])
+        assert count == len(ref.indices)
+        np.testing.assert_array_equal(rbatch.indices[i, :count],
+                                      ref.indices)
         assert int(rbatch.steps[i]) == ref.steps
+        assert bool(rbatch.terminated[i]) == ref.terminated
 
 
 def test_empty_window_batch_matches_per_query():
@@ -265,7 +267,7 @@ _ROUTED_ENTRIES = ("knn_batch", "range_batch", "knn", "chunk_of_queries",
 @pytest.mark.parametrize("mode,entry", [
     *((mode, entry) for mode in ("spatial", "serial")
       for entry in _ROUTED_ENTRIES),
-    ("spatial", "chunked_knn_search"), ("spatial", "chunked_range_search"),
+    ("spatial", "query_knn_batch"), ("spatial", "query_range_batch"),
     ("base", "knn_group"), ("base", "ball_group"),
 ])
 def test_malformed_query_block_raises_validation_error(rng, mode, entry):
@@ -282,17 +284,16 @@ def test_malformed_query_block_raises_validation_error(rng, mode, entry):
         else cs_config(StreamGridConfig(splitting=splitting))
     splitter = CompulsorySplitter(pts, splitting)
     ctx = GroupingContext(pts, config)
-    grid = ChunkGrid.fit(pts, shape)
-    windows = chunk_windows(shape, kernel)
+    chunks = np.zeros(len(bad), dtype=np.int64)
     calls = {
         "knn_batch": lambda: splitter.knn_batch(bad, 3),
         "range_batch": lambda: splitter.range_batch(bad, 0.3),
         "knn": lambda: splitter.knn(bad[0], 3),
         "chunk_of_queries": lambda: splitter.chunk_of_queries(bad),
-        "chunked_knn_search": lambda: chunked_knn_search(
-            pts, bad, 3, grid, windows),
-        "chunked_range_search": lambda: chunked_range_search(
-            pts, bad, 0.3, grid, windows),
+        "query_knn_batch": lambda: splitter.index.query_knn_batch(
+            bad, chunks, 3),
+        "query_range_batch": lambda: splitter.index.query_range_batch(
+            bad, chunks, 0.3),
         "knn_group": lambda: ctx.knn_group(bad, 3),
         "ball_group": lambda: ctx.ball_group(bad, 0.3, 4),
     }
