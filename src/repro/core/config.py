@@ -28,6 +28,10 @@ class SplittingConfig:
       (CAD-derived clouds);
     * ``"serial"`` — even contiguous runs in point arrival order
       (LiDAR clouds), using ``shape[0]`` chunks and ``kernel[0]`` window.
+
+    Every chunk must lie in some window, so on each axis the mode uses
+    (axis 0 in serial mode) the stride may not exceed the kernel and
+    must divide ``shape - kernel``.
     """
 
     shape: Tuple[int, int, int] = (3, 3, 1)
@@ -49,6 +53,14 @@ class SplittingConfig:
         if any(k > s for k, s in zip(self.kernel, self.shape)):
             raise ValidationError(
                 f"kernel {self.kernel} does not fit in grid {self.shape}"
+            )
+        axes = range(1 if self.mode == "serial" else 3)
+        if any(self.stride[a] > self.kernel[a]
+               or (self.shape[a] - self.kernel[a]) % self.stride[a]
+               for a in axes):
+            raise ValidationError(
+                f"stride {self.stride} with kernel {self.kernel} leaves "
+                f"chunks of grid {self.shape} outside every window"
             )
 
     @property

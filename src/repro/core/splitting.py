@@ -44,7 +44,9 @@ def partition_cloud(positions: np.ndarray, config: SplittingConfig):
     frame's partition without constructing a throwaway search index.
     The returned ``positions`` is the validated float64 view/copy of
     the input (so callers convert once); ``grid`` is ``None`` in
-    serial mode.
+    serial mode.  A serial cloud of fewer than ``shape[0]`` points (one
+    chunk per point, the kernel shrunk to fit) is rejected when the
+    stride leaves its last chunk outside every window.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
@@ -65,6 +67,13 @@ def partition_cloud(positions: np.ndarray, config: SplittingConfig):
             assignment[run] = chunk_id
         kernel = min(config.kernel[0], n_chunks)
         windows = serial_windows(n_chunks, kernel, config.stride[0])
+        # The config keeps stride <= kernel: only the tail can be left.
+        if windows[-1].chunk_ids[-1] != n_chunks - 1:
+            raise ValidationError(
+                f"a {len(positions)}-point cloud makes {n_chunks} serial "
+                f"chunks, and width-{kernel} windows at stride "
+                f"{config.stride[0]} leave chunk {n_chunks - 1} "
+                "outside every window")
     return positions, grid, assignment, windows
 
 

@@ -42,6 +42,9 @@ units; executors never do.  The backend implements:
 * ``release_windows(windows)`` — retire windows that will never be
   queried again (a fleet tenant detached); the shm pool unlinks their
   segments at once, and the default holds nothing to free;
+* ``live_segments(windows) -> int`` — how many of *windows* hold a live
+  shared segment (0 by default); a fleet lease reports its own
+  windows' count as its tenant's ``segments_live``;
 * ``name`` / ``effective`` — the requested backend name and the backend
   actually in force (they differ when a backend had to fall back);
 * ``stats`` — the backend's :class:`~repro.runtime.executor.RuntimeStats`
@@ -59,7 +62,8 @@ Arena fusion (one lockstep launch per batch)
 --------------------------------------------
 Fusion is always on; only a backend's ``fusion_slot`` can opt out.  The
 scheduler's window-grouped dispatch fuses compatible per-window
-units — same kind and parameters, untraced and deadline-capped — into
+units — same kind and parameters (the engine among them: both names
+traverse a capped unit), untraced and deadline-capped — into
 single ``knn`` / ``range`` units with several
 ``windows``, whose queries run as *lanes* of one lockstep traversal
 over the concatenated node arrays of all member windows.  The
@@ -72,8 +76,9 @@ which a single tree's batch engine turns lockstep — so a handful of
 lanes never pays the per-iteration cost.  A unit that does not fuse
 runs its window's own batch engine: a one-member arena launch at 32 or
 more capped queries, the scalar kernel below that.  Uncapped units
-(deadline profiling) never reach the arena: they run the scalar
-kernel, or the scan under ``engine="auto"``.  Results are scattered
+(deadline profiles, and the Base and CS variants) never reach the
+arena: they run the scalar kernel, or the scan that ``"auto"`` picks
+for an untraced one.  Results are scattered
 back per member before anyone above the scheduler sees them, and are
 **bit-equal** to per-window dispatch on every backend; the result cache
 and the retry/ticket supervision are untouched.
@@ -162,10 +167,10 @@ Adding a backend
 Subclass :class:`~repro.runtime.executor.Executor`, accept
 ``(state, n_workers=None, supervision=None, stats=None)`` in the
 constructor, implement ``run`` / ``close`` (plus ``release_windows``
-if it holds per-window resources, and ``fusion_slot`` to opt into
-arena fusion), and either register the class in
-:data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new name or
-pass the class (or a ready instance) directly as the
+and ``live_segments`` if it holds per-window resources, and
+``fusion_slot`` to opt into arena fusion), and either register the
+class in :data:`~repro.runtime.executor.EXECUTOR_BACKENDS` under a new
+name or pass the class (or a ready instance) directly as the
 ``executor=`` knob — :func:`~repro.runtime.executor.resolve_executor`
 accepts exactly three shapes: a registered name, an :class:`Executor`
 instance, or a factory ``(state, n_workers) -> Executor`` (a class is

@@ -132,8 +132,8 @@ class RuntimeStats:
     Result cache (fed by the index that consults the cache):
 
     - ``cache_hits`` / ``cache_misses`` — per-window units replayed
-      from / executed past the attached result cache.  A shared cache's
-      own counters aggregate every tenant; these count one index only.
+      from / executed past the attached result cache, counted for one
+      index even when the cache is shared (the cache counts nothing).
 
     Data movement (the shared-memory backend, the scheduler's arena
     fusion and the bucketed grouping path in :mod:`repro.core.cotraining`):
@@ -146,7 +146,8 @@ class RuntimeStats:
       and its worker keeps running).
     - ``segments_live`` — gauge: window segments currently allocated
       (the pool's only shared memory; units and results ride its
-      queues).
+      queues).  A fleet lease's gauge counts its own tenant's
+      segments, as of the tenant's last batch.
     - ``bucket_sizes`` — histogram ``{group size: rows}`` of bucketed
       group batches (skew visibility for the grouping hot path).
     - ``arena_launches`` — fused arena traversals launched by the
@@ -311,6 +312,12 @@ class Executor:
         per-window resources (the shared-memory registry) free them
         here; the default holds none.
         """
+
+    def live_segments(self, windows: Sequence[int]) -> int:
+        """How many of *windows* hold a live shared-memory segment (a
+        fleet lease's share of the ``segments_live`` gauge); the
+        default holds none."""
+        return 0
 
     def fusion_slot(self, window: int) -> Optional[int]:
         """Arena-fusion eligibility: the dispatch slot *window* runs on.

@@ -35,7 +35,10 @@ sharing safe and fair:
   the owning lease's own block — the one
   :class:`~repro.streaming.StreamSession` folds into its per-frame /
   per-session accounting.  A retry, respawn, or degradation triggered
-  by tenant A's units lands on tenant A's counters only.
+  by tenant A's units lands on tenant A's counters only.  The one
+  gauge, ``segments_live``, is not a delta: after each batch the lease
+  takes the number of its own windows the inner backend holds a
+  segment for (:meth:`~repro.runtime.executor.Executor.live_segments`).
 
 Failure handling is **not** reinvented: the inner backend is an
 ordinary supervised executor (tickets, slot respawn, retries, the
@@ -310,20 +313,18 @@ atexit.register(_terminate_orphaned_fleets)
 class ShardFleet:
     """A process-wide worker fleet shared by many streaming sessions.
 
-    See the module docstring for the design.  Use
-    :meth:`ShardFleet.shared` (or ``executor="fleet"``, which resolves
-    through it) for the process-global instance; construct private
-    instances for tests or isolated tenancies.  A fleet instance is
-    itself a valid ``executor=`` spec — calling it acquires a lease —
-    so ``StreamGridConfig(executor=my_fleet)`` binds a session to a
+    See the module docstring for the design.  Use :func:`shared_fleet`
+    (or ``executor="fleet"``, which resolves through it) for the
+    process-global instance; construct private instances for tests or
+    isolated tenancies.  A fleet instance is itself a valid
+    ``executor=`` spec — calling it acquires a lease — so
+    ``StreamGridConfig(executor=my_fleet)`` binds a session to a
     specific fleet.
     """
 
-    #: Session-layer introspection marker (``executor=`` specs that are
-    #: fleets turn shared result caching on by default).
-    is_fleet = True
     #: What :func:`resolve_executor`-style introspection should report
-    #: for an unresolved fleet spec.
+    #: for an unresolved fleet spec; a session whose ``executor=`` spec
+    #: reports ``"fleet"`` attaches the shared result cache.
     backend = "fleet"
 
     def __init__(self, config: Optional[FleetConfig] = None) -> None:
@@ -350,18 +351,6 @@ class ShardFleet:
         #: observability for tests and benchmarks.
         self.dispatch_log: "deque" = deque(maxlen=_DISPATCH_LOG_LEN)
         _LIVE_FLEETS.add(self)
-
-    # -- shared instance ------------------------------------------------
-    @classmethod
-    def shared(cls, config: Optional[FleetConfig] = None) -> "ShardFleet":
-        """The process-global fleet (created on first use).
-
-        A *config* may only be supplied before (or at) first use;
-        reconfiguring the live shared fleet would yank other tenants'
-        workers.  Build a private ``ShardFleet(config)`` for bespoke
-        setups.
-        """
-        return shared_fleet(config)
 
     # -- acquire / release ----------------------------------------------
     def acquire(self, state, n_workers: Optional[int] = None,
@@ -496,7 +485,11 @@ class ShardFleet:
             try:
                 return inner.run(units)
             finally:
-                lease.stats.absorb(inner.stats.delta(before))
+                moved = inner.stats.delta(before)
+                # The inner gauge counts every tenant's segments.
+                moved["segments_live"] = inner.live_segments(
+                    [lease.namespaced(w) for w in lease._windows])
+                lease.stats.absorb(moved)
         finally:
             with self._cond:
                 self._busy = False
@@ -613,7 +606,13 @@ _SHARED_FLEET_LOCK = threading.Lock()
 
 
 def shared_fleet(config: Optional[FleetConfig] = None) -> ShardFleet:
-    """The process-global :class:`ShardFleet` (created on first use)."""
+    """The process-global :class:`ShardFleet` (created on first use).
+
+    A *config* may only be supplied before (or at) first use;
+    reconfiguring the live shared fleet would yank other tenants'
+    workers.  Build a private ``ShardFleet(config)`` for bespoke
+    setups.
+    """
     global _SHARED_FLEET
     with _SHARED_FLEET_LOCK:
         if _SHARED_FLEET is None:

@@ -132,19 +132,15 @@ def fusion_signature(unit: WorkUnit):
 
     Units fuse only when an arena traversal is provably bit-equal to
     their per-window engine resolution: untraced, deadline-capped kNN /
-    range units under the ``"auto"`` or ``"traverse"`` engine (a capped
-    unit always resolves to traverse).  The arena serves capped lanes
-    only, so an uncapped unit runs its own window's engine, and a
-    capped ``"scan"`` unit is left to raise there.  The key folds in
-    the full parameter set, so fused members share k / radius / cap /
-    max_results exactly.
+    range units (both engine names traverse a capped batch).  The arena
+    serves capped lanes only, so an uncapped unit runs its own window's
+    engine.  The key folds in the full parameter set, so fused members
+    share k / radius / cap / max_results exactly.
     """
     if unit.kind not in ("knn", "range"):
         return None
     params = unit.params
     if params.get("record_traces") or params.get("max_steps") is None:
-        return None
-    if params.get("engine", "auto") not in ("auto", "traverse"):
         return None
     try:
         return (unit.kind, tuple(sorted(params.items())))

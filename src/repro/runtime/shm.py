@@ -43,8 +43,8 @@ pipe:
   the window's segment on the next query batch.
 
 The shard state must expose ``window_version(window) -> int`` and
-``shm_export_window(window) -> (points, axis, left, right, point_index,
-root)`` (see :meth:`repro.spatial.neighbors.ChunkedIndex.window_version`
+``shm_export_window(window) -> (points, axis, left, right,
+point_index)`` (see :meth:`repro.spatial.neighbors.ChunkedIndex.window_version`
 and :meth:`~repro.spatial.neighbors.ChunkedIndex.shm_export_window`).
 Versions must be unique process-wide for a given content and the tree
 build deterministic, so a worker's cached tree for ``(segment,
@@ -166,17 +166,18 @@ def _tree_views(buf, n: int):
 @dataclass
 class _WindowSegment:
     """Registry entry: one window's live shared tree segment, holding
-    the tree of the window's content version ``version``."""
+    the tree of the window's content version ``version``.  Workers
+    attach it by ``descriptor`` alone: the layout follows from
+    ``n_points`` and every tree is rooted at node 0."""
 
     name: str
     shm: shared_memory.SharedMemory
     version: int
     n_points: int
-    root: int
 
     @property
-    def descriptor(self) -> Tuple[str, int, int, int]:
-        return (self.name, self.version, self.n_points, self.root)
+    def descriptor(self) -> Tuple[str, int, int]:
+        return (self.name, self.version, self.n_points)
 
 
 #: Worker-side tree attachments kept per window.  Long-lived fleet
@@ -198,7 +199,7 @@ def _worker_tree(cache: Dict[int, tuple], descriptor, window: int
     so a cached tree is valid again whenever its segment holds its
     version again (a rolled-back window re-exported in place).
     """
-    name, version, n_points, root = descriptor
+    name, version, n_points = descriptor
     record = cache.get(window)
     if record is None:
         while len(cache) >= _WORKER_TREE_CACHE_MAX:
@@ -233,7 +234,7 @@ def _worker_tree(cache: Dict[int, tuple], descriptor, window: int
     if seg is None:
         seg = _attach_untracked(name)
     points, axis, left, right, pidx = _tree_views(seg.buf, n_points)
-    tree = KDTree.from_arrays(points, axis, left, right, pidx, root)
+    tree = KDTree.from_arrays(points, axis, left, right, pidx)
     cache[window] = (name, version, seg, tree)
     return tree
 
@@ -579,7 +580,7 @@ class ShmShardPool(Executor):
             if record.version == version:
                 return record
             refreshed.add(window % self._n_workers)
-        points, axis, left, right, pidx, root = \
+        points, axis, left, right, pidx = \
             self._state.shm_export_window(window)
         n = len(points)
         size = _tree_layout(n)[-1]
@@ -599,7 +600,7 @@ class ShmShardPool(Executor):
         views[3][:] = right
         views[4][:] = pidx
         record = _WindowSegment(name=name, shm=shm, version=version,
-                                n_points=n, root=int(root))
+                                n_points=n)
         self._segments[window] = record
         self.stats.state_bytes_shipped += size
         self.stats.segments_live = len(self._segments)
@@ -802,6 +803,11 @@ class ShmShardPool(Executor):
             if record is not None:
                 self._unlink_one(record)
         self.stats.segments_live = len(self._segments)
+
+    def live_segments(self, windows: Sequence[int]) -> int:
+        """How many of *windows* have a segment in the registry."""
+        return sum(1 for window in windows
+                   if int(window) in self._segments)
 
     def fusion_slot(self, window: int) -> Optional[int]:
         """Window affinity is ``window % n_workers``; fusing within one

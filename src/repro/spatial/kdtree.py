@@ -17,7 +17,8 @@ Batched engine (the grouping hot path)
 --------------------------------------
 :meth:`KDTree.knn_batch` / :meth:`KDTree.range_batch` answer a whole
 ``(Q, 3)`` query block at once, filling preallocated ``(Q, k)`` index /
-distance arrays.  Two engines back them:
+distance arrays.  Their ``engine`` is ``"auto"`` (the default) or
+``"traverse"``:
 
 * ``"traverse"`` — the canonical node-by-node search.  Untraced,
   deadline-capped batches of at least ``_LOCKSTEP_MIN_QUERIES`` queries
@@ -41,17 +42,15 @@ distance arrays.  Two engines back them:
   whether a stacked entry expires it.  Push-time filtering of far
   children is a pure optimisation: ``worst`` never grows, so a child it
   skips would have been pruned when popped.
-* ``"scan"`` — a vectorized brute-force distance matrix, used when the
-  tree is small enough that a full scan beats traversal.  It returns the
-  same neighbours as an *uncapped* traversal (exact-tie ordering is by
-  ascending point index), reports ``steps = len(tree)`` per query (a
-  scan honestly visits every point) and never terminates early.  It is
-  therefore only eligible when ``max_steps is None`` and no trace is
-  requested.
-
-``engine="auto"`` (the default) picks ``"scan"`` whenever it is
-eligible, falling back to ``"traverse"`` otherwise — deterministic
-termination always runs a real traversal.
+* ``"auto"`` — traverses too, except that an uncapped, untraced batch
+  over at most ``_SCAN_MAX_POINTS`` points runs a vectorized
+  brute-force distance matrix (the *scan*) instead.  The scan returns
+  the same neighbours as the uncapped traversal (exact-tie ordering is
+  by ascending point index), reports ``steps = len(tree)`` per query
+  (a scan honestly visits every point) and never terminates early.
+  Deterministic termination therefore always runs a real traversal;
+  callers that need real uncapped step counts (deadline profiles)
+  pass ``"traverse"``.
 
 Construction
 ------------
@@ -61,7 +60,8 @@ has the node arrays of the classic recursive median-split build: each
 node splits along the widest axis (span ``max - min`` in double; the
 first maximum wins), orders its subset by that coordinate with a
 stable sort (ties keep their order, ``-0.0 == 0.0``), and takes
-element ``len // 2``; nodes are numbered in preorder.
+element ``len // 2``; nodes are numbered in preorder, so every tree
+is rooted at node 0.
 
 :func:`build_node_arrays` computes them natively when it can: the C
 build in ``_kdbuild.c``, compiled and loaded at import by
@@ -108,6 +108,13 @@ _SCAN_BLOCK_ELEMS = 1 << 22
 _LOCKSTEP_MIN_QUERIES = 32
 
 
+def _check_engine(engine: str) -> None:
+    """Reject any batch engine name but ``"auto"`` and ``"traverse"``."""
+    if engine not in ("auto", "traverse"):
+        raise ValidationError(
+            f"engine must be 'auto' or 'traverse', got {engine!r}")
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """Outcome of a single kNN or range query."""
@@ -126,9 +133,9 @@ class BatchQueryResult:
     ``indices[i, :counts[i]]`` / ``distances[i, :counts[i]]`` are row
     *i*'s valid results (closest first); padding is ``-1`` / ``inf``.
     ``steps`` / ``terminated`` carry the per-query traversal accounting
-    (for the scan engine, ``steps`` is the point count and
-    ``terminated`` is always False).  ``traces`` is only present when
-    traces were recorded (traversal engine).
+    (for a scan, ``steps`` is the point count and ``terminated`` is
+    always False).  ``traces`` is only present when traces were
+    recorded.
     """
 
     indices: np.ndarray        # (Q, C) int64, -1 padded
@@ -157,15 +164,6 @@ class BatchQueryResult:
                    np.zeros(n_queries, dtype=np.int64),
                    np.zeros(n_queries, dtype=bool))
 
-    def row(self, i: int) -> QueryResult:
-        """Row *i* as a per-query :class:`QueryResult` (trimmed)."""
-        c = int(self.counts[i])
-        trace = list(self.traces[i]) if self.traces is not None else []
-        return QueryResult(self.indices[i, :c].copy(),
-                           self.distances[i, :c].copy(),
-                           int(self.steps[i]), bool(self.terminated[i]),
-                           trace)
-
 
 # ----------------------------------------------------------------------
 # Scalar traversal kernels
@@ -177,9 +175,9 @@ class BatchQueryResult:
 # the comparisons happen in the same (unsquared) distance domain so the
 # visit order, step counts and termination points are unchanged.
 
-def _knn_traverse(qx, qy, qz, k, max_steps, trace, root, node_data):
-    """One capped kNN traversal; returns (heap of (-d², idx), steps,
-    terminated).
+def _knn_traverse(qx, qy, qz, k, max_steps, trace, node_data):
+    """One capped kNN traversal from the root (node 0); returns (heap of
+    (-d², idx), steps, terminated).
 
     All comparisons run in the squared-distance domain (squaring is
     monotone, so the heap ordering, pruning decisions and therefore the
@@ -205,7 +203,7 @@ def _knn_traverse(qx, qy, qz, k, max_steps, trace, root, node_data):
     # skipping its push drops zero visits from the sequence.
     worst = _INF
     # Stack of (far child, squared split distance).
-    stack = [(root, 0.0)]
+    stack = [(0, 0.0)]
     pop = stack.pop
     push = stack.append
     record = trace.append if trace is not None else None
@@ -251,8 +249,9 @@ def _knn_traverse(qx, qy, qz, k, max_steps, trace, root, node_data):
 
 
 def _range_traverse(qx, qy, qz, radius, max_steps, trace, found,
-                    root, node_data):
-    """One capped ball-query traversal; appends (d², idx) to *found*.
+                    node_data):
+    """One capped ball-query traversal from the root (node 0); appends
+    (d², idx) to *found*.
 
     Comparisons run in the squared-distance domain (see
     :func:`_knn_traverse`); callers take square roots on the hits.
@@ -262,7 +261,7 @@ def _range_traverse(qx, qy, qz, radius, max_steps, trace, found,
     r2 = radius * radius
     q = (qx, qy, qz)
     hit = found.append
-    stack = [root]
+    stack = [0]
     pop = stack.pop
     push = stack.append
     while stack:
@@ -376,8 +375,11 @@ class KDTree:
     *step* is one node visit, matching the paper's step-deadline unit.
     The arrays come from :func:`build_node_arrays` and are a
     deterministic function of the coordinates, so equal point arrays
-    always give array-identical trees.
+    always give array-identical trees.  Nodes are numbered in preorder,
+    so every tree is rooted at node ``root = 0``.
     """
+
+    root = 0
 
     def __init__(self, points: np.ndarray) -> None:
         points = np.asarray(points, dtype=np.float64)
@@ -390,16 +392,6 @@ class KDTree:
         self.points = points
         self.axis, self.left, self.right, self.point_index = \
             build_node_arrays(points)
-        self.root = 0
-        # Packed per-node records for the scalar traversal kernels (one
-        # list index + tuple unpack per visit, no numpy-scalar boxing),
-        # built lazily on the first traversal: scan-only trees — the
-        # default uncapped grouping path — never pay the boxing cost.
-        self._node_data: Optional[list] = None
-        # Column views for the vectorized scan engine.
-        self._col_x = points[:, 0]
-        self._col_y = points[:, 1]
-        self._col_z = points[:, 2]
 
     # ------------------------------------------------------------------
     # Construction
@@ -407,7 +399,7 @@ class KDTree:
     @classmethod
     def from_arrays(cls, points: np.ndarray, axis: np.ndarray,
                     left: np.ndarray, right: np.ndarray,
-                    point_index: np.ndarray, root: int) -> "KDTree":
+                    point_index: np.ndarray) -> "KDTree":
         """Rebuild a tree from previously packed node arrays (no build).
 
         The arrays are adopted as-is — they may be views into a shared
@@ -419,17 +411,11 @@ class KDTree:
         identical.
         """
         tree = cls.__new__(cls)
-        points = np.asarray(points, dtype=np.float64)
-        tree.points = points
+        tree.points = np.asarray(points, dtype=np.float64)
         tree.axis = np.asarray(axis, dtype=np.int8)
         tree.left = np.asarray(left, dtype=np.int64)
         tree.right = np.asarray(right, dtype=np.int64)
         tree.point_index = np.asarray(point_index, dtype=np.int64)
-        tree.root = int(root)
-        tree._node_data = None
-        tree._col_x = points[:, 0]
-        tree._col_y = points[:, 1]
-        tree._col_z = points[:, 2]
         return tree
 
     # Per-node numpy mirrors, gathered on first use by TraversalArena
@@ -444,29 +430,30 @@ class KDTree:
     def _node_split(self) -> np.ndarray:
         return self._node_xyz[np.arange(len(self.points)), self.axis]
 
+    @cached_property
+    def _node_data(self) -> list:
+        """Packed per-node records for the scalar traversal kernels: one
+        list index and tuple unpack per visit, no numpy-scalar boxing."""
+        node_points = self._node_xyz
+        return list(zip(
+            self.axis.tolist(), self.left.tolist(),
+            self.right.tolist(), self.point_index.tolist(),
+            node_points[:, 0].tolist(), node_points[:, 1].tolist(),
+            node_points[:, 2].tolist(), self._node_split.tolist()))
+
     def packed_arrays(self):
         """The flat node arrays that fully determine this tree.
 
-        ``(points, axis, left, right, point_index, root)`` — the exact
-        inputs :meth:`from_arrays` needs to reconstruct a bit-equal tree.
-        Used by the shared-memory executor backend to export window
-        trees without pickling.
+        ``(points, axis, left, right, point_index)`` — the exact inputs
+        :meth:`from_arrays` needs to reconstruct a bit-equal tree.  Used
+        by the shared-memory executor backend to export window trees
+        without pickling.
         """
         return (self.points, self.axis, self.left, self.right,
-                self.point_index, self.root)
+                self.point_index)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def _kernel_args(self):
-        if self._node_data is None:
-            node_points = self._node_xyz
-            self._node_data = list(zip(
-                self.axis.tolist(), self.left.tolist(),
-                self.right.tolist(), self.point_index.tolist(),
-                node_points[:, 0].tolist(), node_points[:, 1].tolist(),
-                node_points[:, 2].tolist(), self._node_split.tolist()))
-        return (self.root, self._node_data)
 
     # ------------------------------------------------------------------
     # k-nearest-neighbour search (per-query)
@@ -489,7 +476,7 @@ class KDTree:
         trace: Optional[List[int]] = [] if record_trace else None
         heap, steps, terminated = _knn_traverse(
             float(query[0]), float(query[1]), float(query[2]),
-            k, max_steps, trace, *self._kernel_args())
+            k, max_steps, trace, self._node_data)
         found = sorted(((-d, i) for d, i in heap))
         indices = np.array([i for _, i in found], dtype=np.int64)
         distances = np.sqrt(np.array([d for d, _ in found],
@@ -519,7 +506,7 @@ class KDTree:
         trace: Optional[List[int]] = [] if record_trace else None
         steps, terminated = _range_traverse(
             float(query[0]), float(query[1]), float(query[2]),
-            radius, max_steps, trace, found, *self._kernel_args())
+            radius, max_steps, trace, found, self._node_data)
         found.sort()
         if max_results is not None:
             found = found[:max_results]
@@ -534,27 +521,12 @@ class KDTree:
     # ------------------------------------------------------------------
     def _resolve_engine(self, engine: str, max_steps: Optional[int],
                         record_traces: bool) -> str:
-        if engine not in ("auto", "scan", "traverse"):
-            raise ValidationError(
-                f"engine must be 'auto', 'scan' or 'traverse', got {engine!r}"
-            )
-        if engine == "scan":
-            if max_steps is not None:
-                raise ValidationError(
-                    "the scan engine cannot honour a step deadline; "
-                    "use engine='traverse' with max_steps"
-                )
-            if record_traces:
-                raise ValidationError(
-                    "the scan engine visits no tree nodes and cannot "
-                    "record traces"
-                )
+        """``"scan"`` or ``"traverse"``: ``"auto"`` scans an uncapped,
+        untraced batch over at most ``_SCAN_MAX_POINTS`` points."""
+        _check_engine(engine)
+        if (engine == "auto" and max_steps is None and not record_traces
+                and len(self.points) <= _SCAN_MAX_POINTS):
             return "scan"
-        if engine == "auto":
-            if (max_steps is None and not record_traces
-                    and len(self.points) <= _SCAN_MAX_POINTS):
-                return "scan"
-            return "traverse"
         return "traverse"
 
     def _scan_sqdist(self, queries: np.ndarray) -> np.ndarray:
@@ -565,12 +537,13 @@ class KDTree:
         (after the final square root) distances match the traversal
         engine bit-for-bit.
         """
-        dx = queries[:, 0:1] - self._col_x[None, :]
+        points = self.points
+        dx = queries[:, 0:1] - points[None, :, 0]
         np.multiply(dx, dx, out=dx)
-        dy = queries[:, 1:2] - self._col_y[None, :]
+        dy = queries[:, 1:2] - points[None, :, 1]
         np.multiply(dy, dy, out=dy)
         dx += dy
-        dz = queries[:, 2:3] - self._col_z[None, :]
+        dz = queries[:, 2:3] - points[None, :, 2]
         np.multiply(dz, dz, out=dz)
         dx += dz
         return dx
@@ -581,13 +554,15 @@ class KDTree:
                   record_traces: bool = False) -> BatchQueryResult:
         """kNN for a ``(Q, 3)`` query block into ``(Q, min(k, N))`` arrays.
 
-        With the traversal engine the per-row results (including ``steps``
+        ``engine`` is ``"auto"`` or ``"traverse"`` (see the module
+        docstring).  A traversal's per-row results (including ``steps``
         and ``terminated``) are identical to calling :meth:`knn` per
         query, whether the batch runs on the scalar kernel or — capped,
         untraced and at least ``_LOCKSTEP_MIN_QUERIES`` rows, the rule of
         :meth:`range_batch` — as a one-member :class:`TraversalArena`
-        launch; the scan engine returns the same neighbours as the
-        uncapped traversal with ``steps = len(tree)``.
+        launch; the scan ``"auto"`` picks for an uncapped, untraced batch
+        returns the same neighbours as the uncapped traversal with
+        ``steps = len(tree)``.
         """
         queries = self._check_queries(queries)
         if k <= 0:
@@ -620,12 +595,12 @@ class KDTree:
             return TraversalArena((self,)).knn_fused(
                 queries, (n_queries,), k_eff, max_steps)[0]
         traces: Optional[List[List[int]]] = [] if record_traces else None
-        kernel_args = self._kernel_args()
+        node_data = self._node_data
         for qi in range(n_queries):
             trace: Optional[List[int]] = [] if record_traces else None
             heap, n_steps, term = _knn_traverse(
                 queries[qi, 0], queries[qi, 1], queries[qi, 2],
-                k_eff, max_steps, trace, *kernel_args)
+                k_eff, max_steps, trace, node_data)
             found = sorted(((-d, i) for d, i in heap))
             count = len(found)
             if count:
@@ -721,13 +696,13 @@ class KDTree:
         steps = np.zeros(n_queries, dtype=np.int64)
         terminated = np.zeros(n_queries, dtype=bool)
         traces: Optional[List[List[int]]] = [] if record_traces else None
-        kernel_args = self._kernel_args()
+        node_data = self._node_data
         for qi in range(n_queries):
             trace: Optional[List[int]] = [] if record_traces else None
             found: List[tuple] = []
             n_steps, term = _range_traverse(
                 queries[qi, 0], queries[qi, 1], queries[qi, 2],
-                radius, max_steps, trace, found, *kernel_args)
+                radius, max_steps, trace, found, node_data)
             found.sort()
             if max_results is not None:
                 found = found[:max_results]
@@ -1078,12 +1053,12 @@ class TraversalArena:
     into contiguous buffers — child links are rebased by each member's
     node offset (absent ``-1`` links preserved), ``point_index`` stays
     window-local — and traverses all (query, member) lanes *together*:
-    each lane's stack starts at its member's rebased root, so one numpy
-    advance per iteration serves every member at once instead of one
-    lockstep launch per window.  This is the paper's parallel
-    traversal-unit dispatch, amortized in the interpreter: the fixed
-    numpy cost per iteration is paid once per fused batch, not once per
-    window.
+    each lane's stack starts at its member's root (node 0, rebased to
+    the member's offset), so one numpy advance per iteration serves
+    every member at once instead of one lockstep launch per window.
+    This is the paper's parallel traversal-unit dispatch, amortized in
+    the interpreter: the fixed numpy cost per iteration is paid once per
+    fused batch, not once per window.
 
     Lanes are grouped by member: ``knn_fused`` / ``range_fused`` take
     per-member query counts (``splits``) and return one
@@ -1122,9 +1097,9 @@ class TraversalArena:
         offsets = np.concatenate(
             ([0], np.cumsum(sizes)[:-1])).astype(np.int64)
         self.sizes = sizes
+        # Every member is rooted at its node 0, so a member's root in
+        # the concatenated tables is its offset.
         self.offsets = offsets
-        self.roots = offsets + np.array(
-            [tree.root for tree in self.trees], dtype=np.int64)
         self.max_size = int(sizes.max())
         self.nodes_total = int(sizes.sum())
         axis = np.concatenate([tree.axis for tree in self.trees])
@@ -1197,7 +1172,7 @@ class TraversalArena:
         terminated = np.zeros(n_queries, dtype=bool)
         block = max(1, _SCAN_BLOCK_ELEMS // (3 * stack_cap
                                              + 2 * max(width, 1) + 8))
-        roots = self.roots[member_of]
+        roots = self.offsets[member_of]
         for start in range(0, n_queries, block):
             stop = min(start + block, n_queries)
             out = _knn_lanes_block(
@@ -1257,7 +1232,7 @@ class TraversalArena:
         hcount = np.zeros(n_queries, dtype=np.int64)
         steps = np.zeros(n_queries, dtype=np.int64)
         terminated = np.zeros(n_queries, dtype=bool)
-        roots = self.roots[member_of]
+        roots = self.offsets[member_of]
         for start in range(0, n_queries, block):
             stop = min(start + block, n_queries)
             out = _range_lanes_block(

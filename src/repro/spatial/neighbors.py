@@ -45,7 +45,12 @@ from repro.runtime import (
     run_tree_unit,
 )
 from repro.spatial.grid import ChunkWindow
-from repro.spatial.kdtree import BatchQueryResult, KDTree, QueryResult
+from repro.spatial.kdtree import (
+    BatchQueryResult,
+    KDTree,
+    QueryResult,
+    _check_engine,
+)
 
 
 #: Window content versions are drawn from one process-wide counter so a
@@ -107,18 +112,19 @@ class WindowResultCache:
     is bit-exact, and the caller remaps local indices through the
     *current* member table as usual.
 
-    Untraced results are stored compactly: int32 window-local indices
-    plus ``counts`` / ``steps`` / ``terminated``, no distances.  A hit
-    recomputes the distances from the window's coordinates and the
-    unit's queries with the engines' own arithmetic (per-axis
-    difference, squared, summed x then y then z, square root; ``-1``
-    slots are ``inf``), so the replayed result is bit-equal to the
-    stored one at about a quarter of the memory.
+    Entries are compact: int32 window-local indices plus ``counts`` /
+    ``steps`` / ``terminated``, no distances and no traces (a traced
+    result is refused).  A hit recomputes the distances from the
+    window's coordinates and the unit's queries with the engines' own
+    arithmetic (per-axis difference, squared, summed x then y then z,
+    square root; ``-1`` slots are ``inf``), so the replayed result is
+    bit-equal to the stored one at about a quarter of the memory.
 
-    ``hits`` / ``misses`` count lookups over the cache's lifetime;
     ``max_entries`` bounds memory with least-recently-used eviction.
-    Lookups and stores are thread-safe, so one cache can be shared by
-    every session of a multi-tenant shard fleet
+    The index consulting the cache counts its hits and misses
+    (``RuntimeStats.cache_hits`` / ``cache_misses``); the cache counts
+    nothing.  Lookups and stores are thread-safe, so one cache can be
+    shared by every session of a multi-tenant shard fleet
     (:func:`shared_result_cache`) — keys carry the window *content*
     version and the query digest, never a session identity, so two
     tenants streaming the same scene share entries while tenants on
@@ -136,10 +142,8 @@ class WindowResultCache:
         #: coordinates get identical versions across indexes, enabling
         #: cross-session hits (the shared-cache mode).
         self.content_addressed = bool(content_addressed)
-        self._entries: OrderedDict = OrderedDict()
+        self._entries: "OrderedDict[tuple, _CompactResult]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -158,34 +162,32 @@ class WindowResultCache:
         params = tuple(sorted(unit.params.items()))
         return (version, unit.kind, params, queries.shape, digest)
 
-    def lookup(self, key: tuple, points: Optional[np.ndarray] = None,
-               queries: Optional[np.ndarray] = None
-               ) -> Optional[BatchQueryResult]:
+    def lookup(self, key: tuple, points: np.ndarray,
+               queries: np.ndarray) -> Optional[BatchQueryResult]:
         """The cached window-local result for *key*, or ``None``.
 
         *points* (the serving window's coordinates, in the order its
         local indices refer to) and *queries* (the unit's query block)
-        restore the distances of a compact entry.
+        restore the entry's distances.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
-        if isinstance(entry, _CompactResult):
-            return self._expand(entry, points, queries)
-        return entry
+        return self._expand(entry, points, queries)
 
     def store(self, key: tuple, result: BatchQueryResult) -> None:
-        """Insert one window-local result, evicting LRU entries."""
-        if isinstance(result, BatchQueryResult) and result.traces is None:
-            result = _CompactResult(result.indices.astype(np.int32),
-                                    result.counts, result.steps,
-                                    result.terminated)
+        """Insert one untraced window-local result compactly, evicting
+        LRU entries."""
+        if result.traces is not None:
+            raise ValidationError(
+                "a traced result cannot be cached: entries hold no traces")
+        entry = _CompactResult(result.indices.astype(np.int32),
+                               result.counts, result.steps,
+                               result.terminated)
         with self._lock:
-            self._entries[key] = result
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -256,7 +258,8 @@ class WindowedOp:
     and per-query chunk routing — independent of every other op in the
     batch, empty blocks included.  ``max_steps`` carries the op's own
     deadline (``None`` = uncapped), so capped and uncapped ops can ride
-    one dispatch.
+    one dispatch.  ``engine`` is checked here too, because a fused unit
+    never reaches a tree's own check.
     """
 
     kind: str
@@ -278,6 +281,7 @@ class WindowedOp:
         if self.kind == "range" and (self.radius is None
                                      or self.radius <= 0):
             raise ValidationError("a 'range' op needs a positive radius")
+        _check_engine(self.engine)
 
 
 class ChunkedIndex:
@@ -450,7 +454,7 @@ class ChunkedIndex:
             built = self._runtime().execute_by_window(units)
             for unit, (axis, left, right, point_index) in zip(units, built):
                 trees[unit.window] = KDTree.from_arrays(
-                    unit.queries, axis, left, right, point_index, 0)
+                    unit.queries, axis, left, right, point_index)
         return trees, versions
 
     def _next_version(self, points: np.ndarray) -> int:
@@ -658,8 +662,8 @@ class ChunkedIndex:
         """The runtime's counter block (:class:`repro.runtime.RuntimeStats`)
         over this index's executor lifetime: recovery work, this
         index's result-cache lookups (the attached cache may be shared
-        across sessions, so its own counters aggregate every tenant),
-        and data movement."""
+        across sessions; the index counts only its own), and data
+        movement."""
         return self._runtime().stats
 
     # ------------------------------------------------------------------
@@ -802,10 +806,6 @@ class ChunkedIndex:
             )
         return widx
 
-    def covered_chunks(self) -> set:
-        """All chunk ids covered by at least one window."""
-        return set(np.flatnonzero(self._window_lut >= 0).tolist())
-
     # ------------------------------------------------------------------
     # Per-query entry points (kept for callers that stream one query)
     # ------------------------------------------------------------------
@@ -904,46 +904,26 @@ class ChunkedIndex:
                           "record_traces": op.record_traces}
             specs.append((queries, widx, op.kind, params,
                           not op.record_traces))
-            prepared.append((op, queries))
+            prepared.append((op, len(queries)))
         outcomes_per_op = self._dispatch_ops(specs)
-        results: List[BatchQueryResult] = []
-        for (op, queries), outcomes in zip(prepared, outcomes_per_op):
-            if op.kind == "knn":
-                results.append(self._gather_knn(op, queries, outcomes))
-            else:
-                results.append(self._gather_range(op, queries, outcomes))
-        return results
+        return [self._gather(op, n_queries, outcomes)
+                for (op, n_queries), outcomes
+                in zip(prepared, outcomes_per_op)]
 
-    def _gather_knn(self, op: WindowedOp, queries: np.ndarray,
-                    outcomes: List[tuple]) -> BatchQueryResult:
-        """Scatter one kNN op's per-window results into a fixed-width
-        ``(Q, k)`` batch, in input order."""
-        n_queries = len(queries)
-        indices = np.full((n_queries, op.k), -1, dtype=np.int64)
-        distances = np.full((n_queries, op.k), np.inf, dtype=np.float64)
-        counts = np.zeros(n_queries, dtype=np.int64)
-        steps = np.zeros(n_queries, dtype=np.int64)
-        terminated = np.zeros(n_queries, dtype=bool)
-        traces: Optional[List[List[int]]] = \
-            [[] for _ in range(n_queries)] if op.record_traces else None
-        for unit, local in outcomes:
-            self._scatter_window(unit.rows, self._members[unit.window],
-                                 local, indices, distances, counts,
-                                 steps, terminated, traces)
-        return BatchQueryResult(indices, distances, counts, steps,
-                                terminated, traces)
-
-    def _gather_range(self, op: WindowedOp, queries: np.ndarray,
-                      outcomes: List[tuple]) -> BatchQueryResult:
-        """Scatter one range op's per-window results, sized to the
-        widest window result (capped at ``max_results``)."""
-        n_queries = len(queries)
-        cap = max((res.indices.shape[1] for _, res in outcomes),
-                  default=0)
-        if op.max_results is not None:
-            cap = min(cap, op.max_results)
-        indices = np.full((n_queries, cap), -1, dtype=np.int64)
-        distances = np.full((n_queries, cap), np.inf, dtype=np.float64)
+    def _gather(self, op: WindowedOp, n_queries: int,
+                outcomes: List[tuple]) -> BatchQueryResult:
+        """Scatter one op's per-window results into one batch, in input
+        order.  A kNN batch is ``k`` wide; a range batch is as wide as
+        the widest window result, capped at ``max_results``."""
+        if op.kind == "knn":
+            width = op.k
+        else:
+            width = max((res.indices.shape[1] for _, res in outcomes),
+                        default=0)
+            if op.max_results is not None:
+                width = min(width, op.max_results)
+        indices = np.full((n_queries, width), -1, dtype=np.int64)
+        distances = np.full((n_queries, width), np.inf, dtype=np.float64)
         counts = np.zeros(n_queries, dtype=np.int64)
         steps = np.zeros(n_queries, dtype=np.int64)
         terminated = np.zeros(n_queries, dtype=bool)

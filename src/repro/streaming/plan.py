@@ -46,10 +46,11 @@ class QueryOp:
     ``"range"`` a positive ``radius`` (plus an optional ``max_results``
     row cap).  ``use_deadline`` decides deadline participation: a
     participating op runs step-capped at the frame's calibrated
-    deadline, an exempt op (``use_deadline=False``) always traverses
-    uncapped — so exact and approximate consumers of the same frame
-    share one dispatch.  ``engine`` passes through to the batch kernels
-    (``"auto"`` / ``"traverse"`` / ...).
+    deadline, an exempt op (``use_deadline=False``) runs uncapped — so
+    exact and approximate consumers of the same frame share one
+    dispatch.  Every op runs each window's batch engine under
+    ``engine="auto"``: a capped op traverses, and an uncapped one may
+    take the scan, whose neighbours equal the uncapped traversal's.
     """
 
     name: str
@@ -58,7 +59,6 @@ class QueryOp:
     radius: Optional[float] = None
     max_results: Optional[int] = None
     use_deadline: bool = True
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):

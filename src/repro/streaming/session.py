@@ -182,8 +182,8 @@ class SessionStats(RuntimeStats):
     :meth:`StreamSession.query` calls; ``segments_live`` is the gauge as
     of the last fold.  ``cache_hits`` / ``cache_misses`` are per-session
     attribution even when the attached result cache is the
-    process-global shared one (fleet sessions by default), whose own
-    lifetime counters aggregate every tenant.
+    process-global shared one (fleet sessions by default); the cache
+    itself counts nothing.
 
     Session-only fields: ``windows_clean`` / ``windows_rebuilt`` total
     the per-frame dirty-window split (clean windows kept their kd-trees;
@@ -278,9 +278,7 @@ class StreamSession:
         spec = self.config.executor
         if isinstance(spec, str):
             return spec == "fleet"
-        if getattr(spec, "is_fleet", False):
-            return True
-        # e.g. a FaultInjector.executor("fleet") factory.
+        # A ShardFleet, or e.g. a FaultInjector.executor("fleet") factory.
         return getattr(spec, "backend", None) == "fleet"
 
     # ------------------------------------------------------------------
@@ -314,11 +312,10 @@ class StreamSession:
 
         A session-private :class:`~repro.spatial.neighbors.WindowResultCache`
         is cleared so a closed session releases its cached result
-        arrays (its lifetime hit/miss counters survive for
-        :class:`SessionStats`); the process-global shared cache of a
-        fleet session is left intact — other tenants' entries live
-        there too.  Closing the index releases the session's executor
-        — under ``"fleet"`` its
+        arrays (its hit/miss counts live on in :class:`SessionStats`);
+        the process-global shared cache of a fleet session is left
+        intact — other tenants' entries live there too.  Closing the
+        index releases the session's executor — under ``"fleet"`` its
         :class:`~repro.runtime.fleet.FleetLease`, exactly once, leaving
         every other tenant's lease and worker state untouched.
         Idempotent.
@@ -484,8 +481,8 @@ class StreamSession:
         block = self._block()
         before = block.snapshot() if block is not None else None
         op_results = self._run_plan(plan, blocks, deadline)
-        # Per-call attribution reads the runtime block's lookups, not
-        # the cache's own counters — a shared cache aggregates tenants.
+        # Per-call attribution reads the runtime block's lookups: the
+        # index counts them, and a shared cache serves every tenant.
         runtime = self._fold(block, before)
         return PlanResult(frame_id=self._index_frame_id, deadline=deadline,
                           op_results=op_results,
@@ -690,8 +687,7 @@ class StreamSession:
             ops.append(WindowedOp(
                 op.kind, queries, query_chunks, k=op.k, radius=op.radius,
                 max_results=op.max_results,
-                max_steps=deadline if op.use_deadline else None,
-                engine=op.engine))
+                max_steps=deadline if op.use_deadline else None))
         results = index.query_mixed_batch(ops)
         return OrderedDict(zip(plan.names, results))
 

@@ -189,10 +189,6 @@ def test_uncapped_auto_and_traced_units_never_fuse(rng):
                     params={"k": 3, "max_steps": None,
                             "engine": "traverse"})
     assert fusion_signature(unit) is None          # uncapped traverse
-    unit = WorkUnit(window=0, rows=np.arange(4), kind="knn",
-                    queries=pts[:4],
-                    params={"k": 3, "max_steps": 9, "engine": "scan"})
-    assert fusion_signature(unit) is None          # left to raise
     unit = WorkUnit(window=0, rows=np.arange(4), kind="range",
                     queries=pts[:4],
                     params={"radius": 0.2, "max_steps": None})

@@ -11,6 +11,7 @@ from repro.core.config import StreamingSessionConfig
 from repro.core.cotraining import baseline_config, cs_config, cs_dt_config
 from repro.core.splitting import naive_partition, splitting_for_chunks
 from repro.errors import ValidationError
+from repro.spatial import chunk_windows
 
 
 def test_default_splitting_is_paper_setting():
@@ -36,6 +37,32 @@ def test_splitting_validations():
         SplittingConfig(shape=(2, 2, 1), kernel=(3, 1, 1))
     with pytest.raises(ValidationError):
         SplittingConfig(mode="other")
+
+
+@pytest.mark.parametrize("shape,kernel,stride,mode", [
+    ((5, 1, 1), (2, 1, 1), (2, 1, 1), "spatial"),   # chunk 4 left over
+    ((5, 1, 1), (2, 1, 1), (2, 1, 1), "serial"),
+    ((7, 1, 1), (2, 1, 1), (3, 1, 1), "serial"),    # stride > kernel
+    ((3, 3, 1), (2, 2, 1), (1, 2, 1), "spatial"),   # axis 1 skips row 2
+], ids=["spatial-tail", "serial-tail", "serial-gaps", "spatial-axis1"])
+def test_splitting_rejects_windows_that_skip_chunks(shape, kernel, stride,
+                                                    mode):
+    with pytest.raises(ValidationError, match="outside every window"):
+        SplittingConfig(shape=shape, kernel=kernel, stride=stride,
+                        mode=mode)
+
+
+def test_splitting_accepts_strides_that_cover_every_chunk():
+    spatial = SplittingConfig(shape=(5, 3, 1), kernel=(3, 1, 1),
+                              stride=(2, 1, 1))
+    covered = {chunk for window in chunk_windows(
+        spatial.shape, spatial.kernel, spatial.stride)
+        for chunk in window.chunk_ids}
+    assert covered == set(range(spatial.n_chunks))
+    # Serial mode uses axis 0 only: the other strides are never read.
+    serial = SplittingConfig(shape=(6, 1, 1), kernel=(2, 1, 1),
+                             stride=(2, 3, 3), mode="serial")
+    assert serial.n_windows == 3
 
 
 def test_termination_validations():

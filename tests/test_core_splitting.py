@@ -7,6 +7,7 @@ from repro.core import (
     CompulsorySplitter,
     SplittingConfig,
     count_accessed_chunks,
+    partition_cloud,
 )
 from repro.errors import ValidationError
 from repro.spatial import brute_force_knn
@@ -26,6 +27,21 @@ def test_serial_splitter_uses_arrival_order(lidar_cloud):
     # Serial chunks are contiguous runs: assignment must be sorted.
     assert np.all(np.diff(splitter.assignment) >= 0)
     assert splitter.n_chunks == 4
+
+
+def test_serial_partition_rejects_a_cloud_its_windows_skip(rng):
+    """Fewer points than ``shape[0]`` make one chunk per point; a
+    stride that then leaves the last chunk outside every window is
+    rejected instead of failing every query routed there."""
+    config = SplittingConfig(shape=(6, 1, 1), kernel=(2, 1, 1),
+                             stride=(2, 1, 1), mode="serial")
+    pts = rng.uniform(size=(6, 3))
+    with pytest.raises(ValidationError, match="outside every window"):
+        partition_cloud(pts[:5], config)
+    for n in (4, 6):        # windows (0, 1) (2, 3) [(4, 5)] cover all
+        _, _, assignment, windows = partition_cloud(pts[:n], config)
+        covered = {c for window in windows for c in window.chunk_ids}
+        assert covered == set(assignment.tolist())
 
 
 def test_splitter_rejects_empty():

@@ -156,8 +156,7 @@ def test_crash_right_after_a_large_result_loses_nothing(trial):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork unavailable; the pool runs inline")
     index, pts, assignment = _index(np.random.default_rng(3), n=6000)
-    want = index.query_knn_batch(pts[::3], assignment[::3], 64,
-                                 engine="scan")
+    want = index.query_knn_batch(pts[::3], assignment[::3], 64)
     index.close()
     injector = FaultInjector([FaultSpec(kind="crash", window=2, nth=2),
                               FaultSpec(kind="crash", window=3, nth=2)])
@@ -165,8 +164,7 @@ def test_crash_right_after_a_large_result_loses_nothing(trial):
         np.random.default_rng(3), executor=injector.executor("shm"),
         supervision=SupervisionConfig(unit_timeout=2.0), n=6000)
     try:
-        got = index.query_knn_batch(pts[::3], assignment[::3], 64,
-                                    engine="scan")
+        got = index.query_knn_batch(pts[::3], assignment[::3], 64)
         _assert_batches_equal(got, want)
         assert injector.fire_counts == [1, 1]
         assert index.stats.respawns == index.stats.retries == 2

@@ -318,6 +318,32 @@ def test_lease_blocks_sum_to_the_inner_block():
         reset_shared_result_cache()
 
 
+def test_each_tenant_gauges_its_own_segments():
+    """``segments_live`` is a gauge, so a lease cannot take its share
+    as a delta of the inner block (a gauge's delta is its level): after
+    every tenant batch the lease counts that tenant's own live
+    segments — 9 windows each here, of the inner pool's 18."""
+    reset_shared_result_cache()
+    splitting = SplittingConfig(shape=(4, 4, 1), kernel=(2, 2, 1))
+    fleet = ShardFleet(FleetConfig(backend="shm", n_workers=2))
+    try:
+        with StreamSession(_config(fleet, splitting), k=4) as sa, \
+                StreamSession(_config(fleet, splitting), k=4) as sb:
+            for fa, fb in zip(_frames(seed=81), _frames(seed=82)):
+                ra = sa.process(fa)
+                rb = sb.process(fb)
+                if sa.effective_executor != "fleet:shm":
+                    pytest.skip("fork unavailable; inner pool fell back")
+                assert ra.n_windows == rb.n_windows == 9
+                assert ra.runtime["segments_live"] == 9
+                assert rb.runtime["segments_live"] == 9
+            assert sa.stats.segments_live == sb.stats.segments_live == 9
+            assert fleet._inner.stats.segments_live == 18
+    finally:
+        fleet.shutdown()
+        reset_shared_result_cache()
+
+
 def test_hang_in_one_tenant_leaves_the_other_untouched():
     frames_a = _frames(seed=41, n_frames=1)
     frames_b = _frames(seed=42, n_frames=1)

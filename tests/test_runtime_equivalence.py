@@ -415,7 +415,7 @@ _UNIT_SHAPES = {
     "range-capped-max-results": ("range", 20, {
         "radius": 0.2, "max_steps": 9, "max_results": 6}, False),
     "range-capped": ("range", 20, {"radius": 0.2, "max_steps": 9}, False),
-    "knn-uncapped-scan": ("knn", 3, {"k": 4, "engine": "scan"}, False),
+    "knn-uncapped-scan": ("knn", 3, {"k": 4}, False),      # auto scans
     "range-uncapped": ("range", 3, {"radius": 0.2}, False),
     "knn-traced": ("knn", 6, {"k": 3, "engine": "traverse",
                               "record_traces": True}, False),

@@ -4,9 +4,9 @@ The batched engine must be a pure performance change: for every query,
 ``indices``, ``distances``, ``steps`` and ``terminated`` have to match
 the per-query calls element for element — step accounting is the paper's
 deterministic-termination contribution and must not drift.  The scan
-engine is exempt from step parity by design (it visits every point and
-reports ``steps = N``), but its neighbours must still match the exact
-search.
+that ``engine="auto"`` runs on an uncapped, untraced batch is exempt
+from step parity by design (it visits every point and reports
+``steps = N``), but its neighbours must still match the exact search.
 """
 
 import numpy as np
@@ -69,7 +69,7 @@ def test_knn_batch_traverse_matches_per_query(cloud, queries, max_steps):
 
 def test_knn_batch_scan_matches_uncapped_search(cloud, queries):
     tree = KDTree(cloud)
-    batch = tree.knn_batch(queries, 6, engine="scan")
+    batch = tree.knn_batch(queries, 6)      # auto: uncapped, untraced
     for i, query in enumerate(queries):
         ref = tree.knn(query, 6)
         np.testing.assert_array_equal(batch.indices[i], ref.indices)
@@ -103,7 +103,7 @@ def test_range_batch_traverse_matches_per_query(cloud, queries,
 
 def test_range_batch_scan_matches_uncapped_search(cloud, queries):
     tree = KDTree(cloud)
-    batch = tree.range_batch(queries, 0.8, max_results=5, engine="scan")
+    batch = tree.range_batch(queries, 0.8, max_results=5)     # auto
     for i, query in enumerate(queries):
         ref = tree.range_search(query, 0.8, max_results=5)
         count = int(batch.counts[i])
@@ -114,14 +114,37 @@ def test_range_batch_scan_matches_uncapped_search(cloud, queries):
     assert (batch.steps == len(cloud)).all()
 
 
-def test_scan_engine_rejects_deadlines_and_traces(cloud, queries):
+def test_engine_names_are_auto_and_traverse(cloud, queries):
+    """``"scan"`` is no engine name (``"auto"`` picks the scan itself):
+    the batch engines reject it like any unknown name, uncapped, capped
+    or traced, and so does the windowed index — also for a capped op
+    whose units fuse, which never reaches a tree's own check."""
     tree = KDTree(cloud)
-    with pytest.raises(ValidationError):
-        tree.knn_batch(queries, 3, max_steps=5, engine="scan")
-    with pytest.raises(ValidationError):
-        tree.knn_batch(queries, 3, engine="scan", record_traces=True)
-    with pytest.raises(ValidationError):
-        tree.knn_batch(queries, 3, engine="warp")
+    for engine in ("scan", "warp"):
+        with pytest.raises(ValidationError):
+            tree.knn_batch(queries, 3, engine=engine)
+        with pytest.raises(ValidationError):
+            tree.knn_batch(queries, 3, max_steps=5, engine=engine)
+        with pytest.raises(ValidationError):
+            tree.knn_batch(queries, 3, engine=engine, record_traces=True)
+        with pytest.raises(ValidationError):
+            tree.range_batch(queries, 0.8, engine=engine)
+        with pytest.raises(ValidationError):
+            tree.range_batch(queries, 0.8, max_steps=5, engine=engine)
+    grid = ChunkGrid.fit(cloud, (3, 1, 1))
+    chunks = grid.assign(cloud)
+    index = ChunkedIndex(cloud, chunks, chunk_windows((3, 1, 1), (2, 1, 1)))
+    try:
+        for max_steps in (None, 9):
+            with pytest.raises(ValidationError):
+                index.query_knn_batch(cloud, chunks, 3, max_steps=max_steps,
+                                      engine="scan")
+        # The capped batch above would fuse: both windows share the
+        # serial slot and hold 150 queries.
+        index.query_knn_batch(cloud, chunks, 3, max_steps=9)
+        assert index.stats.arena_launches == 1
+    finally:
+        index.close()
 
 
 def test_auto_engine_honours_deadline_semantics(cloud, queries):

@@ -70,7 +70,7 @@ def test_chunked_index_window_assignment(clustered_positions):
     windows = chunk_windows((3, 3, 1), (2, 2, 1))
     index = ChunkedIndex(clustered_positions,
                          grid.assign(clustered_positions), windows)
-    for chunk in index.covered_chunks():
+    for chunk in range(grid.n_chunks):
         widx = index.window_for_chunk(chunk)
         assert chunk in windows[widx].chunk_ids
 

@@ -33,6 +33,7 @@ from repro.pipelines import (
 from repro.spatial import (
     ChunkGrid,
     ChunkedIndex,
+    KDTree,
     WindowResultCache,
     chunk_windows,
 )
@@ -457,16 +458,34 @@ def test_result_cache_eviction_stays_correct():
         _assert_batches_equal(g.result, w.result)
 
 
-def test_window_result_cache_validation_and_lru():
+def test_window_result_cache_validation_and_lru(rng):
     with pytest.raises(ValidationError):
         WindowResultCache(max_entries=0)
+    points = rng.uniform(0, 1, size=(40, 3))
+    queries = rng.uniform(0, 1, size=(6, 3))
+    tree = KDTree(points)
+    results = {key: tree.knn_batch(queries, k, max_steps=7)
+               for key, k in (("a", 2), ("b", 3), ("c", 5))}
     cache = WindowResultCache(max_entries=2)
-    for key in ("a", "b", "c"):
-        cache.store(key, key.upper())
+    for key, result in results.items():
+        cache.store(key, result)
     assert len(cache) == 2
-    assert cache.lookup("a") is None        # evicted (LRU)
-    assert cache.lookup("c") == "C"
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert cache.lookup("a", points, queries) is None     # evicted (LRU)
+    _assert_batches_equal(cache.lookup("c", points, queries),
+                          results["c"])
+
+
+def test_window_result_cache_refuses_traced_results(rng):
+    """Entries are compact and hold no traces, so a traced result is
+    refused instead of being stored whole."""
+    points = rng.uniform(0, 1, size=(40, 3))
+    queries = rng.uniform(0, 1, size=(6, 3))
+    traced = KDTree(points).knn_batch(queries, 3, engine="traverse",
+                                      record_traces=True)
+    cache = WindowResultCache(max_entries=4)
+    with pytest.raises(ValidationError):
+        cache.store("t", traced)
+    assert len(cache) == 0
 
 
 #: Windowed batches whose cached entries carry the awkward cases:
